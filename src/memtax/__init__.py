@@ -11,7 +11,7 @@ from .errors import (AbsentSymbolError, EmptyIntervalError, FormatError,
 from .evaluate import (EvalReport, IndexVariant, RangeClass, ReadSimConfig,
                        classify_range, classify_read, run_experiment,
                        simulate_reads)
-from .index import AugmentedFmIndex, SaInterval, deserialize, serialize
+from .index import AugmentedFmIndex, SaInterval, deserialize
 from .kernel import Kernel, KernelParams, build_katka_kernel, kernel_size_report
 from .mems import MemRecord, MemTable, compute_mem_table, longest_mems
 from .taxonomy import LcaStructure, PhyloTree, parse_newick

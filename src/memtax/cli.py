@@ -23,10 +23,6 @@ def _open_out(path):
     return sys.stdout if path in (None, "-") else open(path, "w")
 
 
-def _load_index(path: str) -> AugmentedFmIndex:
-    return deserialize(path)
-
-
 def _variant_from_args(args) -> IndexVariant:
     return IndexVariant(
         mode=args.mode,
@@ -57,24 +53,29 @@ def cmd_build(args) -> int:
 def _query_symbols(index: AugmentedFmIndex, sequence: str):
     """Reads are queried as base strings against raw/kernel indexes and as
     minimizer-value sequences (digested with the index's stored parameters)
-    against digest indexes."""
+    against digest indexes.  A read that cannot be digested, because it
+    holds a non-ACGT symbol, gives no symbols and is unclassifiable, like a
+    read shorter than one digest window."""
     prov = index.provenance
     if prov.get("mode") in ("digest", "digest-kernel"):
         a, b, m = prov["hash"]
         params = DigestParams(k=prov["k"], w=prov["w"], a=a, b=b, m=m)
-        return digest_sequence(sequence, params)
+        try:
+            return digest_sequence(sequence, params)
+        except ValidationError:
+            return []
     return sequence
 
 
 def cmd_query(args) -> int:
-    index = _load_index(args.index)
+    index = deserialize(args.index)
     out = _open_out(args.output)
     try:
         out.write("\t".join(TSV_HEADER) + "\n")
         for read_id, seq in iter_reads(args.reads, fmt=args.format):
             symbols = _query_symbols(index, seq)
             if not symbols:
-                continue  # shorter than one digest window: unclassifiable
+                continue  # unclassifiable: see _query_symbols
             table = compute_mem_table(index, symbols, min_length=args.min_mem)
             for row in tsv_rows(read_id, symbols, table, index.alphabet):
                 out.write("\t".join(str(x) for x in row) + "\n")
@@ -85,7 +86,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    index = _load_index(args.index)
+    index = deserialize(args.index)
     with open(args.tree) as f:
         tree = parse_newick(f.read())
     if tree.leaf_count != len(index.sep_positions):

@@ -65,9 +65,6 @@ class Alphabet:
             return FIRST_SYMBOL_CODE + v
         return None
 
-    def encode_query_sequence(self, symbols) -> list[int | None]:
-        return [self.encode_query(s) for s in symbols]
-
     def decode(self, code: int) -> str:
         """Display form of one code (separators render verbatim)."""
         if code == HASH_CODE:

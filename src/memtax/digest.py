@@ -12,10 +12,10 @@ the ASCII characters 37..100.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .collection import (FIRST_SYMBOL_CODE, SEP_CODE, Alphabet, BASES,
                          GenomeCollection, SeparatedText)
@@ -69,13 +69,16 @@ def hash_value(params: DigestParams, x: int) -> int:
     return (params.a * x + params.b) % params.m
 
 
+_DIGIT_OF_BYTE = np.full(256, -1, dtype=np.int64)
+_DIGIT_OF_BYTE[np.frombuffer(BASES.encode(), dtype=np.uint8)] = np.arange(len(BASES))
+
+
 def _kmer_values(s: str, k: int) -> np.ndarray:
-    digits = np.empty(len(s), dtype=np.int64)
-    for i, c in enumerate(s):
-        d = _BASE_DIGIT.get(c)
-        if d is None:
-            raise ValidationError(f"non-base symbol {c!r} in sequence")
-        digits[i] = d
+    # one byte per character; anything outside latin-1 becomes '?', a non-base
+    digits = _DIGIT_OF_BYTE[np.frombuffer(s.encode("latin-1", "replace"), dtype=np.uint8)]
+    bad = np.flatnonzero(digits < 0)
+    if bad.size:
+        raise ValidationError(f"non-base symbol {s[bad[0]]!r} in sequence")
     nk = len(s) - k + 1
     vals = np.zeros(nk, dtype=np.int64)
     for t in range(k):
@@ -83,35 +86,30 @@ def _kmer_values(s: str, k: int) -> np.ndarray:
     return vals
 
 
+def _minimizers(s: str, params: DigestParams) -> tuple[np.ndarray, np.ndarray]:
+    """(values, k-mer starts) of the marked minimizers in position order:
+    the leftmost least hash of every window of w k-mer starts, each start
+    marked once."""
+    k, w = params.k, params.w
+    nk = len(s) - k + 1
+    if nk < w:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    vals = _kmer_values(s, k)
+    hashes = (params.a * vals + params.b) % params.m
+    marked = np.arange(nk - w + 1) + sliding_window_view(hashes, w).argmin(axis=1)
+    marked = marked[np.append(True, marked[1:] != marked[:-1])]
+    return vals[marked], marked
+
+
 def digest_sequence(s: str, params: DigestParams) -> list[int]:
     """Minimizer digest of one string as a list of k-mer values; empty when
     fewer than w k-mers fit."""
-    return [v for v, _ in digest_with_positions(s, params)]
+    return _minimizers(s, params)[0].tolist()
 
 
 def digest_with_positions(s: str, params: DigestParams) -> list[tuple[int, int]]:
     """(value, k-mer start) pairs of the marked minimizers, position order."""
-    k, w = params.k, params.w
-    nk = len(s) - k + 1
-    if nk < w:
-        return []
-    vals = _kmer_values(s, k)
-    hashes = ((params.a * vals + params.b) % params.m).tolist()
-    marked: list[int] = []
-    dq: deque[int] = deque()
-    for j in range(nk):
-        # strict pops keep the earliest index of equal hashes in front
-        while dq and hashes[dq[-1]] > hashes[j]:
-            dq.pop()
-        dq.append(j)
-        i = j - w + 1  # window of k-mer starts [i, j]
-        if i < 0:
-            continue
-        while dq[0] < i:
-            dq.popleft()
-        if not marked or marked[-1] != dq[0]:
-            marked.append(dq[0])
-    return [(int(vals[j]), j) for j in marked]
+    return list(zip(*(a.tolist() for a in _minimizers(s, params))))
 
 
 class Digest(SeparatedText):
@@ -121,21 +119,17 @@ class Digest(SeparatedText):
 
     def values(self) -> list[list[int]]:
         """Per-genome lists of k-mer values (separators stripped)."""
-        out: list[list[int]] = []
-        for s, e in self.genome_spans():
-            out.append([int(c) - FIRST_SYMBOL_CODE for c in self.codes[s:e]])
-        return out
+        return [(self.codes[s:e] - FIRST_SYMBOL_CODE).tolist() for s, e in self.genome_spans()]
 
 
 def digest_collection(collection: GenomeCollection, params: DigestParams) -> Digest:
     """Concatenated per-genome digests, one '$' after each genome, exactly
     parallel to the separated base text."""
     alphabet = Alphabet(kind="digest", k=params.k)
-    codes: list[int] = []
+    parts = []
     for g in collection.genomes:
-        codes.extend(FIRST_SYMBOL_CODE + v for v in digest_sequence(g, params))
-        codes.append(SEP_CODE)
-    return Digest(np.asarray(codes, dtype=np.int32), alphabet,
+        parts += [_minimizers(g, params)[0] + FIRST_SYMBOL_CODE, [SEP_CODE]]
+    return Digest(np.concatenate(parts).astype(np.int32), alphabet,
                   params.to_provenance(), params)
 
 

@@ -19,12 +19,11 @@ import numpy as np
 from .collection import FIRST_SYMBOL_CODE, Alphabet, SeparatedText
 from .errors import (AbsentSymbolError, EmptyIntervalError, FormatError,
                      ValidationError)
-from .suffix import (IndexedSequence, RangeExtremes, build_lcp_array,
-                     build_suffix_array, derive_bwt, next_smaller_values,
-                     previous_smaller_values)
+from .suffix import (IndexedSequence, RangeExtremes, build_suffix_array,
+                     derive_bwt, next_smaller_values, previous_smaller_values)
 
 MAGIC = b"KTK2"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,7 @@ class AugmentedFmIndex:
             raise ValidationError("cannot index an empty text")
         if int(codes.max()) >= st.alphabet.size:
             raise ValidationError("text symbol exceeds the declared alphabet width")
-        sa = build_suffix_array(codes)
-        lcp = build_lcp_array(codes, sa)
+        sa, lcp = build_suffix_array(codes)
         bwt = IndexedSequence(derive_bwt(codes, sa), st.alphabet.size)
         return cls(bwt, sa, lcp, st.sep_positions, st.alphabet, st.provenance)
 
@@ -228,7 +226,7 @@ class AugmentedFmIndex:
         }
         meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
         head = MAGIC + struct.pack("<II", VERSION, len(meta_bytes)) + meta_bytes
-        head += struct.pack("<I", zlib.crc32(payload))
+        head += struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
         sink.write(head)
         sink.write(payload)
         return len(head) + len(payload)
@@ -253,13 +251,10 @@ class AugmentedFmIndex:
         return payload, meta
 
 
-def serialize(index: AugmentedFmIndex, sink) -> int:
-    return index.serialize(sink)
-
-
 def deserialize(source) -> AugmentedFmIndex:
-    """Read an index written by serialize(); raises FormatError on bad
-    magic/version, truncation or checksum mismatch."""
+    """Read an index written by AugmentedFmIndex.serialize(); raises
+    FormatError on bad magic/version, truncation, a checksum mismatch over
+    header and payload, or a header missing a key or holding a wrong type."""
     if isinstance(source, str):
         with open(source, "rb") as f:
             return deserialize(f)
@@ -273,20 +268,20 @@ def deserialize(source) -> AugmentedFmIndex:
     if version != VERSION:
         raise FormatError(f"unsupported index version {version}")
     meta_bytes = source.read(meta_len)
-    if len(meta_bytes) < meta_len:
-        raise FormatError("truncated index header")
-    try:
-        meta = json.loads(meta_bytes)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"corrupt index header: {e}") from None
     crc_bytes = source.read(4)
-    if len(crc_bytes) < 4:
+    if len(meta_bytes) < meta_len or len(crc_bytes) < 4:
         raise FormatError("truncated index header")
     (crc,) = struct.unpack("<I", crc_bytes)
     payload = source.read()
-    if zlib.crc32(payload) != crc:
-        raise FormatError("index payload checksum mismatch")
+    if zlib.crc32(payload, zlib.crc32(head + meta_bytes)) != crc:
+        raise FormatError("index checksum mismatch")
+    try:
+        return _decode(json.loads(meta_bytes), payload)
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed index header: {type(e).__name__}: {e}") from None
 
+
+def _decode(meta: dict, payload: bytes) -> AugmentedFmIndex:
     arrays = {}
     offset = 0
     for name, dtype, count in meta["arrays"]:

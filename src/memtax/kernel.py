@@ -20,6 +20,7 @@ import numpy as np
 
 from .collection import FIRST_SYMBOL_CODE, HASH_CODE, SEP_CODE, SeparatedText
 from .errors import ValidationError
+from .suffix import prefix_doubling_ranks
 
 
 @dataclass(frozen=True)
@@ -47,59 +48,37 @@ def _kernel_provenance(source: dict, k_max: int) -> dict:
 
 
 def build_katka_kernel(st: SeparatedText, params: KernelParams) -> Kernel:
-    codes = st.codes
-    n = len(codes)
     k = params.k_max
-    keep_delta = np.zeros(n + 1, dtype=np.int32)
-    verbatim = np.zeros(n, dtype=bool)
+    # symbols after the last separator belong to no genome and are dropped
+    codes = st.codes[: st.sep_positions[-1] + 1] if len(st.sep_positions) else st.codes[:0]
+    n = len(codes)
+    is_sep = codes == SEP_CODE
+    seps_before = np.concatenate(([0], np.cumsum(is_sep)))
+    genome_len = np.diff(st.sep_positions, prepend=-1) - 1
+    keep = (genome_len < k)[seps_before[:-1]]  # genomes too short for a window stay
 
-    # pass 1: hash every in-genome window to its first and last start
-    first: dict[bytes, int] = {}
-    last: dict[bytes, int] = {}
-    width = 1 if st.alphabet.size <= 256 else 4
-    dtype = np.uint8 if width == 1 else np.uint32
-    for s, e in st.genome_spans():
-        if e - s < k:
-            verbatim[s:e] = True
-            continue
-        seg = codes[s:e].astype(dtype).tobytes()
-        for i in range(e - s - k + 1):
-            w = seg[i * width: (i + k) * width]
-            p = s + i
-            if w not in first:
-                first[w] = p
-            last[w] = p
+    # every window [i, i+k) inside one genome, identified by the ranks of its
+    # two overlapping power-of-two halves; when doubling stops short of k,
+    # all windows are distinct already
+    starts = np.flatnonzero(seps_before[k:] == seps_before[: max(n + 1 - k, 0)])
+    if len(starts):
+        for j, rank in zip(range(k.bit_length()), prefix_doubling_ranks(codes)):
+            half = 1 << j  # the longest level reached that is not above k
+        ids = rank[starts] * (n + 2) + rank[starts + k - half]
+        order = np.argsort(ids, kind="stable")
+        change = np.flatnonzero(np.diff(ids[order])) + 1
+        ends = np.append(change, len(order)) - 1
+        kept = starts[order[np.concatenate(([0], change, ends))]]  # first and last starts
+        cover = np.bincount(kept, minlength=n + 1) - np.bincount(kept + k, minlength=n + 1)
+        keep |= np.cumsum(cover[:n]) > 0
 
-    # pass 2: paint kept windows into a coverage mask
-    for table in (first, last):
-        for p in table.values():
-            keep_delta[p] += 1
-            keep_delta[p + k] -= 1
-    keep = np.cumsum(keep_delta[:n]) > 0
-    keep |= verbatim
-
-    out: list[int] = []
-    pending_gap = False
-    prev_emitted_sep = True  # text start behaves like a separator boundary
-    code_list = codes.tolist()
-    keep_list = keep.tolist()
-    for i in range(n):
-        c = code_list[i]
-        if c == SEP_CODE:
-            out.append(SEP_CODE)
-            pending_gap = False
-            prev_emitted_sep = True
-        elif keep_list[i]:
-            if pending_gap and not prev_emitted_sep:
-                out.append(HASH_CODE)
-            out.append(c)
-            pending_gap = False
-            prev_emitted_sep = False
-        else:
-            pending_gap = True
-
-    return Kernel(np.asarray(out, dtype=np.int32), st.alphabet,
-                  _kernel_provenance(st.provenance, k), params)
+    # emit kept symbols and separators; one '#' per omitted run between two
+    # kept ordinary symbols, nothing for runs next to a separator
+    at = np.flatnonzero(keep | is_sep)
+    out = codes[at]
+    gap = (np.diff(at) > 1) & (out[:-1] != SEP_CODE) & (out[1:] != SEP_CODE)
+    out = np.insert(out, np.flatnonzero(gap) + 1, HASH_CODE)
+    return Kernel(out, st.alphabet, _kernel_provenance(st.provenance, k), params)
 
 
 def kernel_size_report(kernel: SeparatedText) -> tuple[int, int, int]:

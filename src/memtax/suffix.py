@@ -13,65 +13,53 @@ import numpy as np
 from .collection import EOF_CODE
 
 
-def build_suffix_array(codes) -> np.ndarray:
-    """Suffix array of codes with the implicit EOF sentinel appended.
+def prefix_doubling_ranks(codes):
+    """Yield, for h = 1, 2, 4, ..., the rank of the length-h prefix of every
+    suffix of codes + EOF sentinel (int64, dense, in the prefixes' sorted
+    order): ranks[i] == ranks[j] iff the two prefixes are equal.  A prefix
+    that reaches the unique sentinel is itself unique.  Stops after the
+    first all-distinct level, which is then the inverse suffix array.
 
-    Returns a permutation of 0..len(codes) (int64); entry 0 is always the
-    sentinel position len(codes).  Prefix doubling with stable integer
-    argsort (LSD radix in numpy), so each round is linear and the whole
-    construction is O(n log n).
+    Manber & Myers prefix doubling with one sort per round; dense ranks keep
+    the round key rank * (n+1) + next_rank in int64 for any alphabet.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.size == 0:
         raise ValueError("text must be non-empty")
     if codes.min() <= EOF_CODE:
         raise ValueError("text codes must be greater than the EOF code")
-    s = np.empty(len(codes) + 1, dtype=np.int64)
-    s[:-1] = codes
-    s[-1] = EOF_CODE
+    s = np.append(codes, EOF_CODE)
     n = len(s)
-    rank = s
-    k = 1
+    distinct, rank = np.unique(s, return_inverse=True)
+    h = 1
     while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        order = np.argsort(key2, kind="stable")
-        order = order[np.argsort(rank[order], kind="stable")]
-        neq = (rank[order[1:]] != rank[order[:-1]]) | (key2[order[1:]] != key2[order[:-1]])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order[0]] = 0
-        new_rank[order[1:]] = np.cumsum(neq)
-        rank = new_rank
-        if rank[order[-1]] == n - 1:
-            return order
-        k *= 2
-        assert k < 2 * n
+        yield rank
+        if len(distinct) == n:
+            return
+        key = rank * (n + 1)
+        key[: n - h] += rank[h:] + 1
+        distinct, rank = np.unique(key, return_inverse=True)
+        h *= 2
 
 
-def build_lcp_array(codes, sa: np.ndarray) -> np.ndarray:
-    """LCP array via Kasai's algorithm; lcp[0] = 0, lcp[i] = |lcp| of the
-    (i-1)-th and i-th sorted suffixes of codes + sentinel."""
-    s = [int(c) for c in codes]
-    s.append(EOF_CODE)
-    n = len(s)
-    sa_l = [int(x) for x in sa]
-    rank = [0] * n
-    for i, p in enumerate(sa_l):
-        rank[p] = i
-    lcp = [0] * n
-    h = 0
-    for p in range(n):
-        r = rank[p]
-        if r == 0:
-            h = 0
-            continue
-        q = sa_l[r - 1]
-        while p + h < n and q + h < n and s[p + h] == s[q + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return np.asarray(lcp, dtype=np.int64)
+def build_suffix_array(codes) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix array and LCP array of codes with the implicit EOF sentinel
+    appended, both int64 of length len(codes) + 1.
+
+    sa[0] is always the sentinel position len(codes); lcp[0] = 0 and lcp[i]
+    is the longest common prefix of the suffixes at rows i-1 and i, found by
+    binary lifting over the prefix-doubling levels.
+    """
+    levels = list(prefix_doubling_ranks(codes))
+    n = len(levels[-1])
+    sa = np.empty(n, dtype=np.int64)
+    sa[levels[-1]] = np.arange(n)
+    lcp = np.zeros(n, dtype=np.int64)
+    prev, cur, h = sa[:-1], sa[1:], lcp[1:]
+    # the last level is all-distinct, so every lcp is below its length
+    for j in range(len(levels) - 2, -1, -1):
+        h += (levels[j][prev + h] == levels[j][cur + h]) << j
+    return sa, lcp
 
 
 def derive_bwt(codes, sa: np.ndarray) -> np.ndarray:
@@ -181,10 +169,6 @@ class RangeExtremes:
 
     def argmax(self, lo: int, hi: int) -> int:
         return self.position(lo, hi, "max")
-
-
-def range_extreme(r: RangeExtremes, lo: int, hi: int, kind: str) -> int:
-    return r.position(lo, hi, kind)
 
 
 def previous_smaller_values(values) -> np.ndarray:

@@ -171,11 +171,3 @@ class LcaStructure:
             raise ValidationError("invalid genome range")
         return self.lca(self.tree.leaf_for_genome(first),
                         self.tree.leaf_for_genome(last))
-
-
-def lca(structure: LcaStructure, a: int, b: int) -> int:
-    return structure.lca(a, b)
-
-
-def subtree_for_range(structure: LcaStructure, first: int, last: int) -> int:
-    return structure.subtree_for_range(first, last)

@@ -168,6 +168,54 @@ def kernel_runs(kernel_text_symbols):
     return runs
 
 
+def naive_kernel(text, k, sep=SEP, gap=GAP):
+    """Definitional order-k first/last-occurrence kernel of a symbol list.
+
+    A genome is a run of symbols ended by `sep` (symbols after the last
+    separator are no genome).  Kept: every symbol of each genome shorter
+    than k, and the k symbols at the first and at the last start of every
+    distinct k-window lying inside one genome.  Output: the kept symbols and
+    every separator in text order, with one `gap` for each maximal run of
+    dropped symbols that lies between two kept non-separator symbols."""
+    text = list(text)
+    starts = {}
+    kept = set()
+    begin = 0
+    for end, c in enumerate(text):
+        if c != sep:
+            continue
+        if end - begin < k:
+            kept.update(range(begin, end))
+        for i in range(begin, end - k + 1):
+            starts.setdefault(tuple(text[i: i + k]), []).append(i)
+        begin = end + 1
+    for occ in starts.values():
+        kept.update(range(occ[0], occ[0] + k))
+        kept.update(range(occ[-1], occ[-1] + k))
+    out = []
+    prev = None  # text position of the last output symbol
+    for i, c in enumerate(text):
+        if c == sep or i in kept:
+            if c != sep and prev is not None and text[prev] != sep and prev < i - 1:
+                out.append(gap)
+            out.append(c)
+            prev = i
+    return out
+
+
+def naive_digest(s, k, w, a, b, m):
+    """Definitional minimizer digest: (value, start) of the k-mer with the
+    least hash (a*value + b) mod m, leftmost on ties, in every window of w
+    consecutive k-mer starts; each start once, in position order.  A k-mer's
+    value has base digits A=0, C=1, G=2, T=3, first base least significant."""
+    vals = [sum("ACGT".index(c) * 4**j for j, c in enumerate(s[i: i + k]))
+            for i in range(len(s) - k + 1)]
+    hashes = [(a * v + b) % m for v in vals]
+    marked = {min(range(i, i + w), key=lambda j: (hashes[j], j))
+              for i in range(len(vals) - w + 1)}
+    return [(vals[j], j) for j in sorted(marked)]
+
+
 def naive_lca(parent, a, b):
     def ancestors(u):
         out = [u]

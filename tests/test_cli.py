@@ -71,6 +71,35 @@ def test_query_digest_index_uses_stored_params(tmp_path, golden_genomes):
     assert [(r[3], r[6], r[7]) for r in rows] == [("Q", "8", "15"), (".", "4", "11")]
 
 
+def test_n_bearing_read_on_digest_index(tmp_path, golden_genomes):
+    genomes = tmp_path / "fig.txt"
+    genomes.write_text("\n".join(golden_genomes) + "\n")
+    idx = tmp_path / "dig.ktk2"
+    assert main(["build", "--input", str(genomes), "--format", "lines",
+                 "--mode", "digest", "--output", str(idx)]) == 0
+    tree = tmp_path / "fig.nwk"
+    tree.write_text("(" + ",".join(f"g{i}" for i in range(len(golden_genomes))) + ");")
+    reads = tmp_path / "reads.fa"
+    reads.write_text(f">clean1\n{P}\n>withN\n{P[:10]}N{P[11:]}\n>clean2\n{P}\n")
+
+    out = tmp_path / "mems.tsv"
+    assert main(["query", "--index", str(idx), "--reads", str(reads),
+                 "--output", str(out)]) == 0
+    rows = [l.split("\t") for l in out.read_text().strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == ["clean1", "clean1", "clean2", "clean2"]
+
+    out = tmp_path / "cls.tsv"
+    assert main(["classify", "--index", str(idx), "--tree", str(tree),
+                 "--reads", str(reads), "--output", str(out)]) == 0
+    rows = [l.split("\t") for l in out.read_text().strip().split("\n")[1:]]
+    by_read = {}
+    for r in rows:
+        by_read.setdefault(r[0], []).append(r[1:])
+    assert list(by_read) == ["clean1", "withN", "clean2"]
+    assert by_read["withN"] == [["-"] * 5]
+    assert by_read["clean2"] == by_read["clean1"] != [["-"] * 5]
+
+
 def test_empty_read_file(tmp_path, toy_files):
     genomes, _ = toy_files
     idx = tmp_path / "toy.ktk2"
@@ -152,4 +181,11 @@ def test_exit_codes(tmp_path, toy_files):
     junk = tmp_path / "junk.ktk2"
     junk.write_bytes(b"garbage")
     rc = main(["query", "--index", str(junk), "--reads", str(reads)])
+    assert rc == 4
+    # format error: a hand-edited header key
+    idx = tmp_path / "toy.ktk2"
+    assert main(["build", "--input", str(genomes), "--format", "lines",
+                 "--mode", "raw", "--output", str(idx)]) == 0
+    idx.write_bytes(idx.read_bytes().replace(b'"text_length"', b'"text_lengtX"'))
+    rc = main(["query", "--index", str(idx), "--reads", str(reads)])
     assert rc == 4

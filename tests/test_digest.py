@@ -10,6 +10,8 @@ from memtax.digest import digest_with_positions
 
 from conftest import P
 
+import oracles
+
 
 def test_kmer_value_examples():
     assert kmer_value("AGC") == 24
@@ -98,6 +100,26 @@ def test_window_soundness_random():
         assert [pos for _, pos in pairs] == sorted(marked)
         for value, pos in pairs:
             assert value == kmer_value(s[pos:pos + k])
+
+
+def test_digest_equals_naive_digest_random():
+    rng = random.Random(777)
+    for case in range(400):
+        k, w = rng.randint(1, 5), rng.randint(1, 10)
+        # m = 7 makes ties common: the leftmost least hash must win
+        a, b, m = rng.randint(1, 9000), rng.randint(0, 9000), rng.choice([7, 64, 8863])
+        s = "".join(rng.choice("ACGT") for _ in range(rng.randint(0, 150)))
+        params = DigestParams(k=k, w=w, a=a, b=b, m=m)
+        want = oracles.naive_digest(s, k, w, a, b, m)
+        assert digest_with_positions(s, params) == want
+        assert digest_sequence(s, params) == [v for v, _ in want]
+
+
+def test_digest_rejects_non_base_symbols():
+    for bad in ("N", "x", "\u00e9", "\u20ac"):
+        s = "ACGTACGTACGT" + bad + "ACGTACGTACGT"
+        with pytest.raises(ValidationError, match=repr(bad)):
+            digest_sequence(s, DigestParams())
 
 
 def test_containment_direction_random(golden_collection, golden_digest_index):

@@ -1,5 +1,7 @@
 import io
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -184,7 +186,20 @@ def test_serialize_deterministic(toy_index):
     assert rebuilt.to_bytes() == toy_index.to_bytes()
 
 
-def test_deserialize_errors(toy_index):
+def _with_header(blob: bytes, old: bytes, new: bytes, fix_crc: bool) -> bytes:
+    """The index file with `old` replaced by the same-length `new` in its
+    JSON header; with fix_crc, as a writer would have checksummed it."""
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    meta = blob[12: 12 + meta_len]
+    assert meta.count(old) == 1 and len(old) == len(new)
+    head = blob[:12] + meta.replace(old, new)
+    payload = blob[16 + meta_len:]
+    crc = zlib.crc32(payload, zlib.crc32(head)) if fix_crc else \
+        struct.unpack("<I", blob[12 + meta_len: 16 + meta_len])[0]
+    return head + struct.pack("<I", crc) + payload
+
+
+def test_deserialize_errors(toy_index, golden_digest_index):
     blob = bytearray(toy_index.to_bytes())
     with pytest.raises(FormatError, match="magic"):
         deserialize(b"NOPE" + bytes(blob[4:]))
@@ -198,6 +213,22 @@ def test_deserialize_errors(toy_index):
         deserialize(bytes(corrupt))
     with pytest.raises(FormatError):
         deserialize(bytes(blob[:len(blob) // 2]))  # truncation
+    # the checksum covers the header: a renamed key or an edited digest
+    # parameter no longer loads
+    blob = bytes(blob)
+    with pytest.raises(FormatError, match="checksum"):
+        deserialize(_with_header(blob, b'"text_length"', b'"text_lengtX"', False))
+    digest_blob = golden_digest_index.to_bytes()
+    assert b'"mode":"digest"' in digest_blob
+    with pytest.raises(FormatError, match="checksum"):
+        deserialize(_with_header(digest_blob, b'"k":3,"mode"', b'"k":9,"mode"', False))
+    # a checksummed header missing a key, holding a wrong type or no JSON
+    for old, new in ((b'"text_length"', b'"text_lengtX"'),
+                     (b'"text_length":45', b'"text_length":[]'),
+                     (b'"provenance":{"mode":"raw"}', b'"provenance":["mode","raw"]'),
+                     (b'"alphabet":{', b'"alphabet":[')):
+        with pytest.raises(FormatError, match="malformed index header"):
+            deserialize(_with_header(blob, old, new, True))
 
 
 def test_reported_size_equals_file_bytes(tmp_path, toy_index):

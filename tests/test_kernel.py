@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from memtax import (GenomeCollection, KernelParams, ValidationError,
-                    build_katka_kernel, separate)
+from memtax import (DigestParams, GenomeCollection, KernelParams,
+                    ValidationError, build_katka_kernel, digest_collection,
+                    separate)
+from memtax.collection import HASH_CODE, SEP_CODE
 from memtax.kernel import kernel_size_report
 
 import oracles
@@ -98,6 +100,39 @@ def test_fixed_point_at_same_order():
             a = oracles.kmer_genome_map(oracles.kernel_runs(kernel.text()), k)
             b = oracles.kmer_genome_map(oracles.kernel_runs(again.text()), k)
             assert a == b
+
+
+def _assert_naive_kernel(st, k_max):
+    got = build_katka_kernel(st, KernelParams(k_max)).codes.tolist()
+    want = oracles.naive_kernel(st.codes.tolist(), k_max, sep=SEP_CODE, gap=HASH_CODE)
+    assert got == want, (st.codes.tolist(), k_max)
+
+
+def test_kernel_codes_equal_naive_kernel_random():
+    rng = random.Random(2024)
+    for case in range(150):
+        alphabet = "AC" if case % 2 else "ACGT"
+        max_len = rng.choice([6, 40, 200])
+        genomes = oracles.random_collection(rng, max_genomes=8, max_len=max_len,
+                                            alphabet=alphabet)
+        st = separate(GenomeCollection(genomes=genomes))
+        longest = max(len(g) for g in genomes)
+        # k_max = 1, powers of two and not, shorter genomes, k_max >= longest
+        for k_max in {1, 2, 3, 4, 5, 7, 8, 13, rng.randint(1, longest), longest,
+                      longest + 1, 2 * longest}:
+            _assert_naive_kernel(st, k_max)
+
+
+def test_kernel_codes_equal_naive_kernel_digest_text(golden_digest):
+    for k_max in (1, 2, 3, 5, 8, 50):
+        _assert_naive_kernel(golden_digest, k_max)
+    rng = random.Random(31)
+    genomes = ["".join(rng.choice("ACGT") for _ in range(rng.randint(10, 300)))
+               for _ in range(8)]
+    genomes += [genomes[0] + genomes[1], genomes[2][:30]]  # shared windows
+    digest = digest_collection(GenomeCollection(genomes=genomes), DigestParams(k=4, w=3))
+    for k_max in (1, 2, 3, 6, 11, 16, 40):
+        _assert_naive_kernel(digest, k_max)
 
 
 def test_digest_kernel_provenance(golden_digest):

@@ -3,17 +3,21 @@ import random
 import numpy as np
 import pytest
 
+from memtax import DigestParams, GenomeCollection, digest_collection
 from memtax.collection import encode_bases
-from memtax.suffix import (IndexedSequence, RangeExtremes, build_lcp_array,
-                           build_suffix_array, derive_bwt,
-                           next_smaller_values, previous_smaller_values,
-                           range_extreme)
+from memtax.suffix import (IndexedSequence, RangeExtremes, build_suffix_array,
+                           derive_bwt, next_smaller_values,
+                           previous_smaller_values)
 
 import oracles
 
 
 def sa_of(text: str):
-    return build_suffix_array(encode_bases(text))
+    return build_suffix_array(encode_bases(text))[0]
+
+
+def lcp_of(text: str):
+    return build_suffix_array(encode_bases(text))[1]
 
 
 def test_suffix_array_examples():
@@ -22,11 +26,16 @@ def test_suffix_array_examples():
 
 
 def test_lcp_examples():
-    codes = encode_bases("GATA")
-    assert list(build_lcp_array(codes, sa_of("GATA"))) == [0, 0, 1, 0, 0]
-    codes = encode_bases("AAAA")
-    assert list(build_lcp_array(codes, sa_of("AAAA"))) == [0, 0, 1, 2, 3]
-    assert build_lcp_array(encode_bases("A"), sa_of("A"))[0] == 0
+    assert list(lcp_of("GATA")) == [0, 0, 1, 0, 0]
+    assert list(lcp_of("AAAA")) == [0, 0, 1, 2, 3]
+    assert list(lcp_of("A")) == [0, 0]
+
+
+def test_suffix_array_rejects_reserved_codes():
+    with pytest.raises(ValueError):
+        build_suffix_array([])
+    with pytest.raises(ValueError):
+        build_suffix_array([3, 0, 4])
 
 
 def test_bwt_examples():
@@ -39,19 +48,40 @@ def test_bwt_examples():
     assert list(derive_bwt(codes, sa_of("A"))) == [3, 0]
 
 
+def _check_sa_lcp_bwt(codes):
+    sa, lcp = build_suffix_array(codes)
+    assert sorted(sa) == list(range(len(codes) + 1))  # permutation
+    assert list(sa) == oracles.naive_suffix_array(codes)
+    assert list(lcp) == oracles.naive_lcp(codes, sa)
+    assert list(derive_bwt(codes, sa)) == oracles.naive_bwt(codes, sa)
+
+
 def test_sa_lcp_bwt_against_oracle_random():
     rng = random.Random(11)
     for _ in range(120):
         n = rng.randint(1, 512)
         alpha = rng.choice(["AC", "ACGT", "AG"])
-        text = "".join(rng.choice(alpha) for _ in range(n))
-        codes = encode_bases(text)
-        sa = build_suffix_array(codes)
-        assert sorted(sa) == list(range(n + 1))  # permutation
-        expected = oracles.naive_suffix_array(codes)
-        assert list(sa) == expected
-        assert list(build_lcp_array(codes, sa)) == oracles.naive_lcp(codes, sa)
-        assert list(derive_bwt(codes, sa)) == oracles.naive_bwt(codes, sa)
+        _check_sa_lcp_bwt(encode_bases("".join(rng.choice(alpha) for _ in range(n))))
+
+
+def test_sa_lcp_unary_and_periodic_texts():
+    # every doubling round stays ambiguous until the prefix length passes n
+    for n in (1, 2, 3, 31, 32, 33, 64, 65, 300):
+        _check_sa_lcp_bwt(encode_bases("A" * n))
+        _check_sa_lcp_bwt(encode_bases("AC" * n))
+        _check_sa_lcp_bwt(encode_bases("AAC" * (n // 3 + 1)))
+
+
+def test_sa_lcp_digest_alphabet_text():
+    rng = random.Random(13)
+    for k, w in ((3, 2), (5, 1)):
+        genomes = ["".join(rng.choice("ACGT") for _ in range(rng.randint(5, 150)))
+                   for _ in range(6)]
+        genomes.append(genomes[0] * 2)  # long repeats across genomes
+        codes = digest_collection(GenomeCollection(genomes=genomes),
+                                  DigestParams(k=k, w=w)).codes
+        assert codes.max() > 8  # beyond the base alphabet
+        _check_sa_lcp_bwt(codes)
 
 
 def test_rank_select_inverse_laws():
@@ -73,8 +103,8 @@ def test_rank_select_inverse_laws():
 
 def test_rmq_examples():
     r = RangeExtremes([5, 2, 7, 2])
-    assert range_extreme(r, 0, 3, "min") == 1  # leftmost tie
-    assert range_extreme(r, 1, 3, "max") == 2
+    assert r.position(0, 3, "min") == 1  # leftmost tie
+    assert r.position(1, 3, "max") == 2
     with pytest.raises(ValueError):
         r.position(2, 1)
 

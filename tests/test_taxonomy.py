@@ -3,7 +3,6 @@ import random
 import pytest
 
 from memtax import LcaStructure, PhyloTree, ValidationError, parse_newick
-from memtax.taxonomy import lca, subtree_for_range
 
 import oracles
 
@@ -51,10 +50,10 @@ def test_lca_examples():
     tree = parse_newick("((g0,g1),(g2,g3));")
     s = LcaStructure(tree)
     a = tree.leaves[0]
-    assert lca(s, a, a) == a
+    assert s.lca(a, a) == a
     parent = tree.parent[tree.leaves[0]]
-    assert lca(s, tree.leaves[0], tree.leaves[1]) == parent
-    assert lca(s, tree.leaves[0], tree.leaves[3]) == tree.root
+    assert s.lca(tree.leaves[0], tree.leaves[1]) == parent
+    assert s.lca(tree.leaves[0], tree.leaves[3]) == tree.root
 
 
 def _random_tree(rng, max_leaves=64):
@@ -101,12 +100,12 @@ def test_subtree_for_range():
     tree = parse_newick("((g0,g1),(g2,g3));")
     s = LcaStructure(tree)
     for g in range(4):
-        assert subtree_for_range(s, g, g) == tree.leaves[g]
-    assert subtree_for_range(s, 0, 3) == tree.root
+        assert s.subtree_for_range(g, g) == tree.leaves[g]
+    assert s.subtree_for_range(0, 3) == tree.root
     with pytest.raises(ValidationError):
-        subtree_for_range(s, 2, 1)
+        s.subtree_for_range(2, 1)
     with pytest.raises(ValidationError):
-        subtree_for_range(s, 0, 9)
+        s.subtree_for_range(0, 9)
 
 
 def test_subtree_leaf_span_contains_range_random():
