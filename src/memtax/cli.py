@@ -5,7 +5,6 @@ import argparse
 import sys
 
 from .collection import iter_reads, parse_collection
-from .digest import DigestParams, digest_sequence
 from .errors import FormatError, MemtaxError, ValidationError
 from .evaluate import (IndexVariant, ReadSimConfig, build_variant_text,
                        expand_variant_specs, run_experiment)
@@ -50,32 +49,15 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _query_symbols(index: AugmentedFmIndex, sequence: str):
-    """Reads are queried as base strings against raw/kernel indexes and as
-    minimizer-value sequences (digested with the index's stored parameters)
-    against digest indexes.  A read that cannot be digested, because it
-    holds a non-ACGT symbol, gives no symbols and is unclassifiable, like a
-    read shorter than one digest window."""
-    prov = index.provenance
-    if prov.get("mode") in ("digest", "digest-kernel"):
-        a, b, m = prov["hash"]
-        params = DigestParams(k=prov["k"], w=prov["w"], a=a, b=b, m=m)
-        try:
-            return digest_sequence(sequence, params)
-        except ValidationError:
-            return []
-    return sequence
-
-
 def cmd_query(args) -> int:
     index = deserialize(args.index)
     out = _open_out(args.output)
     try:
         out.write("\t".join(TSV_HEADER) + "\n")
         for read_id, seq in iter_reads(args.reads, fmt=args.format):
-            symbols = _query_symbols(index, seq)
+            symbols = index.query_symbols(seq)
             if not symbols:
-                continue  # unclassifiable: see _query_symbols
+                continue  # unclassifiable: see AugmentedFmIndex.query_symbols
             table = compute_mem_table(index, symbols, min_length=args.min_mem)
             for row in tsv_rows(read_id, symbols, table, index.alphabet):
                 out.write("\t".join(str(x) for x in row) + "\n")
@@ -98,7 +80,7 @@ def cmd_classify(args) -> int:
     try:
         out.write("read_id\tread_start\tlength\tfirst_genome\tlast_genome\tnode_label\n")
         for read_id, seq in iter_reads(args.reads, fmt=args.format):
-            symbols = _query_symbols(index, seq)
+            symbols = index.query_symbols(seq)
             table = compute_mem_table(index, symbols, min_length=args.min_mem) \
                 if symbols else None
             if table is None or not table.records:

@@ -13,7 +13,7 @@ kernelizer and the FM-index treat base texts and digests identically.
 """
 from __future__ import annotations
 
-import io
+import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -204,20 +204,17 @@ def _clean_sequence(raw: str, name: str, allow_wildcard: bool) -> str:
 
 
 def parse_collection(source, fmt: str = "fasta", allow_wildcard: bool = False) -> GenomeCollection:
-    """Read a genome collection from a path, file object or string.
+    """Read a genome collection from a path (str or os.PathLike) or a text
+    file object; in-memory text is read through io.StringIO.
 
     fmt "fasta" expects '>'-headed records; fmt "lines" one genome per line.
     Characters are case-folded; non-ACGT characters are rejected unless
     allow_wildcard is set, in which case they become the N wildcard which
     participates in the text but never matches a query symbol.
     """
-    if isinstance(source, str) and source and "\n" not in source:
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r") as f:
             return parse_collection(f, fmt=fmt, allow_wildcard=allow_wildcard)
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("ascii"))
 
     names: list[str] = []
     genomes: list[str] = []
@@ -261,14 +258,13 @@ def parse_collection(source, fmt: str = "fasta", allow_wildcard: bool = False) -
 
 
 def iter_reads(source, fmt: str = "fasta") -> Iterable[tuple[str, str]]:
-    """Yield (read_id, sequence) pairs. Reads are case-folded but otherwise
-    unvalidated; unknown characters simply never match during queries."""
-    if isinstance(source, str) and "\n" not in source:
+    """Yield (read_id, sequence) pairs from a path (str or os.PathLike) or a
+    text file object. Reads are case-folded but otherwise unvalidated;
+    unknown characters simply never match during queries."""
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r") as f:
             yield from iter_reads(f, fmt=fmt)
             return
-    if isinstance(source, str):
-        source = io.StringIO(source)
     if fmt == "fasta":
         name = None
         buf: list[str] = []

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .collection import GenomeCollection, SeparatedText, separate
-from .digest import DigestParams, digest_collection, digest_sequence
+from .digest import DigestParams, digest_collection
 from .errors import MemtaxError, ValidationError
 from .index import AugmentedFmIndex
 from .kernel import KernelParams, build_katka_kernel
@@ -256,20 +256,15 @@ def _evaluate_variant(index: AugmentedFmIndex, variant: IndexVariant,
     report = VariantReport(variant=variant.label, params=variant.params_dict())
     report.size_bytes = len(index.to_bytes())
     counts = {cls.value: 0 for cls in RangeClass}
-    digest_mode = variant.mode in ("digest", "digest-kernel")
-    dparams = variant.digest_params() if digest_mode else None
     tp = 0
     total_time = 0.0
     for read in reads:
         t0 = time.perf_counter()
-        if digest_mode:
-            query = digest_sequence(read.sequence, dparams)
-            table = compute_mem_table(index, query) if query else MemTable([])
-        else:
-            table = compute_mem_table(index, read.sequence)
+        query = index.query_symbols(read.sequence)
+        table = compute_mem_table(index, query) if query else MemTable([])
         is_tp = classify_read(table, read.source)
         total_time += time.perf_counter() - t0
-        if not table.records and digest_mode:
+        if not query:
             report.unclassifiable_reads += 1
         tp += is_tp
         for rec in table.records:

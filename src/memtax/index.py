@@ -1,10 +1,12 @@
 """The augmented FM-index: backward search, suffix-array interval arithmetic,
 first/last occurrence extraction and genome ranges.
 
-The index keeps the BWT (with rank/select), the suffix array and LCP array,
-range-min/range-max tables over both, nearest-smaller-value arrays over the
-LCP, and the separator bit sequence of the underlying text.  The text itself
-is not retained.
+The index keeps the BWT (with rank/select), the suffix array, the LCP array
+and the separator bit sequence of the underlying text; the text itself is
+not retained.  Interval queries (first/last occurrence, the shrink step of
+the MEM walk) read slices of the suffix array and LCP array directly, so
+no structure beyond the arrays of the file is derived on load except the
+BWT posting lists and the C table.
 """
 from __future__ import annotations
 
@@ -17,13 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collection import FIRST_SYMBOL_CODE, Alphabet, SeparatedText
+from .digest import DigestParams, digest_sequence
 from .errors import (AbsentSymbolError, EmptyIntervalError, FormatError,
                      ValidationError)
-from .suffix import (IndexedSequence, RangeExtremes, build_suffix_array,
-                     derive_bwt, next_smaller_values, previous_smaller_values)
+from .suffix import IndexedSequence, build_suffix_array, derive_bwt
 
 MAGIC = b"KTK2"
 VERSION = 2
+# rows of the first LCP window a prefix-interval scan reads on each side;
+# every further window is 8 times larger
+_SCAN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -56,15 +61,8 @@ class AugmentedFmIndex:
         self.n = len(sa) - 1  # text length, excluding the EOF sentinel
         counts = bwt.symbol_counts()
         # C[c] = number of symbols in text+EOF strictly smaller than c
-        self.c_table = np.concatenate(([0], np.cumsum(counts)[:-1])).tolist()
-        self._counts = counts.tolist()
-        self.rmq_sa = RangeExtremes(self.sa, kinds=("min", "max"))
-        self.rmq_lcp = RangeExtremes(self.lcp, kinds=("min",))
-        self.psv = previous_smaller_values(self.lcp)
-        self.nsv = next_smaller_values(self.lcp)
-        self._lcp_list = self.lcp.tolist()
-        self._psv_list = self.psv.tolist()
-        self._nsv_list = self.nsv.tolist()
+        self.c_table = tuple(np.concatenate(([0], np.cumsum(counts)[:-1])).tolist())
+        self._counts = tuple(counts.tolist())
 
     # ------------------------------------------------------------------
     @classmethod
@@ -100,6 +98,25 @@ class AugmentedFmIndex:
             return False  # wildcard
         return True
 
+    def query_symbols(self, sequence: str):
+        """The symbols a read is queried with: the base string itself against
+        raw/kernel indexes, its minimizer values (digested with the index's
+        stored parameters) against digest indexes.  A read holding a reserved
+        symbol, or one that cannot be digested because it holds a non-ACGT
+        symbol, gives no symbols and is unclassifiable, like a read shorter
+        than one digest window."""
+        if "$" in sequence or "#" in sequence:
+            return []
+        prov = self.provenance
+        if prov.get("mode") not in ("digest", "digest-kernel"):
+            return sequence
+        a, b, m = prov["hash"]
+        try:
+            return digest_sequence(sequence, DigestParams(k=prov["k"], w=prov["w"],
+                                                          a=a, b=b, m=m))
+        except ValidationError:
+            return []
+
     def backward_step(self, iv: SaInterval, code: int) -> SaInterval | None:
         """Interval of code-prefixed extensions; None when code is not a
         legal query symbol (distinct from the empty interval)."""
@@ -130,20 +147,11 @@ class AugmentedFmIndex:
         last occurrence of the interval's pattern."""
         if iv.is_empty:
             raise EmptyIntervalError("first_last_positions on an empty interval")
-        pmin = int(self.sa[self.rmq_sa.argmin(iv.lo, iv.hi)])
-        pmax = int(self.sa[self.rmq_sa.argmax(iv.lo, iv.hi)])
-        return pmin, pmax
+        rows = self.sa[iv.lo: iv.hi + 1]
+        return int(rows.min()), int(rows.max())
 
     def rank_separators(self, p: int) -> int:
         return int(np.searchsorted(self.sep_positions, p, side="left"))
-
-    def genome_of_position(self, p: int) -> int:
-        if not 0 <= p < self.n:
-            raise ValidationError(f"position {p} out of range")
-        r = self.rank_separators(p)
-        if r < len(self.sep_positions) and self.sep_positions[r] == p:
-            raise ValidationError(f"position {p} is a separator")
-        return r
 
     def genome_range(self, iv: SaInterval) -> tuple[int, int] | None:
         """(first genome, last genome) of the interval's pattern; None is the
@@ -154,24 +162,37 @@ class AugmentedFmIndex:
         return self.rank_separators(pmin), self.rank_separators(pmax)
 
     # ------------------------------------------------------------------
-    def _prefix_interval(self, row: int, hi: int, p: int) -> SaInterval:
-        """Interval of the length-p prefix of the suffix at `row`, expanded
-        with nearest-smaller-value hops over the LCP; rows row..hi are known
-        to share that prefix already."""
+    def _prefix_interval(self, lo: int, hi: int, p: int) -> SaInterval:
+        """Interval of the length-p prefix shared by rows lo..hi: widened to
+        the nearest rows outside whose LCP is below p.  Each side is scanned
+        in windows growing 8-fold, so the cost follows the interval's size;
+        the scan ends at row 0 and at the last row by its own bounds."""
         if p == 0:
             return self.full_interval()
-        lcp, psv, nsv = self._lcp_list, self._psv_list, self._nsv_list
-        a = row
-        while lcp[a] >= p:
-            a = psv[a]
-            if a < 0:
-                a = 0
+        lcp = self.lcp
+        # lo: the last row at or above lo whose LCP is below p, else row 0
+        end, width, lo = lo + 1, _SCAN_ROWS, 0
+        while end > 0:
+            start = max(0, end - width)
+            below = (lcp[start:end] < p)[::-1]
+            i = int(below.argmax())
+            if below[i]:
+                lo = end - 1 - i
                 break
+            end, width = start, width * 8
+        # hi: the row before the first row below hi whose LCP is below p,
+        # else the last row
         nrows = self.rows
-        cur = hi + 1
-        while cur < nrows and lcp[cur] >= p:
-            cur = nsv[cur]
-        return SaInterval(a, cur - 1)
+        start, width, hi = hi + 1, _SCAN_ROWS, nrows - 1
+        while start < nrows:
+            stop = min(nrows, start + width)
+            below = lcp[start:stop] < p
+            i = int(below.argmax())
+            if below[i]:
+                hi = start + i - 1
+                break
+            start, width = stop, width * 8
+        return SaInterval(lo, hi)
 
     def shrink_to_extendable(self, iv: SaInterval, length: int, code: int
                              ) -> tuple[SaInterval, int]:
@@ -192,12 +213,12 @@ class AugmentedFmIndex:
         r = int(np.searchsorted(pos, iv.lo, side="left"))
         if r > 0:
             j1 = int(pos[r - 1])  # nearest code-row above the interval
-            shared = int(self.lcp[self.rmq_lcp.argmin(j1 + 1, iv.lo)])
+            shared = int(self.lcp[j1 + 1: iv.lo + 1].min())
             best = max(best, min(length, shared))
         idx = int(np.searchsorted(pos, iv.hi + 1, side="left"))
         if idx < len(pos):
             j2 = int(pos[idx])  # nearest code-row below the interval
-            shared = int(self.lcp[self.rmq_lcp.argmin(iv.hi + 1, j2)])
+            shared = int(self.lcp[iv.hi + 1: j2 + 1].min())
             best = max(best, min(length, shared))
         if best < 0:
             # unreachable when the precondition holds: code occurs in the
@@ -254,7 +275,9 @@ class AugmentedFmIndex:
 def deserialize(source) -> AugmentedFmIndex:
     """Read an index written by AugmentedFmIndex.serialize(); raises
     FormatError on bad magic/version, truncation, a checksum mismatch over
-    header and payload, or a header missing a key or holding a wrong type."""
+    header and payload, a header missing a key or holding a wrong type, or
+    arrays other than bwt, sa and lcp of text_length + 1 entries each plus
+    the packed separator bits."""
     if isinstance(source, str):
         with open(source, "rb") as f:
             return deserialize(f)
@@ -293,8 +316,12 @@ def _decode(meta: dict, payload: bytes) -> AugmentedFmIndex:
     if offset != len(payload):
         raise FormatError("trailing bytes in index payload")
 
-    alphabet = Alphabet.from_dict(meta["alphabet"])
     n = meta["text_length"]
+    layout = {"bwt": n + 1, "sa": n + 1, "lcp": n + 1, "sep_bits": (n + 7) // 8}
+    if len(meta["arrays"]) != len(layout) or \
+            {name: len(a) for name, a in arrays.items()} != layout:
+        raise FormatError("index arrays disagree with the header's text length")
+    alphabet = Alphabet.from_dict(meta["alphabet"])
     bits = np.unpackbits(arrays["sep_bits"], bitorder="little")[:n]
     sep_positions = np.flatnonzero(bits).astype(np.int64)
     if len(sep_positions) != meta["genome_count"]:

@@ -2,9 +2,9 @@
 
 All structures are plain (uncompressed) arrays: an int64 suffix array and
 LCP array of length n+1 (one row for the implicit end-of-file sentinel,
-code 0, smaller than every text symbol), sparse tables for range-min /
-range-max positions, nearest-smaller-value arrays over the LCP, and
-per-symbol sorted position lists giving rank/select on the BWT.
+code 0, smaller than every text symbol), and per-symbol sorted position
+lists giving rank/select on the BWT.  RangeExtremes, a sparse table for
+range-min / range-max positions, serves the LCA over a tree's Euler tour.
 """
 from __future__ import annotations
 
@@ -169,30 +169,3 @@ class RangeExtremes:
 
     def argmax(self, lo: int, hi: int) -> int:
         return self.position(lo, hi, "max")
-
-
-def previous_smaller_values(values) -> np.ndarray:
-    """psv[i] = greatest j < i with values[j] < values[i], else -1."""
-    vals = [int(v) for v in values]
-    out = np.empty(len(vals), dtype=np.int64)
-    stack: list[int] = []
-    for i, v in enumerate(vals):
-        while stack and vals[stack[-1]] >= v:
-            stack.pop()
-        out[i] = stack[-1] if stack else -1
-        stack.append(i)
-    return out
-
-
-def next_smaller_values(values) -> np.ndarray:
-    """nsv[i] = least j > i with values[j] < values[i], else len(values)."""
-    vals = [int(v) for v in values]
-    n = len(vals)
-    out = np.empty(n, dtype=np.int64)
-    stack: list[int] = []
-    for i in range(n - 1, -1, -1):
-        while stack and vals[stack[-1]] >= vals[i]:
-            stack.pop()
-        out[i] = stack[-1] if stack else n
-        stack.append(i)
-    return out

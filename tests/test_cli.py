@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -100,6 +102,35 @@ def test_n_bearing_read_on_digest_index(tmp_path, golden_genomes):
     assert by_read["clean2"] == by_read["clean1"] != [["-"] * 5]
 
 
+def test_reserved_symbol_read_on_raw_index(tmp_path, toy_files):
+    genomes, _ = toy_files
+    idx = tmp_path / "toy.ktk2"
+    assert main(["build", "--input", str(genomes), "--format", "lines",
+                 "--mode", "raw", "--output", str(idx)]) == 0
+    tree = tmp_path / "toy.nwk"
+    tree.write_text("((g0,g1),(g2,(g3,g4)));")
+    reads = tmp_path / "reads.txt"
+    reads.write_text("ACGTAC\nAC$GTA\nGA#TA\nGGTACC\n")
+
+    out = tmp_path / "mems.tsv"
+    assert main(["query", "--index", str(idx), "--reads", str(reads),
+                 "--format", "lines", "--output", str(out)]) == 0
+    rows = [l.split("\t") for l in out.read_text().strip().split("\n")[1:]]
+    assert {r[0] for r in rows} == {"read0", "read3"}
+
+    out = tmp_path / "cls.tsv"
+    assert main(["classify", "--index", str(idx), "--tree", str(tree),
+                 "--reads", str(reads), "--format", "lines",
+                 "--output", str(out)]) == 0
+    rows = [l.split("\t") for l in out.read_text().strip().split("\n")[1:]]
+    by_read = {}
+    for r in rows:
+        by_read.setdefault(r[0], []).append(r[1:])
+    assert list(by_read) == ["read0", "read1", "read2", "read3"]
+    assert by_read["read1"] == by_read["read2"] == [["-"] * 5]
+    assert by_read["read3"] != [["-"] * 5]
+
+
 def test_empty_read_file(tmp_path, toy_files):
     genomes, _ = toy_files
     idx = tmp_path / "toy.ktk2"
@@ -186,6 +217,15 @@ def test_exit_codes(tmp_path, toy_files):
     idx = tmp_path / "toy.ktk2"
     assert main(["build", "--input", str(genomes), "--format", "lines",
                  "--mode", "raw", "--output", str(idx)]) == 0
-    idx.write_bytes(idx.read_bytes().replace(b'"text_length"', b'"text_lengtX"'))
+    blob = idx.read_bytes()
+    idx.write_bytes(blob.replace(b'"text_length"', b'"text_lengtX"'))
+    rc = main(["query", "--index", str(idx), "--reads", str(reads)])
+    assert rc == 4
+    # format error: a checksummed text length that disagrees with the arrays
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    head = blob[:12 + meta_len].replace(b'"text_length":45', b'"text_length":50')
+    payload = blob[16 + meta_len:]
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    idx.write_bytes(head + struct.pack("<I", crc) + payload)
     rc = main(["query", "--index", str(idx), "--reads", str(reads)])
     assert rc == 4

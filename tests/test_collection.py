@@ -9,48 +9,48 @@ from conftest import TOY_GENOMES
 
 
 def test_parse_toy_collection_lines():
-    coll = parse_collection("\n".join(TOY_GENOMES) + "\n", fmt="lines")
+    coll = parse_collection(io.StringIO("\n".join(TOY_GENOMES) + "\n"), fmt="lines")
     assert coll.genome_count == 5
     assert coll.n == 45
     assert coll.genomes == TOY_GENOMES
 
 
 def test_parse_single_genome():
-    coll = parse_collection("A\n", fmt="lines")
+    coll = parse_collection(io.StringIO("A\n"), fmt="lines")
     assert coll.genome_count == 1
     assert coll.n == 2  # one base plus its separator
 
 
 def test_parse_fig3_collection(golden_genomes):
-    coll = parse_collection("\n".join(golden_genomes), fmt="lines")
+    coll = parse_collection(io.StringIO("\n".join(golden_genomes)), fmt="lines")
     assert coll.genome_count == 16
     assert coll.n == 1616
 
 
 def test_parse_fasta():
     fa = ">a desc\nGATT\nACAT\n>b\nagataCAT\n"
-    coll = parse_collection(fa, fmt="fasta")
+    coll = parse_collection(io.StringIO(fa), fmt="fasta")
     assert coll.names == ["a", "b"]
     assert coll.genomes == ["GATTACAT", "AGATACAT"]  # folded to upper case
 
 
 def test_parse_errors():
     with pytest.raises(ValidationError):
-        parse_collection("", fmt="lines")  # empty file
+        parse_collection(io.StringIO(""), fmt="lines")  # empty file
     with pytest.raises(ValidationError):
-        parse_collection(">a\n\n>b\nACGT\n", fmt="fasta")  # empty genome
+        parse_collection(io.StringIO(">a\n\n>b\nACGT\n"), fmt="fasta")  # empty genome
     with pytest.raises(ValidationError):
-        parse_collection("AC$GT\n", fmt="lines")  # reserved symbol
+        parse_collection(io.StringIO("AC$GT\n"), fmt="lines")  # reserved symbol
     with pytest.raises(ValidationError):
-        parse_collection("ACGT\nACNT\n", fmt="lines")  # N without the flag
+        parse_collection(io.StringIO("ACGT\nACNT\n"), fmt="lines")  # N without the flag
     with pytest.raises(ValidationError):
-        parse_collection("ACGT\n>x\n", fmt="fasta")  # malformed header placement
+        parse_collection(io.StringIO("ACGT\n>x\n"), fmt="fasta")  # malformed header placement
     with pytest.raises(ValidationError):
-        parse_collection(">\nACGT\n", fmt="fasta")  # empty header name
+        parse_collection(io.StringIO(">\nACGT\n"), fmt="fasta")  # empty header name
 
 
 def test_wildcard_mode():
-    coll = parse_collection("ACNRT\n", fmt="lines", allow_wildcard=True)
+    coll = parse_collection(io.StringIO("ACNRT\n"), fmt="lines", allow_wildcard=True)
     assert coll.genomes == ["ACNNT"]  # every non-ACGT symbol becomes N
     st = separate(coll)
     ix_text = st.text()
@@ -103,7 +103,20 @@ def test_separate_injective():
 
 
 def test_iter_reads_fasta_and_lines():
-    reads = list(iter_reads(">r1\nacgt\n>r2\nTTTT\n", fmt="fasta"))
+    reads = list(iter_reads(io.StringIO(">r1\nacgt\n>r2\nTTTT\n"), fmt="fasta"))
     assert reads == [("r1", "ACGT"), ("r2", "TTTT")]
-    reads = list(iter_reads("ACGT\n\nGGG\n", fmt="lines"))
+    reads = list(iter_reads(io.StringIO("ACGT\n\nGGG\n"), fmt="lines"))
     assert reads == [("read0", "ACGT"), ("read2", "GGG")]
+
+
+def test_str_and_pathlike_are_paths(tmp_path):
+    path = tmp_path / "genomes.txt"
+    path.write_text("ACGT\nGG\n")
+    for source in (path, str(path)):
+        assert parse_collection(source, fmt="lines").genomes == ["ACGT", "GG"]
+        assert list(iter_reads(source, fmt="lines")) == [("read0", "ACGT"), ("read1", "GG")]
+    # a str holding a newline is a path too, never in-memory text
+    with pytest.raises(FileNotFoundError):
+        parse_collection(str(path) + "\n", fmt="lines")
+    with pytest.raises(FileNotFoundError):
+        list(iter_reads(str(path) + "\nACGT\n", fmt="lines"))

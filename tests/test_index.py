@@ -5,11 +5,11 @@ import zlib
 
 import pytest
 
-from memtax import (AbsentSymbolError, EmptyIntervalError, FormatError,
-                    GenomeCollection, SaInterval, ValidationError,
-                    build_index, deserialize, separate)
+from memtax import (AbsentSymbolError, DigestParams, EmptyIntervalError,
+                    FormatError, GenomeCollection, SaInterval, ValidationError,
+                    build_index, deserialize, digest_collection, separate)
 from memtax.collection import SEP_CODE
-from memtax.index import EMPTY_INTERVAL
+from memtax.index import _SCAN_ROWS, EMPTY_INTERVAL
 
 import oracles
 from conftest import TOY_GENOMES
@@ -18,6 +18,8 @@ from conftest import TOY_GENOMES
 def test_empty_pattern_full_interval(toy_index):
     iv = toy_index.find_interval("")
     assert (iv.lo, iv.hi) == (0, toy_index.rows - 1)
+    # the full interval holds every position, the sentinel's n included
+    assert toy_index.first_last_positions(iv) == (0, toy_index.n)
 
 
 def test_backward_steps_worked_example(toy_index):
@@ -130,27 +132,23 @@ def test_shrink_absent_symbol():
         ix.shrink_to_extendable(iv, 2, ix.alphabet.encode_query("G"))
 
 
-def test_shrink_randomized_against_bruteforce():
-    rng = random.Random(41)
-    checked = 0
-    while checked < 400:
-        genomes = oracles.random_collection(rng, max_genomes=3, max_len=80,
-                                            alphabet="ACG")
-        coll = GenomeCollection(genomes=genomes)
-        st = separate(coll)
-        ix = build_index(st)
-        text = st.text()
-        # pick an occurring pattern and a failing extension symbol
+def _check_shrinks(rng, ix, text, genomes, symbols, trials, query=str):
+    """Shrink a random occurring pattern by every symbol that fails to
+    extend it and check against brute force on the rendered text; returns
+    (interval before, interval after) of each shrink.  query maps rendered
+    symbols to what find_interval takes."""
+    shrinks = []
+    for _ in range(trials):
         src = rng.choice([g for g in genomes if g])
         plen = rng.randint(1, min(10, len(src)))
         start = rng.randrange(len(src) - plen + 1)
         pattern = src[start:start + plen]
-        for c in "ACG":
+        for c in symbols:
             if c + pattern in text or c not in text:
                 continue
-            iv = ix.find_interval(pattern)
-            new_iv, kept = ix.shrink_to_extendable(
-                iv, plen, ix.alphabet.encode_query(c))
+            code = ix.alphabet.encode_query(query(c)[0])
+            iv = ix.find_interval(query(pattern))
+            new_iv, kept = ix.shrink_to_extendable(iv, plen, code)
             # brute force: longest prefix of pattern preceded by c
             want = 0
             for l in range(plen, -1, -1):
@@ -158,11 +156,65 @@ def test_shrink_randomized_against_bruteforce():
                     want = l
                     break
             assert kept == want
-            expected = ix.find_interval(pattern[:kept])
+            expected = ix.find_interval(query(pattern[:kept]))
             assert (new_iv.lo, new_iv.hi) == (expected.lo, expected.hi)
-            stepped = ix.backward_step(new_iv, ix.alphabet.encode_query(c))
+            stepped = ix.backward_step(new_iv, code)
             assert stepped is not None and not stepped.is_empty
-            checked += 1
+            shrinks.append((iv, new_iv))
+    return shrinks
+
+
+def _runs(rng, length):
+    """A genome of AA and runs of 2..5 Cs in turn: AAA, ACA and CAC never
+    occur, so shrinking AA.. or CA.. by A, or AC.. by C, keeps one symbol
+    and widens to the whole A or C block."""
+    out = []
+    while len(out) < length:
+        out += "AA" + "C" * rng.randint(2, 5)
+    return "".join(out[:length])
+
+
+def test_shrink_randomized_against_bruteforce():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 400:
+        genomes = oracles.random_collection(rng, max_genomes=3, max_len=80,
+                                            alphabet="ACG")
+        st = separate(GenomeCollection(genomes=genomes))
+        checked += len(_check_shrinks(rng, build_index(st), st.text(), genomes,
+                                      "ACG", trials=1))
+
+    # a few thousand rows: widened intervals cross more than one scan
+    # window upwards and downwards, and the second windows are cut at row 0
+    # and at the last row
+    shrinks = []
+    for _ in range(2):
+        genomes = [_runs(rng, rng.randint(2400, 2800)) for _ in range(3)]
+        st = separate(GenomeCollection(genomes=genomes))
+        ix = build_index(st)
+        assert ix.rows < 9 * _SCAN_ROWS
+        for iv, new_iv in _check_shrinks(rng, ix, st.text(), genomes, "AC", trials=40):
+            shrinks.append((iv.lo - new_iv.lo, new_iv.hi - iv.hi,
+                            new_iv.hi == ix.rows - 1))
+    assert any(up > _SCAN_ROWS for up, _, _ in shrinks)
+    assert any(down > _SCAN_ROWS and not last for _, down, last in shrinks)
+    assert any(last for _, _, last in shrinks)
+    # LCP values only a hand-edited file holds (no row below p): the scan
+    # still ends, at row 0 and at the last row
+    ix.lcp[:] = ix.rows
+    new_iv, kept = ix.shrink_to_extendable(ix.find_interval("AAC"), 3,
+                                           ix.alphabet.encode_query("C"))
+    assert (new_iv.lo, new_iv.hi, kept) == (0, ix.rows - 1, 3)
+
+    # a digest text of a few thousand symbols over the 64 3-mer values
+    genomes = ["".join(rng.choice("ACGT") for _ in range(3000)) for _ in range(3)]
+    st = digest_collection(GenomeCollection(genomes=genomes), DigestParams(w=4))
+    text = st.text()
+    assert len(text) > 2000
+    checked = _check_shrinks(rng, build_index(st), text, text.split("$"),
+                             sorted(set(text) - {"$"}), trials=40,
+                             query=lambda s: [ord(ch) - 37 for ch in s])
+    assert len(checked) >= 40
 
 
 def test_serialize_round_trip_random_queries(toy_index):
@@ -186,14 +238,17 @@ def test_serialize_deterministic(toy_index):
     assert rebuilt.to_bytes() == toy_index.to_bytes()
 
 
-def _with_header(blob: bytes, old: bytes, new: bytes, fix_crc: bool) -> bytes:
+def _with_header(blob: bytes, old: bytes, new: bytes, fix_crc: bool,
+                 payload_cut: tuple[int, int] = (0, 0)) -> bytes:
     """The index file with `old` replaced by the same-length `new` in its
-    JSON header; with fix_crc, as a writer would have checksummed it."""
+    JSON header and payload bytes [start, end) of payload_cut removed; with
+    fix_crc, as a writer would have checksummed it."""
     (meta_len,) = struct.unpack("<I", blob[8:12])
     meta = blob[12: 12 + meta_len]
     assert meta.count(old) == 1 and len(old) == len(new)
     head = blob[:12] + meta.replace(old, new)
     payload = blob[16 + meta_len:]
+    payload = payload[:payload_cut[0]] + payload[payload_cut[1]:]
     crc = zlib.crc32(payload, zlib.crc32(head)) if fix_crc else \
         struct.unpack("<I", blob[12 + meta_len: 16 + meta_len])[0]
     return head + struct.pack("<I", crc) + payload
@@ -229,6 +284,15 @@ def test_deserialize_errors(toy_index, golden_digest_index):
                      (b'"alphabet":{', b'"alphabet":[')):
         with pytest.raises(FormatError, match="malformed index header"):
             deserialize(_with_header(blob, old, new, True))
+    # checksummed arrays that disagree with text_length: a suffix array two
+    # entries short (46 one-byte BWT symbols precede its 46 four-byte rows),
+    # and a text length raised by 5
+    assert b'["sa","<u4",46]' in blob
+    for bad in (_with_header(blob, b'["sa","<u4",46]', b'["sa","<u4",44]', True,
+                             payload_cut=(46 + 44 * 4, 46 + 46 * 4)),
+                _with_header(blob, b'"text_length":45', b'"text_length":50', True)):
+        with pytest.raises(FormatError, match="text length"):
+            deserialize(bad)
 
 
 def test_reported_size_equals_file_bytes(tmp_path, toy_index):

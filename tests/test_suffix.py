@@ -6,8 +6,7 @@ import pytest
 from memtax import DigestParams, GenomeCollection, digest_collection
 from memtax.collection import encode_bases
 from memtax.suffix import (IndexedSequence, RangeExtremes, build_suffix_array,
-                           derive_bwt, next_smaller_values,
-                           previous_smaller_values)
+                           derive_bwt)
 
 import oracles
 
@@ -122,22 +121,3 @@ def test_rmq_against_scan():
             assert r.argmin(lo, hi) == oracles.naive_rmq(values, lo, hi, "min")
             assert r.argmax(lo, hi) == oracles.naive_rmq(values, lo, hi, "max")
             pairs += 1
-
-
-def test_psv_nsv_examples():
-    lcp = [0, 0, 1, 0, 0]
-    psv = previous_smaller_values(lcp)
-    nsv = next_smaller_values(lcp)
-    assert psv[2] == 1 and nsv[2] == 3
-    assert all(psv[i] == -1 for i in range(len(lcp)) if lcp[i] == 0)
-
-
-def test_psv_nsv_against_scan():
-    rng = random.Random(23)
-    for _ in range(50):
-        values = [rng.randrange(6) for _ in range(rng.randint(1, 200))]
-        psv = previous_smaller_values(values)
-        nsv = next_smaller_values(values)
-        for i in range(len(values)):
-            assert psv[i] == oracles.naive_psv(values, i)
-            assert nsv[i] == oracles.naive_nsv(values, i)
