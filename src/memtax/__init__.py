@@ -12,7 +12,7 @@ from .evaluate import (EvalReport, IndexVariant, RangeClass, ReadSimConfig,
                        classify_range, classify_read, run_experiment,
                        simulate_reads)
 from .index import AugmentedFmIndex, SaInterval, deserialize
-from .kernel import Kernel, KernelParams, build_katka_kernel, kernel_size_report
+from .kernel import KernelParams, build_katka_kernel, kernel_size_report
 from .mems import MemRecord, MemTable, compute_mem_table, longest_mems
 from .taxonomy import LcaStructure, PhyloTree, parse_newick
 

@@ -25,6 +25,8 @@ EOF_CODE = 0
 HASH_CODE = 1
 SEP_CODE = 2
 FIRST_SYMBOL_CODE = 3
+# largest digest k-mer length: the codes 3 .. 4^k + 2 must fit int32
+MAX_DIGEST_K = 15
 
 BASES = "ACGT"
 WILDCARD = "N"
@@ -43,6 +45,11 @@ class Alphabet:
 
     kind: str  # "bases" | "digest"
     k: int = 0  # minimizer width, digest kind only
+
+    def __post_init__(self):
+        digest_k = type(self.k) is int and 1 <= self.k <= MAX_DIGEST_K
+        if not (self.kind == "bases" and self.k == 0 or self.kind == "digest" and digest_k):
+            raise ValidationError(f"unknown alphabet {self.kind!r} with k={self.k!r}")
 
     @property
     def size(self) -> int:

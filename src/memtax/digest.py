@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .collection import (FIRST_SYMBOL_CODE, SEP_CODE, Alphabet, BASES,
-                         GenomeCollection, SeparatedText)
+from .collection import (FIRST_SYMBOL_CODE, MAX_DIGEST_K, SEP_CODE, Alphabet,
+                         BASES, GenomeCollection, SeparatedText)
 from .errors import ValidationError
 
 DEFAULT_HASH = (2544, 3937, 8863)
@@ -33,12 +33,13 @@ class DigestParams:
     m: int = DEFAULT_HASH[2]
 
     def __post_init__(self):
-        if self.k < 1 or self.w < 1 or self.m <= 0:
-            raise ValidationError("digest parameters must satisfy k >= 1, w >= 1, m > 0")
-
-    @property
-    def hash_params(self) -> tuple[int, int, int]:
-        return self.a, self.b, self.m
+        values = (self.k, self.w, self.a, self.b, self.m)
+        if not all(type(v) is int for v in values):
+            raise ValidationError(f"digest parameters must be integers, got {values}")
+        # k first: 4**k of an unchecked k may not fit in memory
+        if not (1 <= self.k <= MAX_DIGEST_K and self.w >= 1 and 0 < self.m <= 2**63 // 4**self.k):
+            raise ValidationError(f"digest parameters must satisfy 1 <= k <= {MAX_DIGEST_K}, "
+                                  "w >= 1, 0 < m <= 2^63 / 4^k")
 
     @property
     def is_injective_on_kmers(self) -> bool:
@@ -95,7 +96,8 @@ def _minimizers(s: str, params: DigestParams) -> tuple[np.ndarray, np.ndarray]:
     if nk < w:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     vals = _kmer_values(s, k)
-    hashes = (params.a * vals + params.b) % params.m
+    # with a and b reduced mod m, every hash operand stays below m * 4^k <= 2^63
+    hashes = (params.a % params.m * vals + params.b % params.m) % params.m
     marked = np.arange(nk - w + 1) + sliding_window_view(hashes, w).argmin(axis=1)
     marked = marked[np.append(True, marked[1:] != marked[:-1])]
     return vals[marked], marked
@@ -113,10 +115,6 @@ def digest_with_positions(s: str, params: DigestParams) -> list[tuple[int, int]]
 
 
 class Digest(SeparatedText):
-    def __init__(self, codes, alphabet, provenance, params: DigestParams):
-        super().__init__(codes, alphabet, provenance)
-        self.params = params
-
     def values(self) -> list[list[int]]:
         """Per-genome lists of k-mer values (separators stripped)."""
         return [(self.codes[s:e] - FIRST_SYMBOL_CODE).tolist() for s, e in self.genome_spans()]
@@ -129,8 +127,7 @@ def digest_collection(collection: GenomeCollection, params: DigestParams) -> Dig
     parts = []
     for g in collection.genomes:
         parts += [_minimizers(g, params)[0] + FIRST_SYMBOL_CODE, [SEP_CODE]]
-    return Digest(np.concatenate(parts).astype(np.int32), alphabet,
-                  params.to_provenance(), params)
+    return Digest(np.concatenate(parts).astype(np.int32), alphabet, params.to_provenance())
 
 
 def render_ascii(source) -> str:

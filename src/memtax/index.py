@@ -3,10 +3,12 @@ first/last occurrence extraction and genome ranges.
 
 The index keeps the BWT (with rank/select), the suffix array, the LCP array
 and the separator bit sequence of the underlying text; the text itself is
-not retained.  Interval queries (first/last occurrence, the shrink step of
-the MEM walk) read slices of the suffix array and LCP array directly, so
-no structure beyond the arrays of the file is derived on load except the
-BWT posting lists and the C table.
+not retained.  The arrays are held as the `KTK2` file stores them: a loaded
+index keeps views into the file's payload, and a built one holds the same
+dtypes.  Interval queries (first/last occurrence, the shrink step of the
+MEM walk) read slices of the suffix array and LCP array directly; the only
+structure derived on load is one stable sort of the BWT, which gives both
+the per-symbol posting lists and the C table.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,20 +52,40 @@ class SaInterval:
 EMPTY_INTERVAL = SaInterval(0, -1)
 
 
+def _layout(text_length: int, alphabet: Alphabet) -> list[list]:
+    """[name, dtype, count] of each payload array, in file order."""
+    rows = text_length + 1
+    row_dtype = "<u4" if rows < 2**32 else "<u8"
+    bwt_dtype = "u1" if alphabet.size <= 256 else "<u4"
+    return [["bwt", bwt_dtype, rows], ["sa", row_dtype, rows],
+            ["lcp", row_dtype, rows], ["sep_bits", "u1", (text_length + 7) // 8]]
+
+
+def _digest_params(provenance: dict, alphabet: Alphabet) -> DigestParams | None:
+    """Digest parameters of a digest index, None for a base index."""
+    is_digest = provenance.get("mode") in ("digest", "digest-kernel")
+    if is_digest != (alphabet.kind == "digest"):
+        raise ValidationError("provenance mode disagrees with the alphabet")
+    if not is_digest:
+        return None
+    a, b, m = provenance["hash"]
+    params = DigestParams(k=provenance["k"], w=provenance["w"], a=a, b=b, m=m)
+    if params.k != alphabet.k:
+        raise ValidationError("provenance k disagrees with the alphabet")
+    return params
+
+
 class AugmentedFmIndex:
     def __init__(self, bwt: IndexedSequence, sa: np.ndarray, lcp: np.ndarray,
                  sep_positions: np.ndarray, alphabet: Alphabet, provenance: dict):
         self.bwt = bwt
-        self.sa = np.asarray(sa, dtype=np.int64)
-        self.lcp = np.asarray(lcp, dtype=np.int64)
+        self.sa = sa
+        self.lcp = lcp
         self.sep_positions = np.asarray(sep_positions, dtype=np.int64)
         self.alphabet = alphabet
         self.provenance = dict(provenance)
+        self.digest_params = _digest_params(self.provenance, alphabet)
         self.n = len(sa) - 1  # text length, excluding the EOF sentinel
-        counts = bwt.symbol_counts()
-        # C[c] = number of symbols in text+EOF strictly smaller than c
-        self.c_table = tuple(np.concatenate(([0], np.cumsum(counts)[:-1])).tolist())
-        self._counts = tuple(counts.tolist())
 
     # ------------------------------------------------------------------
     @classmethod
@@ -73,8 +96,10 @@ class AugmentedFmIndex:
         if int(codes.max()) >= st.alphabet.size:
             raise ValidationError("text symbol exceeds the declared alphabet width")
         sa, lcp = build_suffix_array(codes)
-        bwt = IndexedSequence(derive_bwt(codes, sa), st.alphabet.size)
-        return cls(bwt, sa, lcp, st.sep_positions, st.alphabet, st.provenance)
+        dtype = {name: dt for name, dt, _ in _layout(len(codes), st.alphabet)}
+        bwt = IndexedSequence(derive_bwt(codes, sa).astype(dtype["bwt"]), st.alphabet.size)
+        return cls(bwt, sa.astype(dtype["sa"]), lcp.astype(dtype["lcp"]),
+                   st.sep_positions, st.alphabet, st.provenance)
 
     # ------------------------------------------------------------------
     @property
@@ -84,11 +109,6 @@ class AugmentedFmIndex:
 
     def full_interval(self) -> SaInterval:
         return SaInterval(0, self.rows - 1)
-
-    def symbol_count(self, code: int) -> int:
-        if 0 <= code < self.bwt.alphabet_size:
-            return self._counts[code]
-        return 0
 
     def is_query_code(self, code: int) -> bool:
         """Separators, EOF and the wildcard are never legal query symbols."""
@@ -107,13 +127,10 @@ class AugmentedFmIndex:
         than one digest window."""
         if "$" in sequence or "#" in sequence:
             return []
-        prov = self.provenance
-        if prov.get("mode") not in ("digest", "digest-kernel"):
+        if self.digest_params is None:
             return sequence
-        a, b, m = prov["hash"]
         try:
-            return digest_sequence(sequence, DigestParams(k=prov["k"], w=prov["w"],
-                                                          a=a, b=b, m=m))
+            return digest_sequence(sequence, self.digest_params)
         except ValidationError:
             return []
 
@@ -122,8 +139,11 @@ class AugmentedFmIndex:
         legal query symbol (distinct from the empty interval)."""
         if not self.is_query_code(code):
             return None
-        lo = self.c_table[code] + self.bwt.rank(code, iv.lo)
-        hi = self.c_table[code] + self.bwt.rank(code, iv.hi + 1) - 1
+        smaller = self.bwt.smaller.get(code)
+        if smaller is None:  # code does not occur in the text
+            return EMPTY_INTERVAL
+        lo = smaller + self.bwt.rank(code, iv.lo)
+        hi = smaller + self.bwt.rank(code, iv.hi + 1) - 1
         if hi < lo:
             return EMPTY_INTERVAL
         return SaInterval(lo, hi)
@@ -227,11 +247,6 @@ class AugmentedFmIndex:
         return self._prefix_interval(iv.lo, iv.hi, best), best
 
     # ------------------------------------------------------------------
-    def separator_bits(self) -> np.ndarray:
-        bits = np.zeros(self.n, dtype=np.uint8)
-        bits[self.sep_positions] = 1
-        return bits
-
     def serialize(self, sink) -> int:
         """Write the index; returns the number of bytes written."""
         if isinstance(sink, str):
@@ -258,26 +273,21 @@ class AugmentedFmIndex:
         return buf.getvalue()
 
     def _payload(self) -> tuple[bytes, list]:
-        sa_dtype = "<u4" if self.rows < 2**32 else "<u8"
-        bwt_dtype = "u1" if self.bwt.alphabet_size <= 256 else "<u4"
-        bits = np.packbits(self.separator_bits(), bitorder="little")
-        arrays = [
-            ("bwt", bwt_dtype, self.bwt.symbols.astype(bwt_dtype)),
-            ("sa", sa_dtype, self.sa.astype(sa_dtype)),
-            ("lcp", sa_dtype, self.lcp.astype(sa_dtype)),
-            ("sep_bits", "u1", bits),
-        ]
-        payload = b"".join(a.tobytes() for _, _, a in arrays)
-        meta = [[name, dtype, len(a)] for name, dtype, a in arrays]
-        return payload, meta
+        layout = _layout(self.n, self.alphabet)
+        sep_bits = np.zeros(self.n, dtype=np.uint8)
+        sep_bits[self.sep_positions] = 1
+        arrays = (self.bwt.symbols, self.sa, self.lcp, np.packbits(sep_bits, bitorder="little"))
+        payload = b"".join(np.asarray(a, dtype=dtype).tobytes()
+                           for a, (_, dtype, _) in zip(arrays, layout))
+        return payload, layout
 
 
 def deserialize(source) -> AugmentedFmIndex:
     """Read an index written by AugmentedFmIndex.serialize(); raises
     FormatError on bad magic/version, truncation, a checksum mismatch over
-    header and payload, a header missing a key or holding a wrong type, or
-    arrays other than bwt, sa and lcp of text_length + 1 entries each plus
-    the packed separator bits."""
+    header and payload, a header missing a key, holding a wrong type or
+    invalid digest parameters, or arrays other than the layout that
+    text_length and the alphabet determine."""
     if isinstance(source, str):
         with open(source, "rb") as f:
             return deserialize(f)
@@ -300,38 +310,24 @@ def deserialize(source) -> AugmentedFmIndex:
         raise FormatError("index checksum mismatch")
     try:
         return _decode(json.loads(meta_bytes), payload)
-    except (KeyError, IndexError, TypeError, ValueError) as e:
+    except (KeyError, IndexError, TypeError, ValueError, ValidationError) as e:
         raise FormatError(f"malformed index header: {type(e).__name__}: {e}") from None
 
 
 def _decode(meta: dict, payload: bytes) -> AugmentedFmIndex:
-    arrays = {}
-    offset = 0
-    for name, dtype, count in meta["arrays"]:
-        nbytes = count * np.dtype(dtype).itemsize
-        if offset + nbytes > len(payload):
-            raise FormatError("truncated index payload")
-        arrays[name] = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        offset += nbytes
-    if offset != len(payload):
-        raise FormatError("trailing bytes in index payload")
-
+    """The index over views into payload, which must hold exactly the
+    arrays of _layout."""
     n = meta["text_length"]
-    layout = {"bwt": n + 1, "sa": n + 1, "lcp": n + 1, "sep_bits": (n + 7) // 8}
-    if len(meta["arrays"]) != len(layout) or \
-            {name: len(a) for name, a in arrays.items()} != layout:
-        raise FormatError("index arrays disagree with the header's text length")
     alphabet = Alphabet.from_dict(meta["alphabet"])
-    bits = np.unpackbits(arrays["sep_bits"], bitorder="little")[:n]
-    sep_positions = np.flatnonzero(bits).astype(np.int64)
+    layout = _layout(n, alphabet)
+    sizes = [count * np.dtype(dtype).itemsize for _, dtype, count in layout]
+    if meta["arrays"] != layout or sum(sizes) != len(payload):
+        raise FormatError("index arrays disagree with the header's text length and alphabet")
+    offsets = accumulate(sizes, initial=0)
+    bwt, sa, lcp, sep_bits = (np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+                              for (_, dtype, count), offset in zip(layout, offsets))
+    sep_positions = np.flatnonzero(np.unpackbits(sep_bits, bitorder="little")[:n])
     if len(sep_positions) != meta["genome_count"]:
         raise FormatError("separator bit count disagrees with header")
-    bwt = IndexedSequence(arrays["bwt"].astype(np.int32), alphabet.size)
-    return AugmentedFmIndex(
-        bwt,
-        arrays["sa"].astype(np.int64),
-        arrays["lcp"].astype(np.int64),
-        sep_positions,
-        alphabet,
-        meta["provenance"],
-    )
+    return AugmentedFmIndex(IndexedSequence(bwt, alphabet.size), sa, lcp, sep_positions,
+                            alphabet, meta["provenance"])

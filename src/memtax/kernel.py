@@ -32,12 +32,6 @@ class KernelParams:
             raise ValidationError("k_max must be at least 1")
 
 
-class Kernel(SeparatedText):
-    def __init__(self, codes, alphabet, provenance, params: KernelParams):
-        super().__init__(codes, alphabet, provenance)
-        self.params = params
-
-
 def _kernel_provenance(source: dict, k_max: int) -> dict:
     if source.get("mode") == "digest":
         out = dict(source)
@@ -47,7 +41,7 @@ def _kernel_provenance(source: dict, k_max: int) -> dict:
     return {"mode": "kernel", "k_max": k_max}
 
 
-def build_katka_kernel(st: SeparatedText, params: KernelParams) -> Kernel:
+def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText:
     k = params.k_max
     # symbols after the last separator belong to no genome and are dropped
     codes = st.codes[: st.sep_positions[-1] + 1] if len(st.sep_positions) else st.codes[:0]
@@ -78,7 +72,7 @@ def build_katka_kernel(st: SeparatedText, params: KernelParams) -> Kernel:
     out = codes[at]
     gap = (np.diff(at) > 1) & (out[:-1] != SEP_CODE) & (out[1:] != SEP_CODE)
     out = np.insert(out, np.flatnonzero(gap) + 1, HASH_CODE)
-    return Kernel(out, st.alphabet, _kernel_provenance(st.provenance, k), params)
+    return SeparatedText(out, st.alphabet, _kernel_provenance(st.provenance, k))
 
 
 def kernel_size_report(kernel: SeparatedText) -> tuple[int, int, int]:

@@ -52,19 +52,16 @@ class MemTable:
         return iter(self.records)
 
 
-def compute_mem_table(ix: AugmentedFmIndex, read, min_length: int = 1,
-                      record_absent: bool | None = None) -> MemTable:
+def compute_mem_table(ix: AugmentedFmIndex, read, min_length: int = 1) -> MemTable:
     """MEM table of a read (a base string for raw/kernel indexes, a sequence
     of minimizer values for digest indexes; digest the read first).
 
-    record_absent controls whether symbols absent from the indexed text
-    produce `empty` records; it defaults to on for digest indexes only.
+    Against digest indexes, symbols absent from the indexed text produce
+    `empty` records.
     """
     symbols = list(read)
     if not symbols:
         raise ValidationError("read is empty")
-    if record_absent is None:
-        record_absent = ix.alphabet.kind == "digest"
     codes: list[int | None] = []
     for s in symbols:
         if s in _SEPARATOR_SYMBOLS:
@@ -73,30 +70,27 @@ def compute_mem_table(ix: AugmentedFmIndex, read, min_length: int = 1,
 
     m = len(codes)
     records: list[MemRecord] = []
-    prev_span: tuple[int, int] | None = None
 
     def emit(start: int, end: int, iv: SaInterval) -> None:
-        nonlocal prev_span
+        # starts strictly decrease along the walk, so no MEM nests in an
+        # already-emitted one
         if end <= start:
             return
-        if prev_span is not None and start >= prev_span[0] and end <= prev_span[1]:
-            return  # nested in an already-emitted MEM
         pmin, pmax = ix.first_last_positions(iv)
         records.append(MemRecord(
             read_start=start, length=end - start,
             first_pos=pmin, last_pos=pmax,
             first_genome=ix.rank_separators(pmin),
             last_genome=ix.rank_separators(pmax)))
-        prev_span = (start, end)
 
     iv = ix.full_interval()
     i = m  # current match is read[i..r)
     r = m
     while i > 0:
         c = codes[i - 1]
-        if c is None or ix.symbol_count(c) == 0:
+        if c is None or c not in ix.bwt.smaller:
             emit(i, r, iv)
-            if record_absent:
+            if ix.alphabet.kind == "digest":
                 records.append(MemRecord(read_start=i - 1, length=1, empty=True))
             i -= 1
             r = i

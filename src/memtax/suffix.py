@@ -1,10 +1,12 @@
 """Suffix-array machinery backing the augmented FM-index.
 
-All structures are plain (uncompressed) arrays: an int64 suffix array and
-LCP array of length n+1 (one row for the implicit end-of-file sentinel,
-code 0, smaller than every text symbol), and per-symbol sorted position
-lists giving rank/select on the BWT.  RangeExtremes, a sparse table for
-range-min / range-max positions, serves the LCA over a tree's Euler tour.
+All structures are plain (uncompressed) arrays: a suffix array and LCP
+array of length n+1 (one row for the implicit end-of-file sentinel, code 0,
+smaller than every text symbol), built in int64 and held by the index in
+the file's fixed-width dtypes, and one stable sort of the BWT whose
+per-symbol runs give rank/select and the C table.  RangeExtremes, a sparse
+table for range-min / range-max positions, serves the LCA over a tree's
+Euler tour.
 """
 from __future__ import annotations
 
@@ -73,24 +75,31 @@ def derive_bwt(codes, sa: np.ndarray) -> np.ndarray:
 class IndexedSequence:
     """A symbol sequence with per-symbol rank and select.
 
-    Rank/select are served from one sorted position list per symbol, the
-    sparse equivalent of one indicator bit sequence per alphabet symbol.
+    One stable sort of the sequence serves both: each present symbol's run
+    in the sorted order is its increasing position list (its rank/select,
+    the sparse equivalent of one indicator bit sequence per symbol), and
+    the run's start is the number of smaller symbols, the FM-index's C[c].
+    Nothing is sized by the alphabet.
     """
 
     def __init__(self, symbols: np.ndarray, alphabet_size: int):
-        symbols = np.asarray(symbols, dtype=np.int32)
+        symbols = np.asarray(symbols)
         if symbols.size and (symbols.min() < 0 or symbols.max() >= alphabet_size):
             raise ValueError("symbol out of declared alphabet range")
         self.symbols = symbols
         self.alphabet_size = alphabet_size
         order = np.argsort(symbols, kind="stable")
-        uniq, starts = np.unique(symbols[order], return_index=True)
-        bounds = np.append(starts, len(symbols))
+        ranked = symbols[order]
+        first = np.ones(len(ranked), dtype=bool)  # the first row of each run
+        first[1:] = ranked[1:] != ranked[:-1]
+        starts = np.flatnonzero(first)
+        present = ranked[starts].tolist()
+        bounds = starts.tolist() + [len(ranked)]
+        # C[c] of each present symbol; absent symbols have no entry
+        self.smaller: dict[int, int] = dict(zip(present, bounds))
         self._positions: dict[int, np.ndarray] = {
-            int(u): np.sort(order[bounds[i]: bounds[i + 1]]).astype(np.int64)
-            for i, u in enumerate(uniq)
-        }
-        self._empty = np.empty(0, dtype=np.int64)
+            c: order[s:e] for c, s, e in zip(present, bounds, bounds[1:])}
+        self._empty = order[:0]
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -114,12 +123,6 @@ class IndexedSequence:
         if not 0 <= j < len(pos):
             raise IndexError(f"select({c}, {j}) out of range")
         return int(pos[j])
-
-    def symbol_counts(self) -> np.ndarray:
-        out = np.zeros(self.alphabet_size, dtype=np.int64)
-        for c, pos in self._positions.items():
-            out[c] = len(pos)
-        return out
 
 
 class RangeExtremes:

@@ -1,4 +1,7 @@
+import json
 import pathlib
+import struct
+import zlib
 
 import pytest
 
@@ -11,6 +14,18 @@ DATA = pathlib.Path(__file__).parent / "data"
 # the worked-example toy collection and the larger 16-genome toy collection
 TOY_GENOMES = ["GATTACAT", "AGATACAT", "GATACAT", "GATTAGAT", "GATTAGATA"]
 P = "GGATGGGCTAGACGATCTTCTGTG"
+
+
+def rewritten_index(blob: bytes, edit) -> bytes:
+    """The index file with its JSON header passed through edit(meta), which
+    changes it in place, and checksummed as a writer would have."""
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    meta = json.loads(blob[12: 12 + meta_len])
+    edit(meta)
+    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    head = blob[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+    payload = blob[16 + meta_len:]
+    return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
 
 
 @pytest.fixture(scope="session")

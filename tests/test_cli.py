@@ -6,7 +6,7 @@ import pytest
 
 from memtax.cli import main
 
-from conftest import P, TOY_GENOMES
+from conftest import P, TOY_GENOMES, rewritten_index
 
 
 @pytest.fixture()
@@ -227,5 +227,16 @@ def test_exit_codes(tmp_path, toy_files):
     payload = blob[16 + meta_len:]
     crc = zlib.crc32(payload, zlib.crc32(head))
     idx.write_bytes(head + struct.pack("<I", crc) + payload)
+    rc = main(["query", "--index", str(idx), "--reads", str(reads)])
+    assert rc == 4
+    # validation error: a digest k whose codes would not fit int32
+    rc = main(["build", "--input", str(genomes), "--format", "lines",
+               "--mode", "digest", "--k", "16", "--w", "2", "--output", str(idx)])
+    assert rc == 2
+    # format error: a checksummed digest header whose provenance lacks the hash
+    assert main(["build", "--input", str(genomes), "--format", "lines",
+                 "--mode", "digest", "--k", "3", "--w", "2", "--output", str(idx)]) == 0
+    idx.write_bytes(rewritten_index(idx.read_bytes(),
+                                    lambda meta: meta["provenance"].pop("hash")))
     rc = main(["query", "--index", str(idx), "--reads", str(reads)])
     assert rc == 4

@@ -156,3 +156,15 @@ def test_general_k_digest_queryable():
     from memtax import longest_mems
     top = longest_mems(table)
     assert all(r.first_genome <= 1 <= r.last_genome for r in top)
+
+
+def test_digest_params_bounds():
+    for bad in (dict(k=16), dict(k=0), dict(w=0), dict(m=0), dict(k=15, m=2**34),
+                dict(k="3"), dict(w=True), dict(a=1.5)):
+        with pytest.raises(ValidationError):
+            DigestParams(**bad)
+    assert DigestParams(k=15, m=2**33).m == 2**33
+    # a and b act modulo m: huge or negative ones digest like their residues
+    s = "ACGTTGCAACGGTACCATGA" * 3
+    assert digest_sequence(s, DigestParams(a=2544 + 8863 * 10**20, b=3937 - 8863 * 10**15)) \
+        == digest_sequence(s, DigestParams())

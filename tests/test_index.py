@@ -1,18 +1,22 @@
 import io
+import json
 import random
 import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from memtax import (AbsentSymbolError, DigestParams, EmptyIntervalError,
-                    FormatError, GenomeCollection, SaInterval, ValidationError,
-                    build_index, deserialize, digest_collection, separate)
+                    FormatError, GenomeCollection, MemtaxError, SaInterval,
+                    ValidationError, build_index, compute_mem_table,
+                    deserialize, digest_collection, digest_sequence, separate)
 from memtax.collection import SEP_CODE
 from memtax.index import _SCAN_ROWS, EMPTY_INTERVAL
 
 import oracles
-from conftest import TOY_GENOMES
+from conftest import P, TOY_GENOMES, rewritten_index
 
 
 def test_empty_pattern_full_interval(toy_index):
@@ -254,6 +258,13 @@ def _with_header(blob: bytes, old: bytes, new: bytes, fix_crc: bool,
     return head + struct.pack("<I", crc) + payload
 
 
+def _setter(section, key, value):
+    """edit for rewritten_index: sets meta[section][key] = value."""
+    def edit(meta):
+        meta[section][key] = value
+    return edit
+
+
 def test_deserialize_errors(toy_index, golden_digest_index):
     blob = bytearray(toy_index.to_bytes())
     with pytest.raises(FormatError, match="magic"):
@@ -293,6 +304,35 @@ def test_deserialize_errors(toy_index, golden_digest_index):
                 _with_header(blob, b'"text_length":45', b'"text_length":50', True)):
         with pytest.raises(FormatError, match="text length"):
             deserialize(bad)
+    # the layout fixes the dtypes too: a same-width signed suffix array
+    with pytest.raises(FormatError, match="text length"):
+        deserialize(_with_header(blob, b'["sa","<u4",46]', b'["sa","<i4",46]', True))
+    # checksummed alphabets and provenances that no writer produces: digest
+    # parameters missing, ill-typed or out of range, a provenance k other
+    # than the alphabet's, a mode that disagrees with the alphabet, and an
+    # unknown alphabet
+    assert golden_digest_index.provenance == \
+        {"hash": [2544, 3937, 8863], "k": 3, "mode": "digest", "w": 10}
+    digest_edits = [lambda meta, key=key: meta["provenance"].pop(key) for key in ("hash", "k", "w")]
+    digest_edits += [_setter("provenance", "hash", bad)
+                     for bad in ("2544", None, [2544, 3937], [2544, 3937, "8863"],
+                                 [2544, 3937, 0], [2544, 3937, 2**58], {"a": 1, "b": 2, "m": 3})]
+    digest_edits += [_setter("provenance", "k", bad) for bad in ("3", 3.0, True, 4, 0, 16)]
+    digest_edits += [_setter("provenance", "w", bad) for bad in (None, 0, -1, "10")]
+    digest_edits += [_setter("provenance", "mode", "raw"), _setter("alphabet", "kind", "protein"),
+                     _setter("alphabet", "k", 16)]
+    raw_edits = [_setter("provenance", "mode", "digest"), _setter("alphabet", "kind", "digest"),
+                 _setter("alphabet", "kind", None), _setter("alphabet", "k", 3)]
+    for source, edits in ((digest_blob, digest_edits), (blob, raw_edits)):
+        for edit in edits:
+            with pytest.raises(FormatError, match="malformed index header"):
+                deserialize(rewritten_index(source, edit))
+    # a 4-mer alphabet needs a four-byte BWT
+    with pytest.raises(FormatError, match="alphabet"):
+        deserialize(rewritten_index(digest_blob, _setter("alphabet", "k", 4)))
+    # an edit that keeps the header valid still loads
+    moved = deserialize(rewritten_index(digest_blob, _setter("provenance", "w", 12)))
+    assert moved.digest_params == DigestParams(k=3, w=12)
 
 
 def test_reported_size_equals_file_bytes(tmp_path, toy_index):
@@ -320,3 +360,89 @@ def test_digest_index_round_trip_keeps_params(golden_digest_index):
     a = golden_digest_index.find_interval(q)
     b = ix2.find_interval(q)
     assert (a.lo, a.hi) == (b.lo, b.hi)
+
+
+# substitute values for the fuzzed header: ints from tiny to huge, strings,
+# lists, null, dicts, booleans and floats
+_HEADER_VALUES = hs.one_of(
+    hs.integers(), hs.sampled_from([-1, 0, 1, 45, 46, 2**32, 2**64, 10**30, -10**30]),
+    hs.text(max_size=6), hs.sampled_from(["u1", "<u4", "<i4", "bases", "digest", "raw"]),
+    hs.none(), hs.booleans(), hs.floats(allow_nan=False, allow_infinity=False),
+    hs.lists(hs.integers(-3, 50), max_size=4),
+    hs.dictionaries(hs.text(max_size=3), hs.integers(), max_size=2))
+
+
+def _header_paths(node, path=()):
+    """Paths to every value below the header root, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _header_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("kind", ["raw", "digest"])
+def test_fuzz_index_header(kind, toy_index, golden_digest_index):
+    """A checksummed file with any substituted header values either loads
+    or raises FormatError; a file that loads answers a read or raises a
+    MemtaxError, never another exception."""
+    blob = (toy_index if kind == "raw" else golden_digest_index).to_bytes()
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    paths = sorted(_header_paths(json.loads(blob[12: 12 + meta_len])), key=str)
+    read = P * 3
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(hs.lists(hs.tuples(hs.sampled_from(paths), _HEADER_VALUES), min_size=1, max_size=3))
+    def check(substitutions):
+        def edit(meta):
+            for path, value in substitutions:
+                node = meta
+                try:
+                    for step in path:  # the whole path must still exist
+                        parent, node = node, node[step]
+                    parent[path[-1]] = value
+                except (KeyError, IndexError, TypeError):
+                    pass  # an earlier substitution replaced this branch
+        try:
+            ix = deserialize(rewritten_index(blob, edit))
+        except FormatError:
+            return
+        try:
+            symbols = ix.query_symbols(read)
+            if symbols:
+                compute_mem_table(ix, symbols)
+        except MemtaxError:
+            pass
+
+    check()
+
+
+def test_digest_k12_index_against_oracles():
+    """A 12-mer digest: 4^12 + 3 symbol codes, none of them tabulated."""
+    rng = random.Random(12)
+    params = DigestParams(k=12, w=4)
+    genomes = ["".join(rng.choice("ACGT") for _ in range(200)) for _ in range(3)]
+    st = digest_collection(GenomeCollection(genomes=genomes), params)
+    text = []
+    for g in genomes:
+        text += [v for v, _ in oracles.naive_digest(g, 12, 4, params.a, params.b, params.m)]
+        text.append(oracles.SEP)
+    assert st.codes.max() > 256 and len(text) == len(st)
+    ix = build_index(st)
+    blob = ix.to_bytes()
+    loaded = deserialize(blob)
+    assert loaded.to_bytes() == blob and loaded.digest_params == params
+    for _ in range(20):
+        g = rng.choice(genomes)
+        start = rng.randrange(len(g) - 60)
+        read = list(g[start: start + rng.randint(30, 60)])
+        for i in range(len(read)):
+            if rng.random() < 0.03:
+                read[i] = rng.choice("ACGT")
+        symbols = loaded.query_symbols("".join(read))
+        assert symbols == digest_sequence("".join(read), params)
+        want = oracles.naive_mem_table(text, symbols)
+        for index in (ix, loaded):
+            got = [(r.read_start, r.length, r.first_pos, r.last_pos, r.first_genome,
+                    r.last_genome) for r in compute_mem_table(index, symbols) if not r.empty]
+            assert got == want
