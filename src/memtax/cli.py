@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-from .collection import iter_reads, parse_collection
+from .collection import iter_reads, open_text, parse_collection
+from .digest import DEFAULT_HASH
 from .errors import FormatError, MemtaxError, ValidationError
 from .evaluate import (IndexVariant, ReadSimConfig, build_variant_text,
                        expand_variant_specs, run_experiment)
@@ -19,7 +21,14 @@ EXIT_FORMAT = 4
 
 
 def _open_out(path):
-    return sys.stdout if path in (None, "-") else open(path, "w")
+    """Context manager of the output: stdout for None or '-', else the file."""
+    return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
+
+
+def _read_tree(path):
+    with open_text(path) as f:
+        text = f.read()
+    return parse_newick(text)
 
 
 def _variant_from_args(args) -> IndexVariant:
@@ -35,13 +44,11 @@ def _variant_from_args(args) -> IndexVariant:
 def cmd_build(args) -> int:
     collection = parse_collection(args.input, fmt=args.format, allow_wildcard=args.allow_n)
     if args.tree:
-        with open(args.tree) as f:
-            parse_newick(f.read()).validate_leaf_names(collection.names)
+        _read_tree(args.tree).validate_leaf_names(collection.names)
     variant = _variant_from_args(args)
     text = build_variant_text(collection, variant)
     index = AugmentedFmIndex.build(text)
-    with open(args.output, "wb") as f:
-        nbytes = index.serialize(f)
+    nbytes = index.serialize(args.output)
     kept, hashes, seps = kernel_size_report(text)
     print(f"mode={variant.label} genomes={collection.genome_count} "
           f"text_symbols={len(text)} kept={kept} gap_markers={hashes} "
@@ -51,8 +58,7 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     index = deserialize(args.index)
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         out.write("\t".join(TSV_HEADER) + "\n")
         for read_id, seq in iter_reads(args.reads, fmt=args.format):
             symbols = index.query_symbols(seq)
@@ -61,23 +67,18 @@ def cmd_query(args) -> int:
             table = compute_mem_table(index, symbols, min_length=args.min_mem)
             for row in tsv_rows(read_id, symbols, table, index.alphabet):
                 out.write("\t".join(str(x) for x in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_classify(args) -> int:
     index = deserialize(args.index)
-    with open(args.tree) as f:
-        tree = parse_newick(f.read())
+    tree = _read_tree(args.tree)
     if tree.leaf_count != len(index.sep_positions):
         raise ValidationError(
             f"tree has {tree.leaf_count} leaves but the index holds "
             f"{len(index.sep_positions)} genomes")
     lca = LcaStructure(tree)
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         out.write("read_id\tread_start\tlength\tfirst_genome\tlast_genome\tnode_label\n")
         for read_id, seq in iter_reads(args.reads, fmt=args.format):
             symbols = index.query_symbols(seq)
@@ -93,36 +94,22 @@ def cmd_classify(args) -> int:
                 node = lca.subtree_for_range(rec.first_genome, rec.last_genome)
                 out.write(f"{read_id}\t{rec.read_start}\t{rec.length}\t"
                           f"{rec.first_genome}\t{rec.last_genome}\t{tree.label_of(node)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_eval(args) -> int:
     collection = parse_collection(args.input, fmt=args.format, allow_wildcard=args.allow_n)
-    tree = None
-    if args.tree:
-        with open(args.tree) as f:
-            tree = parse_newick(f.read())
+    tree = _read_tree(args.tree) if args.tree else None
     variants = expand_variant_specs(args.variants.split(","))
     cfg = ReadSimConfig(read_length=args.read_len, mutation_rate=args.mut_rate,
                         reads_per_genome=args.reads_per_genome, seed=args.seed)
-    per_read = open(args.per_read, "w") if args.per_read else None
-    try:
+    with open(args.per_read, "w") if args.per_read else contextlib.nullcontext() as per_read:
         if per_read is not None:
             per_read.write("variant\tsource_genome\ttrue_positive\tlongest_mem_ranges\n")
         report = run_experiment(collection, variants, cfg, tree=tree,
                                 per_read_sink=per_read)
-    finally:
-        if per_read is not None:
-            per_read.close()
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         out.write(report.to_json() + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -145,9 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_digest_params(sp):
         sp.add_argument("--k", type=int, default=3, help="minimizer width (default 3)")
         sp.add_argument("--w", type=int, default=10, help="window size in k-mers (default 10)")
-        sp.add_argument("--hash-a", type=int, default=2544)
-        sp.add_argument("--hash-b", type=int, default=3937)
-        sp.add_argument("--hash-m", type=int, default=8863)
+        for flag, default in zip(("--hash-a", "--hash-b", "--hash-m"), DEFAULT_HASH):
+            sp.add_argument(flag, type=int, default=default)
 
     b = sub.add_parser("build", help="build and serialize one index")
     add_common_build(b)
@@ -196,15 +182,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
+    except (MemtaxError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_FORMAT
-    except MemtaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(e, FormatError):
+            return EXIT_FORMAT
+        return EXIT_VALIDATION if isinstance(e, MemtaxError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -14,12 +14,13 @@ kernelizer and the FM-index treat base texts and digests identically.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 
 EOF_CODE = 0
 HASH_CODE = 1
@@ -31,7 +32,9 @@ MAX_DIGEST_K = 15
 BASES = "ACGT"
 WILDCARD = "N"
 _BASE_TO_CODE = {c: FIRST_SYMBOL_CODE + i for i, c in enumerate(BASES)}
+_DROP_BASES = str.maketrans("", "", BASES)
 _ASCII_RENDER_BASE = 37  # digest value v displays as chr(37 + v) when k == 3
+_FORMATS = ("fasta", "lines")  # genome and read file formats
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,8 @@ class GenomeCollection:
 
 
 class SeparatedText:
-    """The indexable concatenation genome0 $ genome1 $ ... with its separator
-    bit sequence (held as the sorted positions of the 1-bits)."""
+    """The indexable concatenation genome0 $ genome1 $ ... with the sorted
+    positions of its separators."""
 
     def __init__(self, codes: np.ndarray, alphabet: Alphabet, provenance: dict | None = None):
         self.codes = np.asarray(codes, dtype=np.int32)
@@ -148,30 +151,10 @@ class SeparatedText:
     def genome_count(self) -> int:
         return len(self.sep_positions)
 
-    def separator_bits(self) -> np.ndarray:
-        bits = np.zeros(len(self.codes), dtype=np.uint8)
-        bits[self.sep_positions] = 1
-        return bits
-
-    def rank_separators(self, p: int) -> int:
-        """Number of separators strictly before position p."""
-        return int(np.searchsorted(self.sep_positions, p, side="left"))
-
-    def genome_of_position(self, p: int) -> int:
-        if not 0 <= p < len(self.codes):
-            raise ValidationError(f"position {p} out of range")
-        if self.codes[p] == SEP_CODE:
-            raise ValidationError(f"position {p} is a separator")
-        return self.rank_separators(p)
-
     def genome_spans(self) -> list[tuple[int, int]]:
         """Half-open [start, end) span of each genome (end is its separator)."""
-        spans = []
-        start = 0
-        for sep in self.sep_positions:
-            spans.append((start, int(sep)))
-            start = int(sep) + 1
-        return spans
+        ends = self.sep_positions.tolist()
+        return list(zip([0] + [end + 1 for end in ends[:-1]], ends))
 
     def text(self) -> str:
         """Human-readable rendering, separators included."""
@@ -201,13 +184,11 @@ def _clean_sequence(raw: str, name: str, allow_wildcard: bool) -> str:
     for ch in ("$", "#", "\x00"):
         if ch in seq:
             raise ValidationError(f"reserved symbol {ch!r} in genome {name!r}")
-    if all(c in BASES for c in seq):
-        return seq
-    if not allow_wildcard:
-        bad = next(c for c in seq if c not in BASES)
+    bad = seq.translate(_DROP_BASES)  # the non-ACGT symbols, in order
+    if bad and not allow_wildcard:
         raise ValidationError(
-            f"genome {name!r} contains non-ACGT symbol {bad!r} (use allow_wildcard to map it to N)")
-    return "".join(c if c in BASES else WILDCARD for c in seq)
+            f"genome {name!r} contains non-ACGT symbol {bad[0]!r} (use allow_wildcard to map it to N)")
+    return "".join(c if c in BASES else WILDCARD for c in seq) if bad else seq
 
 
 def parse_collection(source, fmt: str = "fasta", allow_wildcard: bool = False) -> GenomeCollection:
@@ -219,46 +200,19 @@ def parse_collection(source, fmt: str = "fasta", allow_wildcard: bool = False) -
     allow_wildcard is set, in which case they become the N wildcard which
     participates in the text but never matches a query symbol.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r") as f:
-            return parse_collection(f, fmt=fmt, allow_wildcard=allow_wildcard)
-
+    if fmt not in _FORMATS:
+        raise ValidationError(f"unknown collection format {fmt!r}")
     names: list[str] = []
     genomes: list[str] = []
-    if fmt == "fasta":
-        cur_name = None
-        buf: list[str] = []
-        saw_header = False
-        for line in source:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                saw_header = True
-                if cur_name is not None:
-                    genomes.append(_clean_sequence("".join(buf), cur_name, allow_wildcard))
-                    names.append(cur_name)
-                cur_name = line[1:].split()[0] if len(line) > 1 else ""
-                if not cur_name:
-                    raise ValidationError("malformed FASTA header (empty name)")
-                buf = []
-            else:
-                if not saw_header:
-                    raise ValidationError("FASTA input does not start with a '>' header")
-                buf.append(line)
-        if cur_name is not None:
-            genomes.append(_clean_sequence("".join(buf), cur_name, allow_wildcard))
-            names.append(cur_name)
-    elif fmt == "lines":
-        for i, line in enumerate(source):
-            line = line.strip()
-            if not line:
-                continue
-            names.append(f"g{len(names)}")
-            genomes.append(_clean_sequence(line, names[-1], allow_wildcard))
-    else:
-        raise ValidationError(f"unknown collection format {fmt!r}")
-
+    for name, seq, _ in _records(source, fmt):
+        if fmt == "lines":
+            name = f"g{len(names)}"
+        elif name is None:
+            raise ValidationError("FASTA input does not start with a '>' header")
+        elif not name:
+            raise ValidationError("malformed FASTA header (empty name)")
+        genomes.append(_clean_sequence(seq, name, allow_wildcard))
+        names.append(name)
     if not genomes:
         raise ValidationError("no genomes in input")
     return GenomeCollection(genomes=genomes, names=names)
@@ -267,36 +221,49 @@ def parse_collection(source, fmt: str = "fasta", allow_wildcard: bool = False) -
 def iter_reads(source, fmt: str = "fasta") -> Iterable[tuple[str, str]]:
     """Yield (read_id, sequence) pairs from a path (str or os.PathLike) or a
     text file object. Reads are case-folded but otherwise unvalidated;
-    unknown characters simply never match during queries."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r") as f:
-            yield from iter_reads(f, fmt=fmt)
-            return
-    if fmt == "fasta":
-        name = None
-        buf: list[str] = []
-        count = 0
-        for line in source:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                if name is not None:
-                    yield name, "".join(buf).upper()
-                name = line[1:].split()[0] if len(line) > 1 else f"read{count}"
-                count += 1
-                buf = []
-            else:
-                if name is None:
-                    name = f"read{count}"
-                    count += 1
-                buf.append(line)
-        if name is not None:
-            yield name, "".join(buf).upper()
-    elif fmt == "lines":
-        for i, line in enumerate(source):
-            line = line.strip()
-            if line:
-                yield f"read{i}", line.upper()
-    else:
+    unknown characters simply never match during queries.  A read without
+    a name is read<i>, i its record number (its line number in "lines")."""
+    if fmt not in _FORMATS:
         raise ValidationError(f"unknown reads format {fmt!r}")
+    for name, seq, number in _records(source, fmt):
+        yield name or f"read{number}", seq.upper()
+
+
+@contextmanager
+def open_text(path):
+    """The UTF-8 text file at path, opened for reading; a byte sequence that
+    does not decode ends in FormatError instead of UnicodeDecodeError."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{os.fspath(path)} is not a text file ({e})") from None
+
+
+def _records(source, fmt: str):
+    """Yield (name, sequence, number) per record of a path or a text file
+    object, lines stripped and blank lines skipped.  FASTA: the name is the
+    first word of the header ('' for a bare '>'), sequence lines before the
+    first header form a nameless record (name None), and records count from
+    0.  "lines": each line is a nameless record numbered by its index."""
+    if isinstance(source, (str, os.PathLike)):
+        with open_text(source) as f:
+            yield from _records(f, fmt)
+        return
+    name, seq, number = None, None, -1
+    for i, line in enumerate(source):
+        line = line.strip()
+        if not line:
+            continue
+        if fmt == "lines":
+            yield None, line, i
+        elif line.startswith(">"):
+            if seq is not None:
+                yield name, "".join(seq), number
+            name, seq, number = (line[1:].split() or [""])[0], [], number + 1
+        else:
+            if seq is None:  # sequence before the first header
+                seq, number = [], number + 1
+            seq.append(line)
+    if seq is not None:
+        yield name, "".join(seq), number

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .collection import (FIRST_SYMBOL_CODE, MAX_DIGEST_K, SEP_CODE, Alphabet,
-                         BASES, GenomeCollection, SeparatedText)
+from .collection import (_ASCII_RENDER_BASE, FIRST_SYMBOL_CODE, MAX_DIGEST_K, SEP_CODE,
+                         Alphabet, BASES, GenomeCollection, SeparatedText)
 from .errors import ValidationError
 
 DEFAULT_HASH = (2544, 3937, 8863)
@@ -140,4 +140,4 @@ def render_ascii(source) -> str:
     vals = [int(v) for v in source]
     if any(not 0 <= v < 64 for v in vals):
         raise ValidationError("ASCII rendering is defined for k = 3 digests only")
-    return "".join(chr(37 + v) for v in vals)
+    return "".join(chr(_ASCII_RENDER_BASE + v) for v in vals)

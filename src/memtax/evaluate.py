@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .collection import GenomeCollection, SeparatedText, separate
-from .digest import DigestParams, digest_collection
+from .digest import DEFAULT_HASH, DigestParams, digest_collection
 from .errors import MemtaxError, ValidationError
 from .index import AugmentedFmIndex
 from .kernel import KernelParams, build_katka_kernel
@@ -112,7 +112,7 @@ class IndexVariant:
     k_max: int | None = None
     k: int | None = None
     w: int | None = None
-    hash_params: tuple[int, int, int] = (2544, 3937, 8863)
+    hash_params: tuple[int, int, int] = DEFAULT_HASH
 
     def __post_init__(self):
         if self.mode not in ("raw", "kernel", "digest", "digest-kernel"):

@@ -286,8 +286,10 @@ def deserialize(source) -> AugmentedFmIndex:
     """Read an index written by AugmentedFmIndex.serialize(); raises
     FormatError on bad magic/version, truncation, a checksum mismatch over
     header and payload, a header missing a key, holding a wrong type or
-    invalid digest parameters, or arrays other than the layout that
-    text_length and the alphabet determine."""
+    invalid digest parameters, arrays other than the layout that
+    text_length and the alphabet determine, a suffix array that is not a
+    permutation of 0..text_length, or an LCP entry longer than either of
+    its two suffixes."""
     if isinstance(source, str):
         with open(source, "rb") as f:
             return deserialize(f)
@@ -316,7 +318,7 @@ def deserialize(source) -> AugmentedFmIndex:
 
 def _decode(meta: dict, payload: bytes) -> AugmentedFmIndex:
     """The index over views into payload, which must hold exactly the
-    arrays of _layout."""
+    arrays of _layout, with a valid suffix array and bounded LCP values."""
     n = meta["text_length"]
     alphabet = Alphabet.from_dict(meta["alphabet"])
     layout = _layout(n, alphabet)
@@ -329,5 +331,13 @@ def _decode(meta: dict, payload: bytes) -> AugmentedFmIndex:
     sep_positions = np.flatnonzero(np.unpackbits(sep_bits, bitorder="little")[:n])
     if len(sep_positions) != meta["genome_count"]:
         raise FormatError("separator bit count disagrees with header")
+    # the SA first, so that n - SA cannot wrap below
+    seen = np.zeros(n + 1, dtype=bool)
+    if sa.max() <= n:
+        seen[sa] = True
+    if not seen.all():
+        raise FormatError("suffix array is not a permutation of the text positions")
+    if lcp[0] != 0 or np.any(lcp[1:] > n - np.maximum(sa[:-1], sa[1:])):
+        raise FormatError("LCP array exceeds the suffix lengths")
     return AugmentedFmIndex(IndexedSequence(bwt, alphabet.size), sa, lcp, sep_positions,
                             alphabet, meta["provenance"])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .collection import Alphabet
+from .collection import _ASCII_RENDER_BASE, Alphabet
 from .errors import ValidationError
 from .index import AugmentedFmIndex, SaInterval
 
@@ -129,7 +129,7 @@ def render_symbols(read, start: int, length: int, alphabet: Alphabet) -> str:
     if alphabet.kind == "bases":
         return "".join(chunk)
     if alphabet.k == 3:
-        return "".join(chr(37 + int(v)) for v in chunk)
+        return "".join(chr(_ASCII_RENDER_BASE + int(v)) for v in chunk)
     return "-".join(str(int(v)) for v in chunk)
 
 

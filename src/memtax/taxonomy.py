@@ -75,7 +75,8 @@ class PhyloTree:
             raise ValidationError(
                 f"tree has {self.leaf_count} leaves but the collection has {len(names)} genomes")
         leaf_labels = [self.labels[leaf] for leaf in self.leaves]
-        if all(lbl in set(names) for lbl in leaf_labels if lbl):
+        name_set = set(names)
+        if all(lbl in name_set for lbl in leaf_labels if lbl):
             for i, lbl in enumerate(leaf_labels):
                 if lbl and lbl != names[i]:
                     raise ValidationError(

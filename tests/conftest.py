@@ -3,6 +3,7 @@ import pathlib
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from memtax import (DigestParams, GenomeCollection, KernelParams,
@@ -26,6 +27,20 @@ def rewritten_index(blob: bytes, edit) -> bytes:
     head = blob[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
     payload = blob[16 + meta_len:]
     return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
+
+
+def rewritten_rows(blob: bytes, array: str, rows, value: int) -> bytes:
+    """The index file with rows (an index or slice) of one payload array
+    set to value, checksummed as a writer would have."""
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    head = blob[:12 + meta_len]
+    payload = bytearray(blob[16 + meta_len:])
+    offset = 0
+    for name, dtype, count in json.loads(blob[12: 12 + meta_len])["arrays"]:
+        if name == array:
+            np.frombuffer(payload, dtype=dtype, count=count, offset=offset)[rows] = value
+        offset += count * np.dtype(dtype).itemsize
+    return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + bytes(payload)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 
 from memtax.cli import main
 
-from conftest import P, TOY_GENOMES, rewritten_index
+from conftest import P, TOY_GENOMES, rewritten_index, rewritten_rows
 
 
 @pytest.fixture()
@@ -196,7 +196,7 @@ def test_eval_json(tmp_path, toy_files):
     assert payload["config"]["seed"] == 5
 
 
-def test_exit_codes(tmp_path, toy_files):
+def test_exit_codes(tmp_path, toy_files, capsys):
     genomes, reads = toy_files
     # validation error: reserved symbol in input
     bad = tmp_path / "bad.txt"
@@ -240,3 +240,30 @@ def test_exit_codes(tmp_path, toy_files):
                                     lambda meta: meta["provenance"].pop("hash")))
     rc = main(["query", "--index", str(idx), "--reads", str(reads)])
     assert rc == 4
+    # format error: a checksummed raw index whose LCP rows exceed the
+    # suffix lengths (it used to load and report a 5-long MEM for ACATA)
+    assert main(["build", "--input", str(genomes), "--format", "lines",
+                 "--mode", "raw", "--output", str(idx)]) == 0
+    raw_blob = idx.read_bytes()
+    idx.write_bytes(rewritten_rows(raw_blob, "lcp", slice(1, None), 4_000_000_000))
+    rc = main(["query", "--index", str(idx), "--reads", str(reads)])
+    assert rc == 4
+    idx.write_bytes(raw_blob)
+    # format error: a genome, reads or tree file that is not UTF-8 text
+    def binary(name, text):
+        path = tmp_path / name
+        path.write_bytes(text[:4].encode() + b"\xff" + text[4:].encode())
+        return str(path)
+
+    tree = tmp_path / "toy.nwk"
+    tree.write_text("((g0,g1),(g2,(g3,g4)));")
+    capsys.readouterr()
+    for argv in (["build", "--input", binary("genomes.bin", "\n".join(TOY_GENOMES)),
+                  "--format", "lines", "--mode", "raw", "--output", str(tmp_path / "y.ktk2")],
+                 ["classify", "--index", str(idx), "--tree", str(tree),
+                  "--reads", binary("reads.bin", ">r0\nACATA\n")],
+                 ["classify", "--index", str(idx), "--tree", binary("tree.bin", tree.read_text()),
+                  "--reads", str(reads)]):
+        assert main(argv) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "is not a text file" in err[0]

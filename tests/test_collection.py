@@ -2,8 +2,14 @@ import io
 
 import pytest
 
-from memtax import GenomeCollection, ValidationError, parse_collection, separate
-from memtax.collection import iter_reads
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from memtax import (FormatError, GenomeCollection, MemtaxError, ValidationError,
+                    parse_collection, separate)
+from memtax.cli import _read_tree
+from memtax.collection import SEP_CODE, iter_reads
+from memtax.taxonomy import LcaStructure, parse_newick
 
 from conftest import TOY_GENOMES
 
@@ -61,17 +67,14 @@ def test_separate_toy(toy_collection):
     st = separate(toy_collection)
     assert st.n == 45
     assert list(st.sep_positions) == [8, 17, 25, 34, 44]
-    assert st.rank_separators(11) == 1
-    assert st.rank_separators(4) == 0
-    bits = st.separator_bits()
-    assert bits.sum() == 5
-    assert all(bits[p] == 1 for p in (8, 17, 25, 34, 44))
+    assert all(st.codes[p] == SEP_CODE for p in st.sep_positions)
+    assert (st.codes == SEP_CODE).sum() == 5
 
 
 def test_separate_single():
     st = separate(GenomeCollection(genomes=["A"]))
     assert st.text() == "A$"
-    assert list(st.separator_bits()) == [0, 1]
+    assert list(st.sep_positions) == [1]
 
 
 def test_separate_fig3(golden_collection):
@@ -80,18 +83,15 @@ def test_separate_fig3(golden_collection):
     assert list(st.sep_positions) == [101 * (i + 1) - 1 for i in range(16)]
 
 
-def test_genome_of_position(toy_collection):
-    st = separate(toy_collection)
-    assert st.genome_of_position(11) == 1
-    assert st.genome_of_position(41) == 4
-    assert st.genome_of_position(0) == 0
-    with pytest.raises(ValidationError):
-        st.genome_of_position(8)  # separator
+def test_genome_of_position(toy_collection, toy_index):
+    assert toy_index.rank_separators(11) == 1
+    assert toy_index.rank_separators(41) == 4
+    assert toy_index.rank_separators(0) == 0
     # exhaustive: every in-genome position maps to its genome
     pos = 0
     for g, genome in enumerate(toy_collection.genomes):
         for _ in genome:
-            assert st.genome_of_position(pos) == g
+            assert toy_index.rank_separators(pos) == g
             pos += 1
         pos += 1  # skip the separator
 
@@ -120,3 +120,64 @@ def test_str_and_pathlike_are_paths(tmp_path):
         parse_collection(str(path) + "\n", fmt="lines")
     with pytest.raises(FileNotFoundError):
         list(iter_reads(str(path) + "\nACGT\n", fmt="lines"))
+
+
+def test_non_text_file_is_format_error(tmp_path):
+    path = tmp_path / "binary.fa"
+    path.write_bytes(b">g0\nAC\xffGT\n")
+    with pytest.raises(FormatError, match="not a text file"):
+        parse_collection(path)
+    with pytest.raises(FormatError, match="not a text file"):
+        list(iter_reads(path))
+
+
+# newick and FASTA punctuation, bases in both cases, whitespace, the
+# reserved symbols, and non-ASCII characters (Unicode line and paragraph
+# separators, NEL and a NUL among them)
+_FUZZ_TEXT = hs.text(alphabet=hs.sampled_from(
+    list("()[],;:>ACGTN acgt\n\t$#") + ["\x00", "\x85", "\u2028", "\u2029", "é", "ß",
+                                          "ﬀ", "İ", "€", "\U0001d538"]), max_size=40)
+
+
+def _readers_answer_or_raise(read):
+    """Each reader of read(), a fresh source each time, returns a result
+    or raises a MemtaxError, never another exception."""
+    for call in (lambda: parse_collection(read(), fmt="fasta"),
+                 lambda: parse_collection(read(), fmt="lines"),
+                 lambda: parse_collection(read(), fmt="lines", allow_wildcard=True),
+                 lambda: list(iter_reads(read(), fmt="fasta")),
+                 lambda: list(iter_reads(read(), fmt="lines"))):
+        try:
+            call()
+        except MemtaxError:
+            pass
+
+
+def test_fuzz_text_readers():
+    @settings(derandomize=True, deadline=None, max_examples=500, database=None)
+    @given(_FUZZ_TEXT)
+    def check(text):
+        _readers_answer_or_raise(lambda: io.StringIO(text))
+        try:
+            LcaStructure(parse_newick(text))
+        except MemtaxError:
+            pass
+
+    check()
+
+
+def test_fuzz_file_bytes(tmp_path):
+    """Any bytes in a genome, read or tree file: a result or a MemtaxError."""
+    path = tmp_path / "input"
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(hs.one_of(hs.binary(max_size=40), _FUZZ_TEXT.map(lambda t: t.encode())))
+    def check(data):
+        path.write_bytes(data)
+        _readers_answer_or_raise(lambda: path)
+        try:
+            LcaStructure(_read_tree(path))
+        except MemtaxError:
+            pass
+
+    check()

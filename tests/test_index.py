@@ -16,7 +16,7 @@ from memtax.collection import SEP_CODE
 from memtax.index import _SCAN_ROWS, EMPTY_INTERVAL
 
 import oracles
-from conftest import P, TOY_GENOMES, rewritten_index
+from conftest import P, TOY_GENOMES, rewritten_index, rewritten_rows
 
 
 def test_empty_pattern_full_interval(toy_index):
@@ -333,6 +333,19 @@ def test_deserialize_errors(toy_index, golden_digest_index):
     # an edit that keeps the header valid still loads
     moved = deserialize(rewritten_index(digest_blob, _setter("provenance", "w", 12)))
     assert moved.digest_params == DigestParams(k=3, w=12)
+    # checksummed payloads whose SA is no permutation of 0..n or whose LCP
+    # exceeds the suffix lengths: every SA or LCP row but the first set to
+    # 4 000 000 000, an SA row repeated, and an LCP one past its bound
+    sa = toy_index.sa
+    lcp_bound = 45 - max(int(sa[20]), int(sa[21]))
+    for array, rows, value, match in (("sa", slice(1, None), 4_000_000_000, "permutation"),
+                                      ("sa", 5, int(sa[6]), "permutation"),
+                                      ("lcp", slice(1, None), 4_000_000_000, "LCP"),
+                                      ("lcp", 0, 1, "LCP"),
+                                      ("lcp", 21, lcp_bound + 1, "LCP")):
+        with pytest.raises(FormatError, match=match):
+            deserialize(rewritten_rows(blob, array, rows, value))
+    assert deserialize(rewritten_rows(blob, "lcp", 21, lcp_bound)).n == 45  # at the bound
 
 
 def test_reported_size_equals_file_bytes(tmp_path, toy_index):
