@@ -254,7 +254,7 @@ def _evaluate_variant(index: AugmentedFmIndex, variant: IndexVariant,
                       reads: list[SimulatedRead],
                       per_read_sink=None) -> VariantReport:
     report = VariantReport(variant=variant.label, params=variant.params_dict())
-    report.size_bytes = len(index.to_bytes())
+    report.size_bytes = index.size_bytes()
     counts = {cls.value: 0 for cls in RangeClass}
     tp = 0
     total_time = 0.0

@@ -7,8 +7,8 @@ not retained.  The arrays are held as the `KTK2` file stores them: a loaded
 index keeps views into the file's payload, and a built one holds the same
 dtypes.  Interval queries (first/last occurrence, the shrink step of the
 MEM walk) read slices of the suffix array and LCP array directly; the only
-structure derived on load is one stable sort of the BWT, which gives both
-the per-symbol posting lists and the C table.
+structure derived on load is the BWT's sorted key array, searched for
+every backward step and for the shrink's nearest rows preceded by a symbol.
 """
 from __future__ import annotations
 
@@ -21,11 +21,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .collection import FIRST_SYMBOL_CODE, Alphabet, SeparatedText
+from .collection import FIRST_SYMBOL_CODE, SEP_CODE, Alphabet, SeparatedText
 from .digest import DigestParams, digest_sequence
 from .errors import (AbsentSymbolError, EmptyIntervalError, FormatError,
                      ValidationError)
-from .suffix import IndexedSequence, build_suffix_array, derive_bwt
+from .suffix import BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt
 
 MAGIC = b"KTK2"
 VERSION = 2
@@ -59,6 +59,11 @@ def _layout(text_length: int, alphabet: Alphabet) -> list[list]:
     bwt_dtype = "u1" if alphabet.size <= 256 else "<u4"
     return [["bwt", bwt_dtype, rows], ["sa", row_dtype, rows],
             ["lcp", row_dtype, rows], ["sep_bits", "u1", (text_length + 7) // 8]]
+
+
+def _sizes(layout: list[list]) -> list[int]:
+    """Bytes of each payload array of a layout."""
+    return [count * np.dtype(dtype).itemsize for _, dtype, count in layout]
 
 
 def _digest_params(provenance: dict, alphabet: Alphabet) -> DigestParams | None:
@@ -139,11 +144,8 @@ class AugmentedFmIndex:
         legal query symbol (distinct from the empty interval)."""
         if not self.is_query_code(code):
             return None
-        smaller = self.bwt.smaller.get(code)
-        if smaller is None:  # code does not occur in the text
-            return EMPTY_INTERVAL
-        lo = smaller + self.bwt.rank(code, iv.lo)
-        hi = smaller + self.bwt.rank(code, iv.hi + 1) - 1
+        lo = self.bwt.lf(code, iv.lo)
+        hi = self.bwt.lf(code, iv.hi + 1) - 1
         if hi < lo:
             return EMPTY_INTERVAL
         return SaInterval(lo, hi)
@@ -226,24 +228,17 @@ class AugmentedFmIndex:
         """
         if iv.is_empty:
             raise EmptyIntervalError("shrink_to_extendable on an empty interval")
-        pos = self.bwt.positions(code)
-        if len(pos) == 0:
-            raise AbsentSymbolError(f"symbol code {code} does not occur in the text")
+        # the nearest code-rows above and below iv: the keys before and at
+        # the failed step's two search results, less base, if in code's run
+        keys, base = self.bwt.keys, code * self.rows
+        g1, g2 = self.bwt.lf(code, iv.lo), self.bwt.lf(code, iv.hi + 1)
         best = -1
-        r = int(np.searchsorted(pos, iv.lo, side="left"))
-        if r > 0:
-            j1 = int(pos[r - 1])  # nearest code-row above the interval
-            shared = int(self.lcp[j1 + 1: iv.lo + 1].min())
-            best = max(best, min(length, shared))
-        idx = int(np.searchsorted(pos, iv.hi + 1, side="left"))
-        if idx < len(pos):
-            j2 = int(pos[idx])  # nearest code-row below the interval
-            shared = int(self.lcp[iv.hi + 1: j2 + 1].min())
-            best = max(best, min(length, shared))
-        if best < 0:
-            # unreachable when the precondition holds: code occurs in the
-            # BWT but only inside iv, contradicting the failed backward step
-            raise AbsentSymbolError(f"symbol code {code} not extendable")
+        if g1 > 0 and keys[g1 - 1] >= base:
+            best = min(length, int(self.lcp[keys[g1 - 1] - base + 1: iv.lo + 1].min()))
+        if g2 < self.rows and keys[g2] < base + self.rows:
+            best = max(best, min(length, int(self.lcp[iv.hi + 1: keys[g2] - base + 1].min())))
+        if best < 0:  # with the precondition, no code-row lies inside iv either
+            raise AbsentSymbolError(f"symbol code {code} does not occur in the text")
         return self._prefix_interval(iv.lo, iv.hi, best), best
 
     # ------------------------------------------------------------------
@@ -252,16 +247,8 @@ class AugmentedFmIndex:
         if isinstance(sink, str):
             with open(sink, "wb") as f:
                 return self.serialize(f)
-        payload, arrays_meta = self._payload()
-        meta = {
-            "alphabet": self.alphabet.to_dict(),
-            "arrays": arrays_meta,
-            "genome_count": len(self.sep_positions),
-            "provenance": self.provenance,
-            "text_length": self.n,
-        }
-        meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-        head = MAGIC + struct.pack("<II", VERSION, len(meta_bytes)) + meta_bytes
+        head = self._head()
+        payload = self._payload()
         head += struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
         sink.write(head)
         sink.write(payload)
@@ -272,14 +259,29 @@ class AugmentedFmIndex:
         self.serialize(buf)
         return buf.getvalue()
 
-    def _payload(self) -> tuple[bytes, list]:
-        layout = _layout(self.n, self.alphabet)
+    def size_bytes(self) -> int:
+        """Bytes serialize() writes, counted without building the payload."""
+        return len(self._head()) + 4 + sum(_sizes(_layout(self.n, self.alphabet)))
+
+    def _head(self) -> bytes:
+        """Every byte of the file before the checksum: magic, version,
+        header length and the JSON header."""
+        meta = {
+            "alphabet": self.alphabet.to_dict(),
+            "arrays": _layout(self.n, self.alphabet),
+            "genome_count": len(self.sep_positions),
+            "provenance": self.provenance,
+            "text_length": self.n,
+        }
+        meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+        return MAGIC + struct.pack("<II", VERSION, len(meta_bytes)) + meta_bytes
+
+    def _payload(self) -> bytes:
         sep_bits = np.zeros(self.n, dtype=np.uint8)
         sep_bits[self.sep_positions] = 1
         arrays = (self.bwt.symbols, self.sa, self.lcp, np.packbits(sep_bits, bitorder="little"))
-        payload = b"".join(np.asarray(a, dtype=dtype).tobytes()
-                           for a, (_, dtype, _) in zip(arrays, layout))
-        return payload, layout
+        return b"".join(np.asarray(a, dtype=dtype).tobytes()
+                        for a, (_, dtype, _) in zip(arrays, _layout(self.n, self.alphabet)))
 
 
 def deserialize(source) -> AugmentedFmIndex:
@@ -288,8 +290,10 @@ def deserialize(source) -> AugmentedFmIndex:
     header and payload, a header missing a key, holding a wrong type or
     invalid digest parameters, arrays other than the layout that
     text_length and the alphabet determine, a suffix array that is not a
-    permutation of 0..text_length, or an LCP entry longer than either of
-    its two suffixes."""
+    permutation of 0..text_length, an LCP entry longer than either of its
+    two suffixes, a BWT whose LF mapping does not step every suffix-array
+    row one text position back, or separator bits other than the text
+    positions of the BWT's separators."""
     if isinstance(source, str):
         with open(source, "rb") as f:
             return deserialize(f)
@@ -318,11 +322,12 @@ def deserialize(source) -> AugmentedFmIndex:
 
 def _decode(meta: dict, payload: bytes) -> AugmentedFmIndex:
     """The index over views into payload, which must hold exactly the
-    arrays of _layout, with a valid suffix array and bounded LCP values."""
+    arrays of _layout, with a valid suffix array, bounded LCP values and a
+    BWT and separator bits that agree with the suffix array."""
     n = meta["text_length"]
     alphabet = Alphabet.from_dict(meta["alphabet"])
     layout = _layout(n, alphabet)
-    sizes = [count * np.dtype(dtype).itemsize for _, dtype, count in layout]
+    sizes = _sizes(layout)
     if meta["arrays"] != layout or sum(sizes) != len(payload):
         raise FormatError("index arrays disagree with the header's text length and alphabet")
     offsets = accumulate(sizes, initial=0)
@@ -339,5 +344,15 @@ def _decode(meta: dict, payload: bytes) -> AugmentedFmIndex:
         raise FormatError("suffix array is not a permutation of the text positions")
     if lcp[0] != 0 or np.any(lcp[1:] > n - np.maximum(sa[:-1], sa[1:])):
         raise FormatError("LCP array exceeds the suffix lengths")
-    return AugmentedFmIndex(IndexedSequence(bwt, alphabet.size), sa, lcp, sep_positions,
-                            alphabet, meta["provenance"])
+    bwt = IndexedSequence(bwt, alphabet.size)
+    # LF maps row keys[g] mod R to row g, whose suffix starts one earlier
+    rows = n + 1
+    for start in range(0, rows, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        if np.any(sa[bwt.keys[block] % rows] != (sa[block] + 1) % rows):
+            raise FormatError("BWT disagrees with the suffix array")
+    # with LF intact, the SA rows of K's `$` run are the separator positions
+    seps = sa[bwt.lf(SEP_CODE, 0): bwt.lf(SEP_CODE + 1, 0)]
+    if not np.array_equal(np.sort(seps), sep_positions):
+        raise FormatError("separator bits disagree with the BWT")
+    return AugmentedFmIndex(bwt, sa, lcp, sep_positions, alphabet, meta["provenance"])

@@ -88,20 +88,19 @@ def compute_mem_table(ix: AugmentedFmIndex, read, min_length: int = 1) -> MemTab
     r = m
     while i > 0:
         c = codes[i - 1]
-        if c is None or c not in ix.bwt.smaller:
-            emit(i, r, iv)
+        stepped = None if c is None else ix.backward_step(iv, c)
+        if stepped is not None and not stepped.is_empty:
+            iv = stepped
+            i -= 1
+            continue
+        emit(i, r, iv)
+        if c is None or ix.bwt.count(c) == 0:
             if ix.alphabet.kind == "digest":
                 records.append(MemRecord(read_start=i - 1, length=1, empty=True))
             i -= 1
             r = i
             iv = ix.full_interval()
             continue
-        stepped = ix.backward_step(iv, c)
-        if stepped is not None and not stepped.is_empty:
-            iv = stepped
-            i -= 1
-            continue
-        emit(i, r, iv)
         iv, kept = ix.shrink_to_extendable(iv, r - i, c)
         r = i + kept
         iv = ix.backward_step(iv, c)

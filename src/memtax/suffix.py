@@ -3,16 +3,19 @@
 All structures are plain (uncompressed) arrays: a suffix array and LCP
 array of length n+1 (one row for the implicit end-of-file sentinel, code 0,
 smaller than every text symbol), built in int64 and held by the index in
-the file's fixed-width dtypes, and one stable sort of the BWT whose
-per-symbol runs give rank/select and the C table.  RangeExtremes, a sparse
-table for range-min / range-max positions, serves the LCA over a tree's
-Euler tour.
+the file's fixed-width dtypes, and one sorted key array over the BWT in
+which a single search answers LF, rank and the C table.  RangeExtremes, a
+sparse table for range-min / range-max positions, serves the LCA over a
+tree's Euler tour.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .collection import EOF_CODE
+
+# rows per block of the passes that would otherwise copy a row-sized int64 array
+BLOCK_ROWS = 1 << 16
 
 
 def prefix_doubling_ranks(codes):
@@ -73,13 +76,12 @@ def derive_bwt(codes, sa: np.ndarray) -> np.ndarray:
 
 
 class IndexedSequence:
-    """A symbol sequence with per-symbol rank and select.
-
-    One stable sort of the sequence serves both: each present symbol's run
-    in the sorted order is its increasing position list (its rank/select,
-    the sparse equivalent of one indicator bit sequence per symbol), and
-    the run's start is the number of smaller symbols, the FM-index's C[c].
-    Nothing is sized by the alphabet.
+    """A symbol sequence with per-symbol rank and select, held as one sorted
+    key array: keys = symbols[order] * R + order for R rows and the stable
+    sort order, so a search for c*R + i counts the rows holding a smaller
+    symbol plus the occurrences of c before i, the FM-index's LF(c, i) =
+    C[c] + rank(c, i).  Each symbol's run of keys, less c*R, is its
+    increasing position list; nothing is sized by the alphabet.
     """
 
     def __init__(self, symbols: np.ndarray, alphabet_size: int):
@@ -88,41 +90,36 @@ class IndexedSequence:
             raise ValueError("symbol out of declared alphabet range")
         self.symbols = symbols
         self.alphabet_size = alphabet_size
-        order = np.argsort(symbols, kind="stable")
-        ranked = symbols[order]
-        first = np.ones(len(ranked), dtype=bool)  # the first row of each run
-        first[1:] = ranked[1:] != ranked[:-1]
-        starts = np.flatnonzero(first)
-        present = ranked[starts].tolist()
-        bounds = starts.tolist() + [len(ranked)]
-        # C[c] of each present symbol; absent symbols have no entry
-        self.smaller: dict[int, int] = dict(zip(present, bounds))
-        self._positions: dict[int, np.ndarray] = {
-            c: order[s:e] for c, s, e in zip(present, bounds, bounds[1:])}
-        self._empty = order[:0]
+        self.rows = len(symbols)
+        # in place, a block at a time: no second row-sized int64 array
+        self.keys = np.argsort(symbols, kind="stable").astype(np.int64, copy=False)
+        for start in range(0, self.rows, BLOCK_ROWS):
+            block = self.keys[start: start + BLOCK_ROWS]
+            block += symbols[block] * np.int64(self.rows)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return self.rows
 
     def access(self, i: int) -> int:
         return int(self.symbols[i])
 
-    def positions(self, c: int) -> np.ndarray:
-        return self._positions.get(c, self._empty)
+    def lf(self, c: int, i: int) -> int:
+        """C[c] + rank(c, i): rows holding a smaller symbol, plus the
+        occurrences of c in symbols[0..i)."""
+        return int(self.keys.searchsorted(c * self.rows + i))
 
     def count(self, c: int) -> int:
-        return len(self.positions(c))
+        return self.lf(c + 1, 0) - self.lf(c, 0)
 
     def rank(self, c: int, i: int) -> int:
         """Occurrences of c in symbols[0..i)."""
-        return int(np.searchsorted(self.positions(c), i, side="left"))
+        return self.lf(c, i) - self.lf(c, 0)
 
     def select(self, c: int, j: int) -> int:
         """Position of the j-th (0-based) occurrence of c."""
-        pos = self.positions(c)
-        if not 0 <= j < len(pos):
+        if not 0 <= j < self.count(c):
             raise IndexError(f"select({c}, {j}) out of range")
-        return int(pos[j])
+        return int(self.keys[self.lf(c, 0) + j]) - c * self.rows
 
 
 class RangeExtremes:

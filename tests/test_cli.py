@@ -2,11 +2,12 @@ import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from memtax.cli import main
 
-from conftest import P, TOY_GENOMES, rewritten_index, rewritten_rows
+from conftest import P, TOY_GENOMES, moved_separator, rewritten_index, rewritten_rows
 
 
 @pytest.fixture()
@@ -196,7 +197,7 @@ def test_eval_json(tmp_path, toy_files):
     assert payload["config"]["seed"] == 5
 
 
-def test_exit_codes(tmp_path, toy_files, capsys):
+def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     genomes, reads = toy_files
     # validation error: reserved symbol in input
     bad = tmp_path / "bad.txt"
@@ -248,6 +249,18 @@ def test_exit_codes(tmp_path, toy_files, capsys):
     idx.write_bytes(rewritten_rows(raw_blob, "lcp", slice(1, None), 4_000_000_000))
     rc = main(["query", "--index", str(idx), "--reads", str(reads)])
     assert rc == 4
+    # format error: a checksummed raw index with one BWT A edited to C (it
+    # used to load and report GATTAGATA over genomes 0-3), and one whose
+    # first separator bit moved one position earlier
+    a, c = (toy_index.alphabet.encode_query(b) for b in "AC")
+    a_row = int(np.flatnonzero(toy_index.bwt.symbols == a)[0])
+    capsys.readouterr()
+    for bad in (rewritten_rows(raw_blob, "bwt", a_row, c),
+                rewritten_rows(raw_blob, "sep_bits", slice(None), moved_separator(toy_index))):
+        idx.write_bytes(bad)
+        assert main(["query", "--index", str(idx), "--reads", str(reads)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
     idx.write_bytes(raw_blob)
     # format error: a genome, reads or tree file that is not UTF-8 text
     def binary(name, text):

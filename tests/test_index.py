@@ -4,6 +4,7 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -16,7 +17,7 @@ from memtax.collection import SEP_CODE
 from memtax.index import _SCAN_ROWS, EMPTY_INTERVAL
 
 import oracles
-from conftest import P, TOY_GENOMES, rewritten_index, rewritten_rows
+from conftest import P, TOY_GENOMES, moved_separator, rewritten_index, rewritten_rows
 
 
 def test_empty_pattern_full_interval(toy_index):
@@ -346,13 +347,27 @@ def test_deserialize_errors(toy_index, golden_digest_index):
         with pytest.raises(FormatError, match=match):
             deserialize(rewritten_rows(blob, array, rows, value))
     assert deserialize(rewritten_rows(blob, "lcp", 21, lcp_bound)).n == 45  # at the bound
+    # checksummed payloads whose BWT or separator bits disagree with the SA:
+    # every single A -> C edit of the BWT, and the separator at 8 moved to 7
+    a, c = (toy_index.alphabet.encode_query(b) for b in "AC")
+    a_rows = np.flatnonzero(toy_index.bwt.symbols == a)
+    assert len(a_rows) == 17
+    for row in a_rows:
+        with pytest.raises(FormatError, match="BWT disagrees"):
+            deserialize(rewritten_rows(blob, "bwt", int(row), c))
+    assert toy_index.sep_positions[0] == 8
+    with pytest.raises(FormatError, match="separator bits"):
+        deserialize(rewritten_rows(blob, "sep_bits", slice(None), moved_separator(toy_index)))
 
 
-def test_reported_size_equals_file_bytes(tmp_path, toy_index):
+def test_reported_size_equals_file_bytes(tmp_path, toy_index, golden_raw_index,
+                                         golden_kernel4_index, golden_digest_index):
     path = tmp_path / "toy.ktk2"
     with open(path, "wb") as f:
         written = toy_index.serialize(f)
-    assert written == path.stat().st_size == len(toy_index.to_bytes())
+    assert written == path.stat().st_size == len(toy_index.to_bytes()) == toy_index.size_bytes()
+    for ix in (golden_raw_index, golden_kernel4_index, golden_digest_index):
+        assert ix.size_bytes() == len(ix.to_bytes())
 
 
 def test_alphabet_overflow_rejected():

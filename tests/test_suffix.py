@@ -90,6 +90,11 @@ def test_rank_select_inverse_laws():
         sigma = rng.randint(2, 8)
         symbols = np.array([rng.randrange(sigma) for _ in range(n)])
         seq = IndexedSequence(symbols, sigma)
+        for c in range(sigma + 1):  # absent and one-past symbols included
+            smaller = int(np.sum(symbols < c))
+            for i in range(n + 1):
+                assert seq.lf(c, i) == smaller + seq.rank(c, i) == \
+                    smaller + int(np.sum(symbols[:i] == c))
         for c in range(sigma):
             total = seq.count(c)
             assert seq.rank(c, n) == total == sum(1 for s in symbols if s == c)
