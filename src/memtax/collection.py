@@ -10,6 +10,9 @@ reserved in every alphabet and sort below all ordinary symbols:
 Ordinary symbols start at code 3: A,C,G,T(,N wildcard) for base texts, and
 the 4^k minimizer values for digest texts.  Using one shared layout lets the
 kernelizer and the FM-index treat base texts and digests identically.
+
+This module alone states the layout's rules: the byte -> code table, the
+query codes, the reserved read symbols and how symbols are displayed.
 """
 from __future__ import annotations
 
@@ -31,7 +34,11 @@ MAX_DIGEST_K = 15
 
 BASES = "ACGT"
 WILDCARD = "N"
-_BASE_TO_CODE = {c: FIRST_SYMBOL_CODE + i for i, c in enumerate(BASES)}
+WILDCARD_CODE = FIRST_SYMBOL_CODE + len(BASES)
+RESERVED = ("$", "#")  # read symbols never queried; a tuple, so digest values test too
+CODE_OF_BYTE = np.full(256, -1, dtype=np.int32)  # A,C,G,T -> 3..6, N -> wildcard, else -1
+CODE_OF_BYTE[[ord(c) for c in BASES + WILDCARD]] = np.arange(FIRST_SYMBOL_CODE, WILDCARD_CODE + 1)
+_QUERY_CODE_OF_BASE = {c: int(CODE_OF_BYTE[ord(c)]) for c in BASES}
 _DROP_BASES = str.maketrans("", "", BASES)
 _ASCII_RENDER_BASE = 37  # digest value v displays as chr(37 + v) when k == 3
 _FORMATS = ("fasta", "lines")  # genome and read file formats
@@ -53,12 +60,18 @@ class Alphabet:
         digest_k = type(self.k) is int and 1 <= self.k <= MAX_DIGEST_K
         if not (self.kind == "bases" and self.k == 0 or self.kind == "digest" and digest_k):
             raise ValidationError(f"unknown alphabet {self.kind!r} with k={self.k!r}")
+        # one past the last query code, fixed here: is_query_code runs on every backward step
+        query_end = WILDCARD_CODE if self.kind == "bases" else FIRST_SYMBOL_CODE + 4**self.k
+        object.__setattr__(self, "_query_end", query_end)
 
     @property
     def size(self) -> int:
-        if self.kind == "bases":
-            return FIRST_SYMBOL_CODE + len(BASES) + 1  # + wildcard
-        return FIRST_SYMBOL_CODE + 4**self.k
+        return self._query_end + (self.kind == "bases")  # + wildcard
+
+    def is_query_code(self, code: int) -> bool:
+        """Separators, EOF, the wildcard and codes past the alphabet are
+        never legal query symbols."""
+        return FIRST_SYMBOL_CODE <= code < self._query_end
 
     def encode_query(self, symbol) -> int | None:
         """Code for a query symbol, or None when it cannot be queried.
@@ -67,29 +80,27 @@ class Alphabet:
         set are not legal query symbols.
         """
         if self.kind == "bases":
-            return _BASE_TO_CODE.get(symbol)
+            return _QUERY_CODE_OF_BASE.get(symbol)
         if isinstance(symbol, str):
             return None
-        v = int(symbol)
-        if 0 <= v < 4**self.k:
-            return FIRST_SYMBOL_CODE + v
-        return None
+        code = FIRST_SYMBOL_CODE + int(symbol)
+        return code if self.is_query_code(code) else None
+
+    def render(self, symbols) -> str:
+        """Display form of a run of symbols: bases verbatim; digest values as
+        chr(37 + v) when k == 3, else as numbers joined by '-'."""
+        if self.kind == "bases":
+            return "".join(symbols)
+        if self.k == 3:
+            return "".join(chr(_ASCII_RENDER_BASE + int(v)) for v in symbols)
+        return "-".join(str(int(v)) for v in symbols)
 
     def decode(self, code: int) -> str:
         """Display form of one code (separators render verbatim)."""
-        if code == HASH_CODE:
-            return "#"
-        if code == SEP_CODE:
-            return "$"
-        if code == EOF_CODE:
-            return "\x00"
-        if self.kind == "bases":
-            i = code - FIRST_SYMBOL_CODE
-            return (BASES + WILDCARD)[i]
+        if code < FIRST_SYMBOL_CODE:
+            return "\x00#$"[code]  # EOF, HASH_CODE, SEP_CODE
         v = code - FIRST_SYMBOL_CODE
-        if self.k == 3:
-            return chr(_ASCII_RENDER_BASE + v)
-        return str(v)
+        return self.render((BASES + WILDCARD)[v] if self.kind == "bases" else [v])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "k": self.k}
@@ -163,11 +174,7 @@ class SeparatedText:
 
 def encode_bases(seq: str) -> np.ndarray:
     """Encode an ACGT(N) string to codes. Assumes the string was validated."""
-    table = np.zeros(256, dtype=np.int32)
-    for ch, code in _BASE_TO_CODE.items():
-        table[ord(ch)] = code
-    table[ord(WILDCARD)] = FIRST_SYMBOL_CODE + len(BASES)
-    return table[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
+    return CODE_OF_BYTE[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
 
 
 def separate(collection: GenomeCollection) -> SeparatedText:
@@ -181,7 +188,7 @@ def separate(collection: GenomeCollection) -> SeparatedText:
 
 def _clean_sequence(raw: str, name: str, allow_wildcard: bool) -> str:
     seq = raw.upper()
-    for ch in ("$", "#", "\x00"):
+    for ch in (*RESERVED, "\x00"):
         if ch in seq:
             raise ValidationError(f"reserved symbol {ch!r} in genome {name!r}")
     bad = seq.translate(_DROP_BASES)  # the non-ACGT symbols, in order

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .collection import (_ASCII_RENDER_BASE, FIRST_SYMBOL_CODE, MAX_DIGEST_K, SEP_CODE,
-                         Alphabet, BASES, GenomeCollection, SeparatedText)
+from .collection import (CODE_OF_BYTE, FIRST_SYMBOL_CODE, MAX_DIGEST_K, SEP_CODE,
+                         Alphabet, GenomeCollection, SeparatedText)
 from .errors import ValidationError
 
 DEFAULT_HASH = (2544, 3937, 8863)
@@ -52,34 +52,28 @@ class DigestParams:
                 "hash": [self.a, self.b, self.m]}
 
 
-_BASE_DIGIT = {c: i for i, c in enumerate(BASES)}
+def _digits(s: str) -> np.ndarray:
+    """Base-4 digit (code - 3) of every character of s, int32."""
+    # one byte per character; anything outside latin-1 becomes '?', a non-base
+    digits = CODE_OF_BYTE[np.frombuffer(s.encode("latin-1", "replace"), dtype=np.uint8)]
+    digits -= FIRST_SYMBOL_CODE
+    bad = np.flatnonzero((digits < 0) | (digits > 3))
+    if bad.size:
+        raise ValidationError(f"non-base symbol {s[bad[0]]!r} in sequence")
+    return digits
 
 
 def kmer_value(s: str) -> int:
-    """Integer value of a k-mer, first character least significant."""
-    x = 0
-    for j, c in enumerate(s):
-        try:
-            x += _BASE_DIGIT[c] * 4**j
-        except KeyError:
-            raise ValidationError(f"non-base symbol {c!r} in k-mer") from None
-    return x
+    """Exact integer value of a k-mer, first character least significant."""
+    return sum(d * 4**j for j, d in enumerate(_digits(s).tolist()))
 
 
 def hash_value(params: DigestParams, x: int) -> int:
     return (params.a * x + params.b) % params.m
 
 
-_DIGIT_OF_BYTE = np.full(256, -1, dtype=np.int64)
-_DIGIT_OF_BYTE[np.frombuffer(BASES.encode(), dtype=np.uint8)] = np.arange(len(BASES))
-
-
 def _kmer_values(s: str, k: int) -> np.ndarray:
-    # one byte per character; anything outside latin-1 becomes '?', a non-base
-    digits = _DIGIT_OF_BYTE[np.frombuffer(s.encode("latin-1", "replace"), dtype=np.uint8)]
-    bad = np.flatnonzero(digits < 0)
-    if bad.size:
-        raise ValidationError(f"non-base symbol {s[bad[0]]!r} in sequence")
+    digits = _digits(s).astype(np.int64)
     nk = len(s) - k + 1
     vals = np.zeros(nk, dtype=np.int64)
     for t in range(k):
@@ -140,4 +134,4 @@ def render_ascii(source) -> str:
     vals = [int(v) for v in source]
     if any(not 0 <= v < 64 for v in vals):
         raise ValidationError("ASCII rendering is defined for k = 3 digests only")
-    return "".join(chr(_ASCII_RENDER_BASE + v) for v in vals)
+    return Alphabet(kind="digest", k=3).render(vals)

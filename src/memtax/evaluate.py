@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
-from .collection import GenomeCollection, SeparatedText, separate
+from .collection import BASES, GenomeCollection, SeparatedText, separate
 from .digest import DEFAULT_HASH, DigestParams, digest_collection
 from .errors import MemtaxError, ValidationError
 from .index import AugmentedFmIndex
@@ -33,10 +33,8 @@ class ReadSimConfig:
             raise ValidationError("read_length must be at least 1")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValidationError("mutation_rate must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {"read_length": self.read_length, "mutation_rate": self.mutation_rate,
-                "reads_per_genome": self.reads_per_genome, "seed": self.seed}
+        if self.reads_per_genome < 1:
+            raise ValidationError("reads_per_genome must be at least 1")
 
 
 class RangeClass(str, Enum):
@@ -52,7 +50,7 @@ class SimulatedRead:
     source: int
 
 
-_OTHER_BASES = {"A": "CGT", "C": "AGT", "G": "ACT", "T": "ACG"}
+_OTHER_BASES = {c: BASES.replace(c, "") for c in BASES}
 
 
 def simulate_reads(collection: GenomeCollection, cfg: ReadSimConfig) -> list[SimulatedRead]:
@@ -219,19 +217,11 @@ class VariantReport:
     error: str | None = None
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "variant": self.variant,
-            "params": self.params,
-            "size_bytes": self.size_bytes,
-            "tp_rate": self.tp_rate,
-            "class_counts": self.class_counts,
-            "reads_evaluated": self.reads_evaluated,
-            "unclassifiable_reads": self.unclassifiable_reads,
-        }
-        if include_timing:
-            out["mean_query_us"] = self.mean_query_us
-        if self.error is not None:
-            out["error"] = self.error
+        out = asdict(self)
+        if not include_timing:
+            del out["mean_query_us"]
+        if self.error is None:
+            del out["error"]
         return out
 
 
@@ -241,10 +231,8 @@ class EvalReport:
     variants: list[VariantReport] = field(default_factory=list)
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "variants": [v.to_dict(include_timing) for v in self.variants],
-        }
+        return {"config": asdict(self.config),
+                "variants": [v.to_dict(include_timing) for v in self.variants]}
 
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)

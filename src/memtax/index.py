@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .collection import FIRST_SYMBOL_CODE, SEP_CODE, Alphabet, SeparatedText
+from .collection import RESERVED, SEP_CODE, Alphabet, SeparatedText
 from .digest import DigestParams, digest_sequence
 from .errors import (AbsentSymbolError, EmptyIntervalError, FormatError,
                      ValidationError)
@@ -115,14 +115,6 @@ class AugmentedFmIndex:
     def full_interval(self) -> SaInterval:
         return SaInterval(0, self.rows - 1)
 
-    def is_query_code(self, code: int) -> bool:
-        """Separators, EOF and the wildcard are never legal query symbols."""
-        if not FIRST_SYMBOL_CODE <= code < self.bwt.alphabet_size:
-            return False
-        if self.alphabet.kind == "bases" and code == self.bwt.alphabet_size - 1:
-            return False  # wildcard
-        return True
-
     def query_symbols(self, sequence: str):
         """The symbols a read is queried with: the base string itself against
         raw/kernel indexes, its minimizer values (digested with the index's
@@ -130,7 +122,7 @@ class AugmentedFmIndex:
         symbol, or one that cannot be digested because it holds a non-ACGT
         symbol, gives no symbols and is unclassifiable, like a read shorter
         than one digest window."""
-        if "$" in sequence or "#" in sequence:
+        if any(symbol in sequence for symbol in RESERVED):
             return []
         if self.digest_params is None:
             return sequence
@@ -142,7 +134,7 @@ class AugmentedFmIndex:
     def backward_step(self, iv: SaInterval, code: int) -> SaInterval | None:
         """Interval of code-prefixed extensions; None when code is not a
         legal query symbol (distinct from the empty interval)."""
-        if not self.is_query_code(code):
+        if not self.alphabet.is_query_code(code):
             return None
         lo = self.bwt.lf(code, iv.lo)
         hi = self.bwt.lf(code, iv.hi + 1) - 1

@@ -32,15 +32,6 @@ class KernelParams:
             raise ValidationError("k_max must be at least 1")
 
 
-def _kernel_provenance(source: dict, k_max: int) -> dict:
-    if source.get("mode") == "digest":
-        out = dict(source)
-        out["mode"] = "digest-kernel"
-        out["k_max"] = k_max
-        return out
-    return {"mode": "kernel", "k_max": k_max}
-
-
 def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText:
     k = params.k_max
     # symbols after the last separator belong to no genome and are dropped
@@ -72,7 +63,8 @@ def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText
     out = codes[at]
     gap = (np.diff(at) > 1) & (out[:-1] != SEP_CODE) & (out[1:] != SEP_CODE)
     out = np.insert(out, np.flatnonzero(gap) + 1, HASH_CODE)
-    return SeparatedText(out, st.alphabet, _kernel_provenance(st.provenance, k))
+    mode = "digest-kernel" if st.alphabet.kind == "digest" else "kernel"
+    return SeparatedText(out, st.alphabet, {**st.provenance, "mode": mode, "k_max": k})
 
 
 def kernel_size_report(kernel: SeparatedText) -> tuple[int, int, int]:

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .collection import _ASCII_RENDER_BASE, Alphabet
+from .collection import RESERVED, Alphabet
 from .errors import ValidationError
 from .index import AugmentedFmIndex, SaInterval
-
-_SEPARATOR_SYMBOLS = ("$", "#")
 
 
 @dataclass
@@ -29,10 +27,6 @@ class MemRecord:
     first_genome: int | None = None
     last_genome: int | None = None
     empty: bool = False
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return self.read_start, self.read_start + self.length
 
     @property
     def genome_range(self) -> tuple[int, int] | None:
@@ -64,7 +58,7 @@ def compute_mem_table(ix: AugmentedFmIndex, read, min_length: int = 1) -> MemTab
         raise ValidationError("read is empty")
     codes: list[int | None] = []
     for s in symbols:
-        if s in _SEPARATOR_SYMBOLS:
+        if s in RESERVED:
             raise ValidationError(f"read contains reserved symbol {s!r}")
         codes.append(ix.alphabet.encode_query(s))
 
@@ -124,12 +118,7 @@ def longest_mems(table: MemTable) -> list[MemRecord]:
 
 def render_symbols(read, start: int, length: int, alphabet: Alphabet) -> str:
     """Display form of read[start..start+length) under the index alphabet."""
-    chunk = read[start: start + length]
-    if alphabet.kind == "bases":
-        return "".join(chunk)
-    if alphabet.k == 3:
-        return "".join(chr(_ASCII_RENDER_BASE + int(v)) for v in chunk)
-    return "-".join(str(int(v)) for v in chunk)
+    return alphabet.render(read[start: start + length])
 
 
 TSV_HEADER = ("read_id", "read_start", "length", "mem_string", "first_pos",

@@ -89,7 +89,6 @@ class IndexedSequence:
         if symbols.size and (symbols.min() < 0 or symbols.max() >= alphabet_size):
             raise ValueError("symbol out of declared alphabet range")
         self.symbols = symbols
-        self.alphabet_size = alphabet_size
         self.rows = len(symbols)
         # in place, a block at a time: no second row-sized int64 array
         self.keys = np.argsort(symbols, kind="stable").astype(np.int64, copy=False)

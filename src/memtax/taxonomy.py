@@ -120,22 +120,17 @@ def parse_newick(text: str) -> PhyloTree:
         raise ValidationError("unbalanced parentheses in newick input")
     tree.root = root
 
+    # nodes are numbered in text order, parents first, so the childless ones
+    # in id order are the leaves from left to right
+    tree.leaves = [u for u in range(tree.node_count) if not tree.children[u]]
     seen_labels: set[str] = set()
-    stack = [tree.root]
-    ordered_leaves: list[int] = []
-    while stack:
-        u = stack.pop()
-        if not tree.children[u]:
-            ordered_leaves.append(u)
-            lbl = tree.labels[u]
-            if lbl is None:
-                raise ValidationError("unlabeled leaf in newick input")
-            if lbl in seen_labels:
-                raise ValidationError(f"duplicate leaf label {lbl!r}")
-            seen_labels.add(lbl)
-        else:
-            stack.extend(reversed(tree.children[u]))
-    tree.leaves = ordered_leaves
+    for u in tree.leaves:
+        lbl = tree.labels[u]
+        if lbl is None:
+            raise ValidationError("unlabeled leaf in newick input")
+        if lbl in seen_labels:
+            raise ValidationError(f"duplicate leaf label {lbl!r}")
+        seen_labels.add(lbl)
     return tree
 
 

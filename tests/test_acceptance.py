@@ -274,6 +274,7 @@ def _tandem_collection(seed: int) -> GenomeCollection:
     return GenomeCollection(genomes=genomes)
 
 
+@pytest.mark.slow
 def test_criterion_9_desk_scale_experiment():
     t0 = time.perf_counter()
     coll = _tandem_collection(20250810)

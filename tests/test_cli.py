@@ -230,6 +230,14 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     idx.write_bytes(head + struct.pack("<I", crc) + payload)
     rc = main(["query", "--index", str(idx), "--reads", str(reads)])
     assert rc == 4
+    # validation error: no reads to simulate (it used to report every genome
+    # as shorter than the read length)
+    capsys.readouterr()
+    rc = main(["eval", "--input", str(genomes), "--format", "lines",
+               "--reads-per-genome", "0", "--read-len", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "reads_per_genome" in err[0]
     # validation error: a digest k whose codes would not fit int32
     rc = main(["build", "--input", str(genomes), "--format", "lines",
                "--mode", "digest", "--k", "16", "--w", "2", "--output", str(idx)])

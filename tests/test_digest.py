@@ -6,7 +6,9 @@ import pytest
 from memtax import (DigestParams, GenomeCollection, ValidationError,
                     digest_collection, digest_sequence, hash_value,
                     kmer_value, render_ascii)
+from memtax.collection import FIRST_SYMBOL_CODE, Alphabet
 from memtax.digest import digest_with_positions
+from memtax.mems import render_symbols
 
 from conftest import P
 
@@ -17,6 +19,9 @@ def test_kmer_value_examples():
     assert kmer_value("AGC") == 24
     assert kmer_value("AAA") == 0
     assert kmer_value("GTT") == 62
+    # exact past the widths of int32 and int64
+    assert kmer_value("T" * 16) == 4**16 - 1
+    assert kmer_value("T" * 33) == 4**33 - 1
     with pytest.raises(ValidationError):
         kmer_value("ANA")
 
@@ -74,6 +79,10 @@ def test_render_ascii_bounds_and_guard():
     d = digest_collection(GenomeCollection(genomes=["A" * 30]), DigestParams(k=4))
     with pytest.raises(ValidationError):
         render_ascii(d)
+    # k != 3 shows values as numbers joined by '-'
+    k4 = Alphabet(kind="digest", k=4)
+    assert render_symbols([5, 255], 0, 2, k4) == "5-255"
+    assert k4.decode(FIRST_SYMBOL_CODE + 255) == "255"
 
 
 def test_window_soundness_random():

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from memtax import (DigestParams, GenomeCollection, KernelParams,
-                    ValidationError, build_katka_kernel, digest_collection,
-                    separate)
+                    ValidationError, build_index, build_katka_kernel,
+                    deserialize, digest_collection, separate)
 from memtax.collection import HASH_CODE, SEP_CODE
 from memtax.kernel import kernel_size_report
 
@@ -140,3 +140,9 @@ def test_digest_kernel_provenance(golden_digest):
     assert kernel.provenance["mode"] == "digest-kernel"
     assert kernel.provenance["k_max"] == 2
     assert kernel.provenance["k"] == 3 and kernel.provenance["w"] == 10
+    # the kernel of a digest kernel stays a digest kernel that builds and loads
+    again = build_katka_kernel(kernel, KernelParams(1))
+    assert again.provenance == {**kernel.provenance, "k_max": 1}
+    index = build_index(again)
+    assert index.digest_params == DigestParams()
+    assert deserialize(index.to_bytes()).digest_params == DigestParams()

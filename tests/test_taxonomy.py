@@ -84,10 +84,20 @@ def _random_tree(rng, max_leaves=64):
     return tree
 
 
+def _newick(tree, u):
+    kids = tree.children[u]
+    if not kids:
+        return tree.labels[u]
+    return "(" + ",".join(_newick(tree, v) for v in kids) + ")"
+
+
 def test_lca_against_naive_random():
     rng = random.Random(404)
     for _ in range(25):
         tree = _random_tree(rng)
+        parsed = parse_newick(_newick(tree, tree.root) + ";")
+        assert [parsed.labels[u] for u in parsed.leaves] == \
+            [f"g{i}" for i in range(tree.leaf_count)]
         s = LcaStructure(tree)
         n = tree.node_count
         for _ in range(200):
