@@ -13,7 +13,8 @@ from .evaluate import (EvalReport, IndexVariant, RangeClass, ReadSimConfig,
                        simulate_reads)
 from .index import AugmentedFmIndex, SaInterval, deserialize
 from .kernel import KernelParams, build_katka_kernel, kernel_size_report
-from .mems import MemRecord, MemTable, compute_mem_table, longest_mems
+from .mems import (MemRecord, MemTable, compute_mem_table, compute_mem_tables,
+                   longest_mems)
 from .taxonomy import LcaStructure, PhyloTree, parse_newick
 
 __version__ = "0.1.0"

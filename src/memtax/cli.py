@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import sys
 
 from .collection import iter_reads, open_text, parse_collection
@@ -12,7 +13,7 @@ from .evaluate import (IndexVariant, ReadSimConfig, build_variant_text,
                        expand_variant_specs, run_experiment)
 from .index import AugmentedFmIndex, deserialize
 from .kernel import kernel_size_report
-from .mems import TSV_HEADER, compute_mem_table, longest_mems, tsv_rows
+from .mems import TSV_HEADER, compute_mem_tables, longest_mems, tsv_rows
 from .taxonomy import LcaStructure, parse_newick
 
 EXIT_VALIDATION = 2
@@ -56,15 +57,22 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _read_tables(index, args):
+    """(read id, query symbols, MEM table) of each read of args.reads, in
+    file order; the tables come from the lockstep engine, which reads ahead
+    one chunk of reads.  An unclassifiable read (no query symbols, see
+    AugmentedFmIndex.query_symbols) has an empty table."""
+    reads, queries = itertools.tee((read_id, index.query_symbols(seq))
+                                   for read_id, seq in iter_reads(args.reads, fmt=args.format))
+    tables = compute_mem_tables(index, (symbols for _, symbols in queries), args.min_mem)
+    return ((read_id, symbols, table) for (read_id, symbols), table in zip(reads, tables))
+
+
 def cmd_query(args) -> int:
     index = deserialize(args.index)
     with _open_out(args.output) as out:
         out.write("\t".join(TSV_HEADER) + "\n")
-        for read_id, seq in iter_reads(args.reads, fmt=args.format):
-            symbols = index.query_symbols(seq)
-            if not symbols:
-                continue  # unclassifiable: see AugmentedFmIndex.query_symbols
-            table = compute_mem_table(index, symbols, min_length=args.min_mem)
+        for read_id, symbols, table in _read_tables(index, args):
             for row in tsv_rows(read_id, symbols, table, index.alphabet):
                 out.write("\t".join(str(x) for x in row) + "\n")
     return 0
@@ -80,11 +88,8 @@ def cmd_classify(args) -> int:
     lca = LcaStructure(tree)
     with _open_out(args.output) as out:
         out.write("read_id\tread_start\tlength\tfirst_genome\tlast_genome\tnode_label\n")
-        for read_id, seq in iter_reads(args.reads, fmt=args.format):
-            symbols = index.query_symbols(seq)
-            table = compute_mem_table(index, symbols, min_length=args.min_mem) \
-                if symbols else None
-            if table is None or not table.records:
+        for read_id, _, table in _read_tables(index, args):
+            if not table.records:
                 out.write(f"{read_id}\t-\t-\t-\t-\t-\n")
                 continue
             for rec in longest_mems(table):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -68,10 +69,10 @@ class Alphabet:
     def size(self) -> int:
         return self._query_end + (self.kind == "bases")  # + wildcard
 
-    def is_query_code(self, code: int) -> bool:
+    def is_query_code(self, code):
         """Separators, EOF, the wildcard and codes past the alphabet are
-        never legal query symbols."""
-        return FIRST_SYMBOL_CODE <= code < self._query_end
+        never legal query symbols.  Elementwise over an array of codes."""
+        return (FIRST_SYMBOL_CODE <= code) & (code < self._query_end)
 
     def encode_query(self, symbol) -> int | None:
         """Code for a query symbol, or None when it cannot be queried.
@@ -85,6 +86,21 @@ class Alphabet:
             return None
         code = FIRST_SYMBOL_CODE + int(symbol)
         return code if self.is_query_code(code) else None
+
+    def query_codes(self, reads) -> np.ndarray:
+        """encode_query over reads laid end to end, one code per symbol and
+        -1 for a symbol that cannot be queried: int8 for bases (a character
+        outside ASCII encodes as one byte, '?'), int32 for digest values (a
+        string read holds no digest value)."""
+        if self.kind == "bases":
+            table = np.where(self.is_query_code(CODE_OF_BYTE), CODE_OF_BYTE, -1).astype(np.int8)
+            text = "".join(r if isinstance(r, str) else "".join(r) for r in reads)
+            return table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+        codes = np.fromiter(chain.from_iterable([-1] * len(r) if isinstance(r, str) else r
+                                                for r in reads), dtype=np.int64)
+        codes += FIRST_SYMBOL_CODE
+        codes[~self.is_query_code(codes)] = -1
+        return codes.astype(np.int32)
 
     def render(self, symbols) -> str:
         """Display form of a run of symbols: bases verbatim; digest values as

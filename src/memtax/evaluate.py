@@ -13,7 +13,7 @@ from .digest import DEFAULT_HASH, DigestParams, digest_collection
 from .errors import MemtaxError, ValidationError
 from .index import AugmentedFmIndex
 from .kernel import KernelParams, build_katka_kernel
-from .mems import MemTable, compute_mem_table, longest_mems
+from .mems import MemTable, compute_mem_tables, longest_mems
 from .taxonomy import PhyloTree
 
 # The mutation RNG is Python's random.Random (Mersenne Twister, MT19937),
@@ -245,13 +245,10 @@ def _evaluate_variant(index: AugmentedFmIndex, variant: IndexVariant,
     report.size_bytes = index.size_bytes()
     counts = {cls.value: 0 for cls in RangeClass}
     tp = 0
-    total_time = 0.0
-    for read in reads:
-        t0 = time.perf_counter()
-        query = index.query_symbols(read.sequence)
-        table = compute_mem_table(index, query) if query else MemTable([])
+    started = time.perf_counter()
+    queries = [index.query_symbols(read.sequence) for read in reads]
+    for read, query, table in zip(reads, queries, compute_mem_tables(index, queries)):
         is_tp = classify_read(table, read.source)
-        total_time += time.perf_counter() - t0
         if not query:
             report.unclassifiable_reads += 1
         tp += is_tp
@@ -265,7 +262,7 @@ def _evaluate_variant(index: AugmentedFmIndex, variant: IndexVariant,
                 f"{variant.label}\t{read.source}\t{int(is_tp)}\t{ranges}\n")
     report.reads_evaluated = len(reads)
     report.tp_rate = tp / len(reads) if reads else 0.0
-    report.mean_query_us = total_time / len(reads) * 1e6 if reads else 0.0
+    report.mean_query_us = (time.perf_counter() - started) / len(reads) * 1e6 if reads else 0.0
     report.class_counts = counts
     return report
 

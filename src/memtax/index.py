@@ -4,11 +4,19 @@ first/last occurrence extraction and genome ranges.
 The index keeps the BWT (with rank/select), the suffix array, the LCP array
 and the separator bit sequence of the underlying text; the text itself is
 not retained.  The arrays are held as the `KTK2` file stores them: a loaded
-index keeps views into the file's payload, and a built one holds the same
-dtypes.  Interval queries (first/last occurrence, the shrink step of the
-MEM walk) read slices of the suffix array and LCP array directly; the only
+index keeps views into the file's payload, read into a buffer that aligns
+the arrays after the BWT, and a built one holds the same dtypes.  The only
 structure derived on load is the BWT's sorted key array, searched for
 every backward step and for the shrink's nearest rows preceded by a symbol.
+
+The MEM walk's kernels take arrays with one entry per lane (one read's
+walk) and answer every lane with a few whole-array operations: a backward
+step is one search of the key array, the LCP minima of a shrink and the
+first/last positions of intervals are each one `reduceat` over the LCP or
+suffix array, and a shrink's prefix interval is widened by a scan over
+LCP windows gathered for all lanes at once.  The one-interval methods
+(`backward_step`, `first_last_positions`, `shrink_to_extendable`) answer
+single queries; the last two call the kernels with one lane.
 """
 from __future__ import annotations
 
@@ -25,13 +33,18 @@ from .collection import RESERVED, SEP_CODE, Alphabet, SeparatedText
 from .digest import DigestParams, digest_sequence
 from .errors import (AbsentSymbolError, EmptyIntervalError, FormatError,
                      ValidationError)
-from .suffix import BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt
+from .suffix import (BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt,
+                     first_below, reduce_ranges)
 
+# what a checksummed header that no writer produced raises on decoding
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, ValidationError)
 MAGIC = b"KTK2"
 VERSION = 2
-# rows of the first LCP window a prefix-interval scan reads on each side;
-# every further window is 8 times larger
+# rows of the first LCP window a widening scan reads on each side; every
+# further window is 8 times larger, up to _GATHER_ROWS
 _SCAN_ROWS = 1024
+# most rows one widening gather copies, over all its lanes together
+_GATHER_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -136,8 +149,8 @@ class AugmentedFmIndex:
         legal query symbol (distinct from the empty interval)."""
         if not self.alphabet.is_query_code(code):
             return None
-        lo = self.bwt.lf(code, iv.lo)
-        hi = self.bwt.lf(code, iv.hi + 1) - 1
+        lo = int(self.bwt.lf(code, iv.lo))
+        hi = int(self.bwt.lf(code, iv.hi + 1)) - 1
         if hi < lo:
             return EMPTY_INTERVAL
         return SaInterval(lo, hi)
@@ -161,11 +174,13 @@ class AugmentedFmIndex:
         last occurrence of the interval's pattern."""
         if iv.is_empty:
             raise EmptyIntervalError("first_last_positions on an empty interval")
-        rows = self.sa[iv.lo: iv.hi + 1]
-        return int(rows.min()), int(rows.max())
+        pmin, pmax = self.first_last(np.array([[iv.lo], [iv.hi + 1]]))
+        return int(pmin[0]), int(pmax[0])
 
-    def rank_separators(self, p: int) -> int:
-        return int(np.searchsorted(self.sep_positions, p, side="left"))
+    def rank_separators(self, p):
+        """Genome holding text position p: the separators before it.
+        Elementwise over an array of positions."""
+        return self.sep_positions.searchsorted(p)
 
     def genome_range(self, iv: SaInterval) -> tuple[int, int] | None:
         """(first genome, last genome) of the interval's pattern; None is the
@@ -173,45 +188,12 @@ class AugmentedFmIndex:
         if iv.is_empty:
             return None
         pmin, pmax = self.first_last_positions(iv)
-        return self.rank_separators(pmin), self.rank_separators(pmax)
-
-    # ------------------------------------------------------------------
-    def _prefix_interval(self, lo: int, hi: int, p: int) -> SaInterval:
-        """Interval of the length-p prefix shared by rows lo..hi: widened to
-        the nearest rows outside whose LCP is below p.  Each side is scanned
-        in windows growing 8-fold, so the cost follows the interval's size;
-        the scan ends at row 0 and at the last row by its own bounds."""
-        if p == 0:
-            return self.full_interval()
-        lcp = self.lcp
-        # lo: the last row at or above lo whose LCP is below p, else row 0
-        end, width, lo = lo + 1, _SCAN_ROWS, 0
-        while end > 0:
-            start = max(0, end - width)
-            below = (lcp[start:end] < p)[::-1]
-            i = int(below.argmax())
-            if below[i]:
-                lo = end - 1 - i
-                break
-            end, width = start, width * 8
-        # hi: the row before the first row below hi whose LCP is below p,
-        # else the last row
-        nrows = self.rows
-        start, width, hi = hi + 1, _SCAN_ROWS, nrows - 1
-        while start < nrows:
-            stop = min(nrows, start + width)
-            below = lcp[start:stop] < p
-            i = int(below.argmax())
-            if below[i]:
-                hi = start + i - 1
-                break
-            start, width = stop, width * 8
-        return SaInterval(lo, hi)
+        return int(self.rank_separators(pmin)), int(self.rank_separators(pmax))
 
     def shrink_to_extendable(self, iv: SaInterval, length: int, code: int
                              ) -> tuple[SaInterval, int]:
         """Longest prefix of the current match that is preceded by `code`
-        somewhere in the text, with its interval.
+        somewhere in the text, with its interval: shrink() with one lane.
 
         Preconditions: iv is a non-empty interval of suffixes sharing the
         current match of the given length, and backward_step(iv, code) was
@@ -220,18 +202,60 @@ class AugmentedFmIndex:
         """
         if iv.is_empty:
             raise EmptyIntervalError("shrink_to_extendable on an empty interval")
-        # the nearest code-rows above and below iv: the keys before and at
-        # the failed step's two search results, less base, if in code's run
-        keys, base = self.bwt.keys, code * self.rows
-        g1, g2 = self.bwt.lf(code, iv.lo), self.bwt.lf(code, iv.hi + 1)
-        best = -1
-        if g1 > 0 and keys[g1 - 1] >= base:
-            best = min(length, int(self.lcp[keys[g1 - 1] - base + 1: iv.lo + 1].min()))
-        if g2 < self.rows and keys[g2] < base + self.rows:
-            best = max(best, min(length, int(self.lcp[iv.hi + 1: keys[g2] - base + 1].min())))
-        if best < 0:  # with the precondition, no code-row lies inside iv either
+        codes, rows = np.array([code]), np.array([[iv.lo], [iv.hi + 1]])
+        rows, kept = self.shrink(codes, rows, length, self.bwt.lf(codes, rows))
+        if kept[0] < 0:
             raise AbsentSymbolError(f"symbol code {code} does not occur in the text")
-        return self._prefix_interval(iv.lo, iv.hi, best), best
+        return SaInterval(int(rows[0, 0]), int(rows[1, 0]) - 1), int(kept[0])
+
+    # ------------------------------------------------------------------
+    # The kernels of the lockstep MEM walk.  Each takes int64 arrays with
+    # one column per lane, a lane being one read's walk, and holds a lane's
+    # interval as the half-open row range [lo, end), a column of a (2, n)
+    # array.  A backward step by codes is then bwt.lf(codes, rows), which
+    # is empty where the two rows it gives are equal.
+    def shrink(self, codes, rows, length, stepped):
+        """The shrink step of lanes whose backward step by codes from their
+        rows failed, stepped being that step's rows: per lane, the longest
+        prefix of the match (length symbols long) that the code precedes
+        somewhere in the text, as (its rows, kept).  kept is -1 where the
+        code occurs nowhere in the text; the rows then stay.
+
+        The nearest code-rows above and below the rows are the keys before
+        and at the two searches of the step, less code * R, if in code's
+        run; the LCP minimum between such a row and the rows bounds the
+        prefix, whose rows the LCP scan of _widen then finds."""
+        (lo, end), (g1, g2), keys, n = rows, stepped, self.bwt.keys, self.rows
+        base = codes * n
+        above = keys[np.maximum(g1 - 1, 0)] - base
+        below = keys[np.minimum(g2, n - 1)] - base
+        up = (g1 > 0) & (above >= 0)
+        down = (g2 < n) & (below < n)
+        minima = reduce_ranges(np.minimum, self.lcp,
+                               np.concatenate([above[up] + 1, end[down]]),
+                               np.concatenate([lo[up] + 1, below[down] + 1]))
+        kept, above_minima = np.full(len(codes), -1), np.count_nonzero(up)
+        kept[up] = minima[:above_minima]
+        kept[down] = np.maximum(kept[down], minima[above_minima:])
+        kept = np.minimum(kept, length)
+        rows = rows.copy()
+        rows[:, kept == 0] = [[0], [n]]
+        rows[:, kept > 0] = self._widen(rows[:, kept > 0], kept[kept > 0])
+        return rows, kept
+
+    def _widen(self, rows, p):
+        """Rows of the length-p prefix (p >= 1) shared by the rows [lo, end):
+        lo moves to the last row at or above it whose LCP is below p, else
+        row 0, and end to the first row at or past it whose LCP is below p,
+        else the row count."""
+        last, windows = self.rows - 1, (_SCAN_ROWS, _GATHER_ROWS)
+        top = last - first_below(self.lcp[::-1], last - rows[0], p, *windows)
+        return np.maximum(top, 0), first_below(self.lcp, rows[1], p, *windows)
+
+    def first_last(self, rows):
+        """Smallest and largest text position in SA[lo:end] (non-empty)."""
+        return (reduce_ranges(np.minimum, self.sa, *rows),
+                reduce_ranges(np.maximum, self.sa, *rows))
 
     # ------------------------------------------------------------------
     def serialize(self, sink) -> int:
@@ -303,16 +327,47 @@ def deserialize(source) -> AugmentedFmIndex:
     if len(meta_bytes) < meta_len or len(crc_bytes) < 4:
         raise FormatError("truncated index header")
     (crc,) = struct.unpack("<I", crc_bytes)
-    payload = source.read()
+    payload = _read_payload(source, _payload_pad(meta_bytes))
     if zlib.crc32(payload, zlib.crc32(head + meta_bytes)) != crc:
         raise FormatError("index checksum mismatch")
     try:
         return _decode(json.loads(meta_bytes), payload)
-    except (KeyError, IndexError, TypeError, ValueError, ValidationError) as e:
+    except _MALFORMED as e:
         raise FormatError(f"malformed index header: {type(e).__name__}: {e}") from None
 
 
-def _decode(meta: dict, payload: bytes) -> AugmentedFmIndex:
+def _payload_pad(meta_bytes: bytes) -> int:
+    """Bytes before the payload in its buffer that align the arrays after
+    the BWT; 0 for a header that does not parse, which the checks after
+    the checksum then reject."""
+    try:
+        meta = json.loads(meta_bytes)
+        n, alphabet = meta["text_length"], Alphabet.from_dict(meta["alphabet"])
+    except _MALFORMED:
+        return 0
+    return -_sizes(_layout(n, alphabet))[0] % 8 if type(n) is int else 0
+
+
+def _read_payload(source, pad: int) -> memoryview:
+    """The rest of source, read into one buffer from byte pad on.  A
+    seekable source is read in place; another is read whole, then copied."""
+    seekable = getattr(source, "seekable", None)
+    if seekable is None or not seekable():
+        data = source.read()
+        buf = bytearray(pad + len(data))
+        buf[pad:] = data
+        return memoryview(buf)[pad:]
+    here = source.tell()
+    size = source.seek(0, io.SEEK_END) - here
+    source.seek(here)
+    buf = memoryview(bytearray(pad + size))[pad:]
+    filled = 0
+    while filled < size and (got := source.readinto(buf[filled:])):
+        filled += got
+    return buf[:filled]
+
+
+def _decode(meta: dict, payload) -> AugmentedFmIndex:
     """The index over views into payload, which must hold exactly the
     arrays of _layout, with a valid suffix array, bounded LCP values and a
     BWT and separator bits that agree with the suffix array."""

@@ -1,21 +1,33 @@
 """MEM tables: every maximal exact match of a read against an index.
 
-The computation walks the read right to left with backward search.  When
-prepending the next read symbol fails, the current match is emitted (it is
+One engine walks a batch of reads right to left in lockstep, each read
+being one lane.  In a round every live lane prepends its next symbol by
+one backward step, all lanes in one search of the BWT's key array.  Where
+prepending fails, the lane's current match is emitted (it is
 left-nonextendable by the failure and right-nonextendable by the invariant
-that one more symbol to the right does not occur), then the match is cut to
-the longest prefix that the failing symbol does precede somewhere in the
-text and the walk continues.  A symbol absent from the whole text resets
-the match; against digest indexes the absent symbol itself is recorded as
-an `empty` entry so downstream classification can count false negatives.
+that one more symbol to the right does not occur), then cut in the same
+round to the longest prefix that the failing symbol does precede somewhere
+in the text, which the next round extends.  A symbol absent from the whole
+text resets the lane; against digest indexes the absent symbol itself is
+recorded as an `empty` entry so downstream classification can count false
+negatives.  The emitted intervals of a batch get their first/last text
+positions and genomes together once the batch is walked.
+
+Reads stream through the engine CHUNK_READS at a time; a single read's
+table is a batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+
+import numpy as np
 
 from .collection import RESERVED, Alphabet
 from .errors import ValidationError
-from .index import AugmentedFmIndex, SaInterval
+from .index import AugmentedFmIndex
+
+CHUNK_READS = 512  # reads walked in lockstep
 
 
 @dataclass
@@ -47,65 +59,104 @@ class MemTable:
 
 
 def compute_mem_table(ix: AugmentedFmIndex, read, min_length: int = 1) -> MemTable:
-    """MEM table of a read (a base string for raw/kernel indexes, a sequence
-    of minimizer values for digest indexes; digest the read first).
+    """MEM table of one read (a base string for raw/kernel indexes, a
+    sequence of minimizer values for digest indexes; digest the read
+    first): compute_mem_tables with a batch of one."""
+    if not len(read):
+        raise ValidationError("read is empty")
+    return next(compute_mem_tables(ix, [read], min_length))
+
+
+def compute_mem_tables(ix: AugmentedFmIndex, reads, min_length: int = 1):
+    """MEM table of every read of an iterable, in order, walked CHUNK_READS
+    reads at a time in lockstep; an empty read gets an empty table.
 
     Against digest indexes, symbols absent from the indexed text produce
-    `empty` records.
+    `empty` records; min_length drops every shorter record, those too.  A
+    read holding a reserved symbol raises ValidationError.
     """
-    symbols = list(read)
-    if not symbols:
-        raise ValidationError("read is empty")
-    codes: list[int | None] = []
-    for s in symbols:
-        if s in RESERVED:
-            raise ValidationError(f"read contains reserved symbol {s!r}")
-        codes.append(ix.alphabet.encode_query(s))
+    reads = iter(reads)
+    while chunk := list(islice(reads, CHUNK_READS)):
+        yield from _chunk_tables(ix, chunk, min_length)
 
-    m = len(codes)
-    records: list[MemRecord] = []
 
-    def emit(start: int, end: int, iv: SaInterval) -> None:
-        # starts strictly decrease along the walk, so no MEM nests in an
-        # already-emitted one
-        if end <= start:
-            return
-        pmin, pmax = ix.first_last_positions(iv)
-        records.append(MemRecord(
-            read_start=start, length=end - start,
-            first_pos=pmin, last_pos=pmax,
-            first_genome=ix.rank_separators(pmin),
-            last_genome=ix.rank_separators(pmax)))
+def _chunk_tables(ix: AugmentedFmIndex, reads: list, min_length: int):
+    """The MEM tables of one chunk of reads, each built as it is consumed
+    from the chunk's columnar records."""
+    for read in reads:
+        for s in RESERVED:
+            if s in read:
+                raise ValidationError(f"read contains reserved symbol {s!r}")
+    columns, bounds = _walk(ix, reads, min_length)
+    for lane in range(len(reads)):
+        rows = zip(*columns[:, bounds[lane]: bounds[lane + 1]].tolist())
+        yield MemTable([MemRecord(start, length, empty=True) if pmin < 0 else
+                        MemRecord(start, length, pmin, pmax, gmin, gmax)
+                        for start, length, pmin, pmax, gmin, gmax in rows])
 
-    iv = ix.full_interval()
-    i = m  # current match is read[i..r)
-    r = m
-    while i > 0:
-        c = codes[i - 1]
-        stepped = None if c is None else ix.backward_step(iv, c)
-        if stepped is not None and not stepped.is_empty:
-            iv = stepped
-            i -= 1
-            continue
-        emit(i, r, iv)
-        if c is None or ix.bwt.count(c) == 0:
-            if ix.alphabet.kind == "digest":
-                records.append(MemRecord(read_start=i - 1, length=1, empty=True))
-            i -= 1
-            r = i
-            iv = ix.full_interval()
-            continue
-        iv, kept = ix.shrink_to_extendable(iv, r - i, c)
-        r = i + kept
-        iv = ix.backward_step(iv, c)
-        assert iv is not None and not iv.is_empty
-        i -= 1
-    emit(0, r, iv)
 
-    records.reverse()
-    if min_length > 1:
-        records = [rec for rec in records if rec.length >= min_length]
-    return MemTable(records)
+def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
+    """The records of a batch of reads as the rows of one array (read
+    start, length, first/last position, first/last genome; -1 in the last
+    four for an empty record), sorted by lane and read start, and each
+    lane's column bounds in it."""
+    codes = ix.alphabet.query_codes(reads)
+    lengths = np.array([len(read) for read in reads], dtype=np.int64)
+    # the live lanes: lane `lane` matches codes[at:end] of its read, which
+    # starts at codes[offset], at the suffix-array rows rows[0]:rows[1]
+    lane = np.flatnonzero(lengths)
+    end = np.cumsum(lengths)[lane]
+    offset = end - lengths[lane]
+    at = end.copy()
+    rows = np.array([np.zeros_like(at), np.full_like(at, ix.rows)])
+    # per emitting round: lane, read start, length and the two rows (-1 for
+    # an empty record)
+    found = [np.empty((5, 0), dtype=np.int64)]
+
+    def emit(lanes):
+        if np.count_nonzero(lanes := lanes & (end > at)):
+            found.append(np.vstack([lane[lanes], (at - offset)[lanes], (end - at)[lanes],
+                                    rows[:, lanes]]))
+
+    while lane.size:
+        # a code of -1 (no query symbol) precedes no row: its step is empty
+        # and its shrink finds no row, so its lane resets
+        c = codes[at - 1].astype(np.int64)
+        stepped = ix.bwt.lf(c, rows)
+        extended = stepped[1] > stepped[0]
+        rows, at = np.where(extended, stepped, rows), at - extended
+        if np.count_nonzero(extended) < len(extended):
+            emit(~extended)
+            # the shrunk rows hold the code-row that bounded the kept length,
+            # whatever the LCP values, so the next round extends these lanes
+            failed = np.flatnonzero(~extended)
+            rows[:, failed], kept = ix.shrink(c[failed], rows[:, failed], (end - at)[failed],
+                                              stepped[:, failed])
+            end[failed] = at[failed] + kept
+            reset = failed[kept < 0]
+            if ix.alphabet.kind == "digest" and reset.size:  # the absent symbol's record
+                none = np.full(reset.size, -1)
+                found.append(np.array([lane[reset], (at - offset)[reset] - 1,
+                                       np.ones_like(none), none, none]))
+            at[reset] -= 1
+            end[reset] = at[reset]
+            rows[:, reset] = [[0], [ix.rows]]
+        done = at == offset
+        if np.count_nonzero(done):
+            emit(done)
+            lane, offset, at, end, rows = (a[..., ~done] for a in (lane, offset, at, end, rows))
+
+    found = np.concatenate(found, axis=1)
+    lane, start, length = found[:3]
+    keep = np.flatnonzero(length >= min_length)
+    order = keep[np.argsort(lane[keep] * (lengths.max() + 1) + start[keep], kind="stable")]
+    lane, rows = lane[order], found[3:, order]
+    columns = np.full((6, len(order)), -1)
+    columns[:2] = start[order], length[order]
+    mem = rows[0] >= 0
+    pmin, pmax = ix.first_last(rows[:, mem])
+    columns[2:, mem] = pmin, pmax, ix.rank_separators(pmin), ix.rank_separators(pmax)
+    return columns, np.searchsorted(lane, np.arange(len(reads) + 1))
 
 
 def longest_mems(table: MemTable) -> list[MemRecord]:

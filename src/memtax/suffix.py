@@ -4,9 +4,11 @@ All structures are plain (uncompressed) arrays: a suffix array and LCP
 array of length n+1 (one row for the implicit end-of-file sentinel, code 0,
 smaller than every text symbol), built in int64 and held by the index in
 the file's fixed-width dtypes, and one sorted key array over the BWT in
-which a single search answers LF, rank and the C table.  RangeExtremes, a
-sparse table for range-min / range-max positions, serves the LCA over a
-tree's Euler tour.
+which a single search answers LF, rank and the C table.  Two scans over
+such an array answer many lanes at once: reduce_ranges (a min or max over
+each of many row ranges) and first_below (the first row past each origin
+whose value is below a bound).  RangeExtremes, a sparse table for
+range-min / range-max positions, serves the LCA over a tree's Euler tour.
 """
 from __future__ import annotations
 
@@ -102,23 +104,91 @@ class IndexedSequence:
     def access(self, i: int) -> int:
         return int(self.symbols[i])
 
-    def lf(self, c: int, i: int) -> int:
+    def lf(self, c, i):
         """C[c] + rank(c, i): rows holding a smaller symbol, plus the
-        occurrences of c in symbols[0..i)."""
-        return int(self.keys.searchsorted(c * self.rows + i))
+        occurrences of c in symbols[0..i).  Elementwise over int64 arrays
+        of c and i, with one search for them all; many keys are searched
+        in sorted order, which keeps the search near the rows it last read."""
+        keys = c * self.rows + i
+        if np.size(keys) < 64:
+            return self.keys.searchsorted(keys)
+        order = keys.ravel().argsort(kind="stable")
+        out = np.empty_like(order)
+        out[order] = self.keys.searchsorted(keys.ravel()[order])
+        return out.reshape(keys.shape)
 
     def count(self, c: int) -> int:
-        return self.lf(c + 1, 0) - self.lf(c, 0)
+        return int(self.lf(c + 1, 0) - self.lf(c, 0))
 
     def rank(self, c: int, i: int) -> int:
         """Occurrences of c in symbols[0..i)."""
-        return self.lf(c, i) - self.lf(c, 0)
+        return int(self.lf(c, i) - self.lf(c, 0))
 
     def select(self, c: int, j: int) -> int:
         """Position of the j-th (0-based) occurrence of c."""
         if not 0 <= j < self.count(c):
             raise IndexError(f"select({c}, {j}) out of range")
         return int(self.keys[self.lf(c, 0) + j]) - c * self.rows
+
+
+def reduce_ranges(ufunc, values, starts, stops):
+    """ufunc reduced over values[starts[k]:stops[k]] for every k, each range
+    non-empty, with one reduceat.  Ranges covering at most 1/64 of the rows
+    in all are gathered end to end first.  Longer ones are reduced in place,
+    in descending order of start, so that the segment from one range's
+    stop to the next range's start is a single row; that reduceat still
+    runs on from the last range to the highest stop.  A stop at
+    len(values) is cut to the last row, which is folded in afterwards,
+    because reduceat takes no index past the end."""
+    if not len(starts):
+        return np.empty(0, dtype=values.dtype)
+    lengths = stops - starts
+    if 64 * (total := int(lengths.sum())) <= len(values):
+        offsets = np.cumsum(lengths) - lengths
+        rows = np.repeat(starts - offsets, lengths)
+        rows += np.arange(total)
+        return ufunc.reduceat(values[rows], offsets)
+    order = np.argsort(starts, kind="stable")[::-1]
+    last = len(values) - 1
+    bounds = np.empty(2 * len(order), dtype=np.intp)
+    bounds[0::2] = starts[order]
+    bounds[1::2] = np.minimum(stops[order], last)
+    out = np.empty(len(order), dtype=values.dtype)
+    out[order] = ufunc.reduceat(values[: bounds.max() + 1], bounds)[0::2]
+    cut = stops > last
+    out[cut] = ufunc(out[cut], values[last])
+    return out
+
+
+def first_below(values, origins, bounds, first_width: int, most_rows: int):
+    """Per lane, the first row x >= origins[k] with values[x] < bounds[k],
+    else len(values).  Each lane scans a window of first_width rows, then
+    windows 8 times wider up to most_rows, so the cost follows the
+    distance scanned; one gather copies at most most_rows rows."""
+    n = len(values)
+    found = np.full(len(origins), n, dtype=np.int64)
+    start = np.array(origins, dtype=np.int64)
+    bounds = np.asarray(bounds).astype(values.dtype)  # no upcast of the windows
+    todo, width = np.flatnonzero(start < n), first_width
+    while todo.size:
+        w = min(width, n)
+        windows = np.lib.stride_tricks.as_strided(values, (n - w + 1, w), values.strides * 2,
+                                                  writeable=False)
+        per_gather = max(1, most_rows // w)
+        for k in range(0, len(todo), per_gather):
+            group = todo[k: k + per_gather]
+            # a window past the last row moves back and skips the rows before start
+            first = np.minimum(start[group], n - w)
+            hit = windows[first] < bounds[group, None]
+            if (back := first < start[group]).any():
+                hit[back] &= np.arange(w) >= (start[group] - first)[back, None]
+            col = hit.argmax(axis=1)
+            ok = hit[np.arange(len(group)), col]
+            found[group[ok]] = first[ok] + col[ok]
+            start[group] = first + w
+        todo = todo[(found[todo] == n) & (start[todo] < n)]
+        width = min(8 * width, most_rows)
+    return found
 
 
 class RangeExtremes:

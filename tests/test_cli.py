@@ -132,6 +132,36 @@ def test_reserved_symbol_read_on_raw_index(tmp_path, toy_files):
     assert by_read["read3"] != [["-"] * 5]
 
 
+@pytest.mark.parametrize("mode, min_mem", [("raw", "2"), ("digest", "1")])
+def test_query_over_chunks_equals_one_call_per_read(tmp_path, golden_genomes, mode, min_mem,
+                                                    monkeypatch):
+    # more reads than one chunk of the lockstep walk, unclassifiable ones
+    # among them, give the rows of one call per read in the same order
+    from memtax import mems
+    monkeypatch.setattr(mems, "CHUNK_READS", 4)
+    genomes = tmp_path / "fig.txt"
+    genomes.write_text("\n".join(golden_genomes) + "\n")
+    idx = tmp_path / "ix.ktk2"
+    assert main(["build", "--input", str(genomes), "--format", "lines",
+                 "--mode", mode, "--output", str(idx)]) == 0
+    reads = [P, P[:10] + "N" + P[11:], "AC$GT", "A", golden_genomes[3][5:60], P[::-1],
+             "GATTACA", golden_genomes[0][:40] + "ÄTTT", P[2:], golden_genomes[7]]
+
+    def query(records, name):
+        path, out = tmp_path / f"{name}.fa", tmp_path / f"{name}.tsv"
+        path.write_text("".join(f">r{k}\n{seq}\n" for k, seq in records))
+        assert main(["query", "--index", str(idx), "--reads", str(path),
+                     "--min-mem", min_mem, "--output", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    records = list(enumerate(reads))
+    whole = query(records, "all")
+    single = [query([record], f"one{record[0]}") for record in records]
+    assert whole[0] == single[0][0]
+    assert whole[1:] == [row for lines in single for row in lines[1:]]
+    assert len({row.split("\t")[0] for row in whole[1:]}) >= 5
+
+
 def test_empty_read_file(tmp_path, toy_files):
     genomes, _ = toy_files
     idx = tmp_path / "toy.ktk2"

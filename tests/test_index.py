@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import struct
 import zlib
@@ -241,6 +242,36 @@ def test_serialize_deterministic(toy_index):
     assert toy_index.to_bytes() == toy_index.to_bytes()
     rebuilt = build_index(separate(GenomeCollection(genomes=list(TOY_GENOMES))))
     assert rebuilt.to_bytes() == toy_index.to_bytes()
+
+
+def test_loaded_arrays_aligned(tmp_path):
+    # the payload is read into a buffer offset so that the arrays after the
+    # BWT are aligned for every row count mod 4 (a one-byte BWT) and for a
+    # four-byte BWT (k = 4 digest), loaded from bytes, a file and a pipe
+    indexes = [build_index(separate(GenomeCollection(genomes=["GATTACAGAT"[:length]])))
+               for length in range(6, 10)]
+    assert sorted(ix.rows % 4 for ix in indexes) == [0, 1, 2, 3]
+    rng = random.Random(4)
+    genome = "".join(rng.choice("ACGT") for _ in range(300))
+    for w in (3, 4):  # an odd row count puts the SA 4 bytes off an 8-byte boundary
+        indexes.append(build_index(digest_collection(GenomeCollection(genomes=[genome]),
+                                                     DigestParams(k=4, w=w))))
+        assert indexes[-1].bwt.symbols.dtype == np.dtype("<u4")
+    assert sorted(ix.rows % 2 for ix in indexes[-2:]) == [0, 1]
+    for k, ix in enumerate(indexes):
+        blob = ix.to_bytes()
+        path = tmp_path / f"{k}.ktk2"
+        path.write_bytes(blob)
+        read_end, write_end = os.pipe()
+        os.write(write_end, blob)
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            assert not pipe.seekable()
+            loaded = [deserialize(blob), deserialize(str(path)), deserialize(pipe)]
+        for got in loaded:
+            assert got.sa.flags.aligned and got.lcp.flags.aligned
+            assert got.bwt.symbols.flags.aligned
+            assert got.to_bytes() == blob
 
 
 def _with_header(blob: bytes, old: bytes, new: bytes, fix_crc: bool,

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 
 from memtax import (GenomeCollection, ValidationError, build_index,
-                    compute_mem_table, longest_mems, separate)
-from memtax.mems import render_symbols, tsv_rows
+                    compute_mem_table, deserialize, longest_mems, separate)
+from memtax import mems
+from memtax.collection import SEP_CODE
+from memtax.mems import compute_mem_tables, render_symbols, tsv_rows
 
 import oracles
 from conftest import P
@@ -82,10 +85,13 @@ def test_absent_digest_symbol_gives_empty_record(golden_digest_index):
     assert empties[0].genome_range is None
 
 
-def test_min_mem_filter(golden_raw_index):
+def test_min_mem_filter(golden_raw_index, golden_digest_index):
     table = compute_mem_table(golden_raw_index, P, min_length=5)
     lengths = [r.length for r in table]
     assert lengths == [11, 15]
+    # empty records are one symbol long, so min_length 2 drops them too
+    table = compute_mem_table(golden_digest_index, [24, 63, 62], min_length=2)
+    assert not any(r.empty for r in table)
 
 
 def test_longest_mems_examples(golden_raw_index, golden_kernel4_index):
@@ -163,3 +169,94 @@ def test_tsv_rows(golden_digest_index):
     assert rows[0][3] == "="          # value 24 renders at ASCII 37+24
     assert rows[-1][-1] == 1          # the absent symbol row is flagged empty
     assert rows[-1][4:8] == ("-", "-", "-", "-")
+
+
+def record_tuples(table):
+    return [(r.read_start, r.length, r.first_pos, r.last_pos, r.first_genome,
+             r.last_genome, r.empty) for r in table]
+
+
+def _batch_tables(ix, reads, chunk, monkeypatch, min_length=1):
+    monkeypatch.setattr(mems, "CHUNK_READS", chunk)
+    return [record_tuples(t) for t in compute_mem_tables(ix, reads, min_length)]
+
+
+def test_mem_tables_batches_against_oracle(monkeypatch):
+    # mixed batches: one-symbol reads, reads of unequal length, symbols
+    # absent from the text, the N wildcard and characters outside ASCII
+    rng = random.Random(8)
+    odd = ["A", "C", "N", "AÄC", "ÄÄ", "NACGN", "ACGTÄACGT", "é" * 5 + "GATTACA"]
+    for _ in range(40):
+        genomes = oracles.random_collection(rng, max_genomes=4, max_len=60,
+                                            alphabet=rng.choice(["AC", "ACG", "ACGT"]))
+        st = separate(GenomeCollection(genomes=genomes))
+        ix = build_index(st)
+        reads = [_random_read(rng, genomes) for _ in range(rng.randint(1, 12))]
+        reads += rng.sample(odd, 3)
+        rng.shuffle(reads)
+        whole = _batch_tables(ix, reads, 1000, monkeypatch)
+        assert [[t[:6] for t in table] for table in whole] == \
+            [oracles.naive_mem_table(st.text(), read) for read in reads]
+        assert not any(t[6] for table in whole for t in table)  # no empties on bases
+        for chunk in (1, 2, 5):
+            assert _batch_tables(ix, reads, chunk, monkeypatch) == whole
+        assert [record_tuples(compute_mem_table(ix, read)) for read in reads] == whole
+
+
+def test_mem_tables_digest_empties(golden_digest, golden_digest_index, monkeypatch):
+    # text symbols as the oracle's list path takes them: values, '$' separators
+    values = [c - 3 for c in golden_digest.codes.tolist()]
+    text = ["$" if c == SEP_CODE - 3 else c for c in values]
+    present = set(values) - {SEP_CODE - 3}
+    rng = random.Random(9)
+    reads = [[24, 63, 62], [63], [64], [-1, 24], [24] * 7]
+    for _ in range(30):
+        start = rng.randrange(len(values) - 20)
+        read = [v for v in values[start: start + rng.randint(1, 20)] if v != SEP_CODE - 3]
+        reads.append([rng.randrange(-1, 66) if rng.random() < 0.2 else v for v in read] or [5])
+    for min_length in (1, 3):
+        tables = _batch_tables(golden_digest_index, reads, 7, monkeypatch, min_length)
+        assert tables == _batch_tables(golden_digest_index, reads, 1000, monkeypatch,
+                                       min_length)
+        for read, table in zip(reads, tables):
+            want = [(*t, False) for t in oracles.naive_mem_table(text, read)]
+            want += [(i, 1, None, None, None, None, True)
+                     for i, v in enumerate(read) if v not in present]
+            want = sorted(t for t in want if t[1] >= min_length)
+            assert table == want
+    assert any(t[6] for table in _batch_tables(golden_digest_index, reads, 7, monkeypatch)
+               for t in table)
+
+
+def test_mem_tables_empty_and_reserved_reads(toy_index):
+    assert [len(t) for t in compute_mem_tables(toy_index, ["", "ACATA", ""])] == [0, 2, 0]
+    with pytest.raises(ValidationError):
+        list(compute_mem_tables(toy_index, ["ACATA", "AC#AT"]))
+
+
+def test_mem_tables_memory_is_one_chunk(monkeypatch):
+    # reads stream through in chunks: four chunks peak no higher than one,
+    # and a chunk copies no row-sized array (the index is loaded from a file
+    # whose one-byte BWT leaves the arrays after it off a 4-byte boundary;
+    # numpy copies unaligned arrays whole for reduceat)
+    rng = random.Random(10)
+    genomes = ["".join(rng.choice("ACGT") for _ in range(20_000)) for _ in range(5)]
+    ix = deserialize(build_index(separate(GenomeCollection(genomes=genomes))).to_bytes())
+    assert ix.rows % 4
+    chunk = [_random_read(rng, genomes) for _ in range(32)]
+    assert ix.rows > 100 * sum(len(read) for read in chunk)
+    monkeypatch.setattr(mems, "CHUNK_READS", len(chunk))
+
+    def peak(reads):
+        tracemalloc.start()
+        try:
+            for _ in compute_mem_tables(ix, reads):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(chunk)  # warm up
+    one = peak(chunk)
+    assert one < ix.sa.nbytes
+    assert peak(chunk * 4) <= 1.25 * one
