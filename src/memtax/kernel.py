@@ -20,7 +20,7 @@ import numpy as np
 
 from .collection import FIRST_SYMBOL_CODE, HASH_CODE, SEP_CODE, SeparatedText
 from .errors import ValidationError
-from .suffix import prefix_doubling_ranks
+from .suffix import prefix_doubling_ranks, sort_keys
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,11 @@ def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText
         for j, rank in zip(range(k.bit_length()), prefix_doubling_ranks(codes)):
             half = 1 << j  # the longest level reached that is not above k
         ids = rank[starts] * (n + 2) + rank[starts + k - half]
-        order = np.argsort(ids, kind="stable")
-        change = np.flatnonzero(np.diff(ids[order])) + 1
-        ends = np.append(change, len(order)) - 1
-        kept = starts[order[np.concatenate(([0], change, ends))]]  # first and last starts
+        order, ids = sort_keys(ids, (n + 1) * (n + 2))
+        groups = np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1))
+        grouped = starts[order]  # each window's starts together, in no promised order
+        kept = np.concatenate((np.minimum.reduceat(grouped, groups),  # first and last starts
+                               np.maximum.reduceat(grouped, groups)))
         cover = np.bincount(kept, minlength=n + 1) - np.bincount(kept + k, minlength=n + 1)
         keep |= np.cumsum(cover[:n]) > 0
 

@@ -2,13 +2,15 @@
 
 All structures are plain (uncompressed) arrays: a suffix array and LCP
 array of length n+1 (one row for the implicit end-of-file sentinel, code 0,
-smaller than every text symbol), built in int64 and held by the index in
-the file's fixed-width dtypes, and one sorted key array over the BWT in
-which a single search answers LF, rank and the C table.  Two scans over
-such an array answer many lanes at once: reduce_ranges (a min or max over
-each of many row ranges) and first_below (the first row past each origin
-whose value is below a bound).  RangeExtremes, a sparse table for
-range-min / range-max positions, serves the LCA over a tree's Euler tour.
+smaller than every text symbol), built in int64 from prefix-doubling rank
+levels, each ranked by one packed in-place sort (sort_keys), and held by
+the index in the file's fixed-width dtypes, and one sorted key array over
+the BWT in which a single search answers LF, rank and the C table.  Two
+scans over such an array answer many lanes at once: reduce_ranges (a min
+or max over each of many row ranges) and first_below (the first row past
+each origin whose value is below a bound).  RangeExtremes, a sparse table
+for range-min / range-max positions, serves the LCA over a tree's Euler
+tour.
 """
 from __future__ import annotations
 
@@ -20,6 +22,25 @@ from .collection import EOF_CODE
 BLOCK_ROWS = 1 << 16
 
 
+def sort_keys(keys, bound: int):
+    """(order, keys[order]) for int64 keys in [0, bound): an order that
+    sorts them, with the sorted keys.  When the bit width of bound plus
+    that of a row index fits in 63 bits, one in-place sort of
+    keys << b | row gives both, unpacked by a mask and a shift; otherwise
+    an argsort.  Equal keys come in no promised order.
+    """
+    b = max(len(keys) - 1, 0).bit_length()
+    if (int(bound) - 1).bit_length() + b > 63:
+        order = np.argsort(keys)
+        return order, keys[order]
+    packed = keys << b
+    packed |= np.arange(len(keys))
+    packed.sort()
+    order = packed & ((1 << b) - 1)
+    packed >>= b
+    return order, packed
+
+
 def prefix_doubling_ranks(codes):
     """Yield, for h = 1, 2, 4, ..., the rank of the length-h prefix of every
     suffix of codes + EOF sentinel (int64, dense, in the prefixes' sorted
@@ -27,25 +48,36 @@ def prefix_doubling_ranks(codes):
     that reaches the unique sentinel is itself unique.  Stops after the
     first all-distinct level, which is then the inverse suffix array.
 
-    Manber & Myers prefix doubling with one sort per round; dense ranks keep
-    the round key rank * (n+1) + next_rank in int64 for any alphabet.
+    Manber & Myers prefix doubling.  Each level sorts its keys with
+    sort_keys (level 0 the codes, then rank * d + next_rank over the d
+    ranks of the level before), and the dense ranks are the running count
+    of key changes along the sorted keys, scattered back by the order.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.size == 0:
         raise ValueError("text must be non-empty")
     if codes.min() <= EOF_CODE:
         raise ValueError("text codes must be greater than the EOF code")
-    s = np.append(codes, EOF_CODE)
-    n = len(s)
-    distinct, rank = np.unique(s, return_inverse=True)
-    h = 1
+    key = np.append(codes, EOF_CODE)
+    n = len(key)
+    bound, h = int(key.max()) + 1, 1
     while True:
+        order, key = sort_keys(key, bound)
+        change = np.empty(n, dtype=bool)
+        change[0] = False
+        np.not_equal(key[1:], key[:-1], out=change[1:])
+        np.cumsum(change, out=key)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = key
         yield rank
-        if len(distinct) == n:
+        distinct = int(key[-1]) + 1
+        if distinct == n:
             return
-        key = rank * (n + 1)
-        key[: n - h] += rank[h:] + 1
-        distinct, rank = np.unique(key, return_inverse=True)
+        # a suffix starting in the last h rows reaches the sentinel, so its
+        # rank is unique already and needs no second half
+        key = rank * distinct
+        key[: n - h] += rank[h:]
+        bound = distinct * distinct
         h *= 2
 
 

@@ -14,6 +14,15 @@ def naive_suffix_array(codes):
     return sorted(range(len(s)), key=lambda i: s[i:])
 
 
+def naive_prefix_ranks(codes, h):
+    """Dense rank of the length-h prefix of every suffix of codes + EOF
+    sentinel (code 0), in the prefixes' sorted order."""
+    s = [int(c) for c in codes] + [0]
+    prefixes = [tuple(s[i:i + h]) for i in range(len(s))]
+    rank = {p: r for r, p in enumerate(sorted(set(prefixes)))}
+    return [rank[p] for p in prefixes]
+
+
 def naive_lcp(codes, sa):
     s = [int(c) for c in codes] + [0]
     out = [0] * len(sa)

@@ -13,8 +13,8 @@ import pytest
 from memtax import (DigestParams, GenomeCollection, IndexVariant,
                     KernelParams, RangeClass, ReadSimConfig, build_index,
                     build_katka_kernel, classify_range, classify_read,
-                    compute_mem_table, digest_sequence, deserialize,
-                    run_experiment, separate)
+                    compute_mem_table, compute_mem_tables, digest_sequence,
+                    deserialize, run_experiment, separate)
 from memtax.collection import encode_bases
 from memtax.kernel import kernel_size_report
 from memtax.mems import render_symbols
@@ -193,11 +193,11 @@ def test_criterion_6_mem_oracle_equivalence():
         ix = build_index(st)
         text = st.text()
         texts += 1
-        for _ in range(4):
-            read = _random_oracle_read(rng, genomes)
+        reads = [_random_oracle_read(rng, genomes) for _ in range(4)]
+        for read, table in zip(reads, compute_mem_tables(ix, reads)):
             got = [(r.read_start, r.length, r.first_pos, r.last_pos,
                     r.first_genome, r.last_genome)
-                   for r in compute_mem_table(ix, read) if not r.empty]
+                   for r in table if not r.empty]
             want = oracles.naive_mem_table(text, read)
             assert got == want, (genomes, read)
             cases += 1
@@ -220,17 +220,20 @@ def test_criterion_7_kernel_fidelity():
         raw_ix = build_index(separate(coll))
         kern_ix = build_index(build_katka_kernel(separate(coll),
                                                  KernelParams(k_max)))
-        for g, genome in enumerate(genomes):
+        reads = []
+        for genome in genomes:
             start = rng.randrange(len(genome) - read_len + 1)
             read = list(genome[start:start + read_len])
             for i in range(len(read)):
                 if rng.random() < 0.05:
                     read[i] = rng.choice("ACGT")
-            read = "".join(read)
+            reads.append("".join(read))
+        for read, raw_table, kern_table in zip(reads, compute_mem_tables(raw_ix, reads),
+                                               compute_mem_tables(kern_ix, reads)):
             raw_rows = [(r.read_start, r.length, r.first_genome, r.last_genome)
-                        for r in compute_mem_table(raw_ix, read)]
+                        for r in raw_table]
             kern_rows = [(r.read_start, r.length, r.first_genome, r.last_genome)
-                         for r in compute_mem_table(kern_ix, read)]
+                         for r in kern_table]
             assert raw_rows == kern_rows, (genomes, read, k_max)
         cfg = ReadSimConfig(read_length=read_len, mutation_rate=0.03,
                             reads_per_genome=2, seed=cases)

@@ -6,7 +6,7 @@ import pytest
 from memtax import DigestParams, GenomeCollection, digest_collection
 from memtax.collection import encode_bases
 from memtax.suffix import (IndexedSequence, RangeExtremes, build_suffix_array,
-                           derive_bwt)
+                           derive_bwt, prefix_doubling_ranks, sort_keys)
 
 import oracles
 
@@ -81,6 +81,44 @@ def test_sa_lcp_digest_alphabet_text():
                                   DigestParams(k=k, w=w)).codes
         assert codes.max() > 8  # beyond the base alphabet
         _check_sa_lcp_bwt(codes)
+
+
+def _check_doubling_levels(codes):
+    levels = [list(rank) for rank in prefix_doubling_ranks(codes)]
+    for j, rank in enumerate(levels):
+        assert rank == oracles.naive_prefix_ranks(codes, 1 << j)
+    # the generator stops at the first all-distinct level, and only there
+    assert [len(set(rank)) == len(rank) for rank in levels] == \
+        [False] * (len(levels) - 1) + [True]
+
+
+def test_doubling_levels_against_oracle():
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(1, 200)
+        alpha = rng.choice(["AC", "ACGT"])
+        _check_doubling_levels(encode_bases("".join(rng.choice(alpha) for _ in range(n))))
+    for n in (1, 2, 3, 31, 32, 33, 100):
+        _check_doubling_levels(encode_bases("A" * n))
+        _check_doubling_levels(encode_bases("ACG" * n))
+    genomes = ["".join(rng.choice("ACGT") for _ in range(rng.randint(20, 120)))
+               for _ in range(4)]
+    genomes.append(genomes[0] * 2)
+    codes = digest_collection(GenomeCollection(genomes=genomes), DigestParams(k=3, w=2)).codes
+    assert codes.max() > 8
+    _check_doubling_levels(codes)
+
+
+@pytest.mark.parametrize("bound", [1, 7, 1 << 20, (1 << 62) - 3])
+def test_sort_keys_orders_keys(bound):
+    # bound near 2**62 leaves no room for a row index: the argsort branch
+    rng = np.random.default_rng(bound % 1000)
+    keys = rng.integers(0, bound, 300, dtype=np.int64)
+    keys[::7] = keys[0]  # runs of equal keys
+    order, ordered = sort_keys(keys, bound)
+    assert np.array_equal(ordered, np.sort(keys))
+    assert np.array_equal(keys[order], ordered)
+    assert sorted(order) == list(range(len(keys)))
 
 
 def test_rank_select_inverse_laws():
