@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -169,6 +170,14 @@ class SeparatedText:
 
     def __len__(self) -> int:
         return len(self.codes)
+
+    @cached_property
+    def levels(self):
+        """The prefix-doubling levels of the codes (suffix.DoublingLevels),
+        one lazily advanced pass shared by every structure built from this
+        text: its suffix array and its kernels."""
+        from .suffix import DoublingLevels  # suffix imports this module
+        return DoublingLevels(self.codes)
 
     @property
     def n(self) -> int:

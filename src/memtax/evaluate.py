@@ -12,8 +12,9 @@ from .collection import BASES, GenomeCollection, SeparatedText, separate
 from .digest import DEFAULT_HASH, DigestParams, digest_collection
 from .errors import MemtaxError, ValidationError
 from .index import AugmentedFmIndex
-from .kernel import KernelParams, build_katka_kernel
+from .kernel import KernelParams, build_katka_kernel, doubling_level
 from .mems import MemTable, compute_mem_tables, longest_mems
+from .suffix import ALL_LEVELS
 from .taxonomy import PhyloTree
 
 # The mutation RNG is Python's random.Random (Mersenne Twister, MT19937),
@@ -188,19 +189,28 @@ def expand_variant_specs(specs: list[str]) -> list[IndexVariant]:
     return out
 
 
-def build_variant_text(collection: GenomeCollection, variant: IndexVariant) -> SeparatedText:
-    if variant.mode == "raw":
+def build_base_text(collection: GenomeCollection, variant: IndexVariant) -> SeparatedText:
+    """The text a variant is built on: the separated genomes for raw and
+    kernel variants, their digest for digest and digest-kernel ones."""
+    if variant.mode in ("raw", "kernel"):
         return separate(collection)
-    if variant.mode == "kernel":
-        return build_katka_kernel(separate(collection), KernelParams(variant.k_max))
-    if variant.mode == "digest":
-        return digest_collection(collection, variant.digest_params())
-    return build_katka_kernel(digest_collection(collection, variant.digest_params()),
-                              KernelParams(variant.k_max))
+    return digest_collection(collection, variant.digest_params())
 
 
-def build_variant_index(collection: GenomeCollection, variant: IndexVariant) -> AugmentedFmIndex:
-    return AugmentedFmIndex.build(build_variant_text(collection, variant))
+def build_variant_text(collection: GenomeCollection, variant: IndexVariant,
+                       base: SeparatedText | None = None) -> SeparatedText:
+    """The variant's text, built on base (build_base_text's, made here when
+    not given), whose doubling levels its kernel takes."""
+    if base is None:
+        base = build_base_text(collection, variant)
+    if variant.mode in ("raw", "digest"):
+        return base
+    return build_katka_kernel(base, KernelParams(variant.k_max))
+
+
+def build_variant_index(collection: GenomeCollection, variant: IndexVariant,
+                        base: SeparatedText | None = None) -> AugmentedFmIndex:
+    return AugmentedFmIndex.build(build_variant_text(collection, variant, base))
 
 
 # ----------------------------------------------------------------------
@@ -267,23 +277,57 @@ def _evaluate_variant(index: AugmentedFmIndex, variant: IndexVariant,
     return report
 
 
+def _base_key(variant: IndexVariant) -> tuple:
+    if variant.mode in ("raw", "kernel"):
+        return ("raw",)
+    return ("digest", variant.k, variant.w, variant.hash_params)
+
+
+def _levels_wanted(variants: list[IndexVariant]):
+    """The doubling levels of their base text that variants take: every
+    one for a suffix array of the base itself, else one per kernel order."""
+    if any(v.mode in ("raw", "digest") for v in variants):
+        return ALL_LEVELS
+    return {doubling_level(v.k_max) for v in variants}
+
+
 def run_experiment(collection: GenomeCollection, variants: list[IndexVariant],
                    cfg: ReadSimConfig, tree: PhyloTree | None = None,
                    per_read_sink=None) -> EvalReport:
-    """Build every variant once, stream all simulated reads through each and
-    accumulate sizes, true-positive rates and mean per-read query times.
-    Build or query failures are reported per variant without aborting the
-    rest."""
+    """Build every variant once, in the order given, stream all simulated
+    reads through each and accumulate sizes, true-positive rates and mean
+    per-read query times.  Variants on one base text (the separated genomes,
+    or the digest of one (k, w, hash)) share it: it is built once, at its
+    first variant, with one doubling pass whose levels serve its suffix
+    array and every kernel order, and each level is let go once no later
+    variant of the text takes it; the text itself after its last variant.
+    Build or query failures, a base's included, are reported per variant
+    without aborting the rest."""
     if tree is not None:
         tree.validate_leaf_names(collection.names)
     reads = simulate_reads(collection, cfg)
     report = EvalReport(config=cfg)
-    for variant in variants:
-        try:
-            index = build_variant_index(collection, variant)
-            report.variants.append(
-                _evaluate_variant(index, variant, reads, per_read_sink))
-        except MemtaxError as e:
+    keys = [_base_key(v) for v in variants]
+    bases: dict[tuple, SeparatedText | MemtaxError] = {}
+    for i, (variant, key) in enumerate(zip(variants, keys)):
+        later = [v for v, k in zip(variants[i + 1:], keys[i + 1:]) if k == key]
+        if key not in bases:
+            try:
+                bases[key] = build_base_text(collection, variant)
+            except MemtaxError as e:
+                bases[key] = e
+        base = bases[key] if later else bases.pop(key)
+        error = str(base) if isinstance(base, MemtaxError) else None
+        if error is None:
+            base.levels.keep = _levels_wanted(later)
+            try:
+                report.variants.append(_evaluate_variant(
+                    build_variant_index(collection, variant, base), variant, reads,
+                    per_read_sink))
+            except MemtaxError as e:
+                error = str(e)
+            base.levels.trim()
+        if error is not None:
             report.variants.append(VariantReport(
-                variant=variant.label, params=variant.params_dict(), error=str(e)))
+                variant=variant.label, params=variant.params_dict(), error=error))
     return report

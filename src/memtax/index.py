@@ -113,7 +113,7 @@ class AugmentedFmIndex:
             raise ValidationError("cannot index an empty text")
         if int(codes.max()) >= st.alphabet.size:
             raise ValidationError("text symbol exceeds the declared alphabet width")
-        sa, lcp = build_suffix_array(codes)
+        sa, lcp = build_suffix_array(st.levels)
         dtype = {name: dt for name, dt, _ in _layout(len(codes), st.alphabet)}
         bwt = IndexedSequence(derive_bwt(codes, sa).astype(dtype["bwt"]), st.alphabet.size)
         return cls(bwt, sa.astype(dtype["sa"]), lcp.astype(dtype["lcp"]),

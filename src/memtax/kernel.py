@@ -20,7 +20,7 @@ import numpy as np
 
 from .collection import FIRST_SYMBOL_CODE, HASH_CODE, SEP_CODE, SeparatedText
 from .errors import ValidationError
-from .suffix import prefix_doubling_ranks, sort_keys
+from .suffix import sort_keys
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,12 @@ class KernelParams:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValidationError("k_max must be at least 1")
+
+
+def doubling_level(k_max: int) -> int:
+    """The prefix-doubling level a kernel of order k_max identifies its
+    windows by: that of the longest power-of-two length not above k_max."""
+    return k_max.bit_length() - 1
 
 
 def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText:
@@ -43,14 +49,20 @@ def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText
     keep = (genome_len < k)[seps_before[:-1]]  # genomes too short for a window stay
 
     # every window [i, i+k) inside one genome, identified by the ranks of its
-    # two overlapping power-of-two halves; when doubling stops short of k,
-    # all windows are distinct already
+    # two overlapping power-of-two halves in the whole text's levels (no
+    # window reaches the symbols dropped above); when doubling stops short
+    # of k, the last level's ranks are all distinct already
     starts = np.flatnonzero(seps_before[k:] == seps_before[: max(n + 1 - k, 0)])
     if len(starts):
-        for j, rank in zip(range(k.bit_length()), prefix_doubling_ranks(codes)):
-            half = 1 << j  # the longest level reached that is not above k
-        ids = rank[starts] * (n + 2) + rank[starts + k - half]
-        order, ids = sort_keys(ids, (n + 1) * (n + 2))
+        j = doubling_level(k)
+        rank = st.levels[j]
+        st.levels.trim()
+        rows = len(rank)
+        ids = rank[starts].astype(np.int64)  # int32 ranks: rank * rows would wrap
+        ids *= rows
+        ids += rank[starts + k - (1 << j)]
+        del rank
+        order, ids = sort_keys(ids, rows * rows)
         groups = np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1))
         grouped = starts[order]  # each window's starts together, in no promised order
         kept = np.concatenate((np.minimum.reduceat(grouped, groups),  # first and last starts

@@ -2,10 +2,12 @@
 
 All structures are plain (uncompressed) arrays: a suffix array and LCP
 array of length n+1 (one row for the implicit end-of-file sentinel, code 0,
-smaller than every text symbol), built in int64 from prefix-doubling rank
-levels, each ranked by one packed in-place sort (sort_keys), and held by
-the index in the file's fixed-width dtypes, and one sorted key array over
-the BWT in which a single search answers LF, rank and the C table.  Two
+smaller than every text symbol), built from prefix-doubling rank levels
+held as int32 (each ranked by one packed in-place sort of int64 keys,
+sort_keys) and held by the index in the file's fixed-width dtypes, and one
+sorted key array over the BWT in which a single search answers LF, rank
+and the C table.  A text's levels come from one lazily advanced pass
+(DoublingLevels), shared by its suffix array and its kernels.  Two
 scans over such an array answer many lanes at once: reduce_ranges (a min
 or max over each of many row ranges) and first_below (the first row past
 each origin whose value is below a bound).  RangeExtremes, a sparse table
@@ -43,23 +45,26 @@ def sort_keys(keys, bound: int):
 
 def prefix_doubling_ranks(codes):
     """Yield, for h = 1, 2, 4, ..., the rank of the length-h prefix of every
-    suffix of codes + EOF sentinel (int64, dense, in the prefixes' sorted
-    order): ranks[i] == ranks[j] iff the two prefixes are equal.  A prefix
-    that reaches the unique sentinel is itself unique.  Stops after the
-    first all-distinct level, which is then the inverse suffix array.
+    suffix of codes + EOF sentinel (dense, in the prefixes' sorted order):
+    ranks[i] == ranks[j] iff the two prefixes are equal.  A prefix that
+    reaches the unique sentinel is itself unique.  Stops after the first
+    all-distinct level, which is then the inverse suffix array.  The levels
+    are int32 below 2**31 rows (every rank is below the row count), else
+    int64; the sort keys are int64.
 
     Manber & Myers prefix doubling.  Each level sorts its keys with
     sort_keys (level 0 the codes, then rank * d + next_rank over the d
     ranks of the level before), and the dense ranks are the running count
     of key changes along the sorted keys, scattered back by the order.
+    Between levels the pass holds only the level it last yielded.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.size == 0:
+    key = np.append(np.asarray(codes, dtype=np.int64), EOF_CODE)
+    if key.size == 1:
         raise ValueError("text must be non-empty")
-    if codes.min() <= EOF_CODE:
+    if key[:-1].min() <= EOF_CODE:
         raise ValueError("text codes must be greater than the EOF code")
-    key = np.append(codes, EOF_CODE)
     n = len(key)
+    dtype = np.int32 if n < 1 << 31 else np.int64
     bound, h = int(key.max()) + 1, 1
     while True:
         order, key = sort_keys(key, bound)
@@ -67,37 +72,113 @@ def prefix_doubling_ranks(codes):
         change[0] = False
         np.not_equal(key[1:], key[:-1], out=change[1:])
         np.cumsum(change, out=key)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = key
-        yield rank
         distinct = int(key[-1]) + 1
+        rank = np.empty(n, dtype=dtype)
+        rank[order] = key
+        del order, key, change
+        yield rank
         if distinct == n:
             return
         # a suffix starting in the last h rows reaches the sentinel, so its
         # rank is unique already and needs no second half
-        key = rank * distinct
+        key = rank.astype(np.int64)
+        key *= distinct
         key[: n - h] += rank[h:]
         bound = distinct * distinct
         h *= 2
 
 
+# every level number a text can reach: its rows are below 2**63
+ALL_LEVELS = range(64)
+
+
+class DoublingLevels:
+    """The prefix-doubling levels of one text, from one lazily advanced
+    prefix_doubling_ranks pass shared by everything built from the text:
+    its suffix array takes every level, a kernel of order k the level of
+    length 2**floor(log2 k).
+
+    A level outlives the pass moving on, and trim, only while its number is
+    in keep (a container of level numbers, ALL_LEVELS for every one; empty
+    by default, so that a consumer holds just what it uses).  Asking for a
+    level that was let go starts the pass again.
+    """
+
+    def __init__(self, codes):
+        self.codes = codes
+        self.keep = ()
+        self.last: int | None = None  # the all-distinct level, once reached
+        self._pass = None
+        self._computed = 0  # levels the current pass has yielded
+        self._held: dict[int, np.ndarray] = {}
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        """Level j (prefixes of length 2**j), or the last level when the
+        pass ends before j: its ranks are all distinct already."""
+        if self.last is not None:
+            j = min(j, self.last)
+        if j in self._held:
+            return self._held[j]
+        if self._pass is None or j < self._computed:
+            self._pass, self._computed = prefix_doubling_ranks(self.codes), 0
+        while True:
+            i, rank = self._computed, next(self._pass)
+            self._computed += 1
+            if not self._keeps(i - 1):
+                self._held.pop(i - 1, None)
+            self._held[i] = rank
+            if rank.size == int(rank.max()) + 1:
+                self.last, self._pass = i, None
+            if i == j or i == self.last:
+                return rank
+
+    def all(self) -> list[np.ndarray]:
+        """Every level, 0 to the last."""
+        out = [self[0]]
+        while self.last is None or len(out) <= self.last:
+            out.append(self[len(out)])
+        return out
+
+    def trim(self) -> None:
+        """Let go of every level not in keep, and of the pass once keep
+        wants no level it has yet to yield."""
+        self._held = {i: rank for i, rank in self._held.items() if self._keeps(i)}
+        if max(self.keep, default=-1) < self._computed:
+            self._pass = None
+
+    def _keeps(self, i: int) -> bool:
+        # the last level also serves every level past it
+        return i in self.keep or (i == self.last and max(self.keep, default=-1) > i)
+
+
 def build_suffix_array(codes) -> tuple[np.ndarray, np.ndarray]:
     """Suffix array and LCP array of codes with the implicit EOF sentinel
-    appended, both int64 of length len(codes) + 1.
+    appended, both int64 of length len(codes) + 1.  codes may also be the
+    DoublingLevels of the text, whose levels are then taken and shared.
 
     sa[0] is always the sentinel position len(codes); lcp[0] = 0 and lcp[i]
     is the longest common prefix of the suffixes at rows i-1 and i, found by
-    binary lifting over the prefix-doubling levels.
+    binary lifting over the prefix-doubling levels, from the longest down,
+    a block of rows at a time; each level is let go once lifted (unless the
+    DoublingLevels keeps it).
     """
-    levels = list(prefix_doubling_ranks(codes))
-    n = len(levels[-1])
+    levels = codes if isinstance(codes, DoublingLevels) else DoublingLevels(codes)
+    ranks = levels.all()
+    levels.trim()
+    inverse = ranks.pop()
+    n = len(inverse)
     sa = np.empty(n, dtype=np.int64)
-    sa[levels[-1]] = np.arange(n)
+    sa[inverse] = np.arange(n)
+    del inverse
     lcp = np.zeros(n, dtype=np.int64)
-    prev, cur, h = sa[:-1], sa[1:], lcp[1:]
     # the last level is all-distinct, so every lcp is below its length
-    for j in range(len(levels) - 2, -1, -1):
-        h += (levels[j][prev + h] == levels[j][cur + h]) << j
+    while ranks:
+        j, rank = len(ranks) - 1, ranks.pop()
+        for start in range(1, n, BLOCK_ROWS):
+            cur = sa[start: start + BLOCK_ROWS]
+            h = lcp[start: start + len(cur)]
+            prev = sa[start - 1: start - 1 + len(cur)]
+            h += (rank[prev + h] == rank[cur + h]) << j
     return sa, lcp
 
 

@@ -88,6 +88,8 @@ def parse_newick(text: str) -> PhyloTree:
     text = text.strip()
     if not text:
         raise ValidationError("empty newick input")
+    if text.find(";") not in (-1, len(text) - 1):
+        raise ValidationError("newick input continues after its terminating ';'")
     if not text.endswith(";"):
         raise ValidationError("newick input must end with ';'")
     tokens = _TOKEN.findall(text)
@@ -109,7 +111,7 @@ def parse_newick(text: str) -> PhyloTree:
                 raise ValidationError("unbalanced ')' in newick input")
             cur = tree.parent[cur]
         elif tok == ";":
-            break
+            break  # the last token
         elif tok.startswith(":"):
             continue  # branch length, ignored
         else:

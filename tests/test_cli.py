@@ -318,3 +318,15 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
         assert main(argv) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "is not a text file" in err[0]
+    # validation error: a tree file holding a second tree after the first
+    # (it used to parse the first one and drop the rest)
+    two = tmp_path / "two.nwk"
+    two.write_text("((g0,g1),(g2,(g3,g4)));\n(g0,g1);\n")
+    for argv in (["classify", "--index", str(idx), "--tree", str(two), "--reads", str(reads)],
+                 ["build", "--input", str(genomes), "--format", "lines", "--mode", "raw",
+                  "--tree", str(two), "--output", str(tmp_path / "z.ktk2")],
+                 ["eval", "--input", str(genomes), "--format", "lines", "--tree", str(two),
+                  "--reads-per-genome", "1", "--read-len", "5"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "terminating ';'" in err[0]

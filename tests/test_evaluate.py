@@ -7,7 +7,8 @@ from memtax import (GenomeCollection, IndexVariant, RangeClass, ReadSimConfig,
                     ValidationError, classify_range, classify_read,
                     compute_mem_table, digest_sequence, run_experiment,
                     simulate_reads)
-from memtax.evaluate import expand_variant_specs, full_grid
+from memtax import evaluate, suffix
+from memtax.evaluate import build_variant_index, expand_variant_specs, full_grid
 from memtax.mems import MemTable
 
 from conftest import P
@@ -126,11 +127,49 @@ def test_run_experiment_error_isolation():
         + "".join(rng.choice("ACGT") for _ in range(49))
     coll = GenomeCollection(genomes=[clean, wild])
     cfg = ReadSimConfig(read_length=20, mutation_rate=0.0, reads_per_genome=2, seed=7)
-    report = run_experiment(
-        coll, [IndexVariant("digest", k=3, w=5), IndexVariant("raw")], cfg)
-    assert report.variants[0].error is not None  # digests reject the wildcard
-    assert report.variants[1].error is None      # the raw variant still ran
-    assert report.variants[1].reads_evaluated == 4
+    report = run_experiment(coll, expand_variant_specs(
+        ["digest:3:5", "raw", "digest-kernel:3:5:4", "kernel:10"]), cfg)
+    digest, raw, digest_kernel, kernel = report.variants
+    assert digest.error is not None  # digests reject the wildcard
+    assert digest_kernel.error == digest.error  # and so does their shared base
+    for ran in (raw, kernel):  # the other variants still ran
+        assert ran.error is None and ran.reads_evaluated == 4
+
+
+def test_run_experiment_shares_one_base_per_family(monkeypatch):
+    specs = ["kernel:8", "raw", "digest-kernel:3:4:5", "kernel:3", "digest:3:4", "raw",
+             "kernel:64"]
+    variants = expand_variant_specs(specs)
+    coll = _collection(random.Random(17), genomes=4, length=300)
+    cfg = ReadSimConfig(read_length=30, mutation_rate=0.02, reads_per_genome=3, seed=4)
+    built, bases, passes = [], [], []
+    evaluate_variant, build_base, doubling = (
+        evaluate._evaluate_variant, evaluate.build_base_text, suffix.prefix_doubling_ranks)
+
+    def recording(index, variant, *args):
+        built.append((variant, index.to_bytes()))
+        return evaluate_variant(index, variant, *args)
+
+    def recorded_base(*args):
+        bases.append(build_base(*args))
+        return bases[-1]
+
+    def counted_pass(codes):
+        passes.append(codes)
+        return doubling(codes)
+
+    monkeypatch.setattr(evaluate, "_evaluate_variant", recording)
+    monkeypatch.setattr(evaluate, "build_base_text", recorded_base)
+    monkeypatch.setattr(suffix, "prefix_doubling_ranks", counted_pass)
+    report = run_experiment(coll, variants, cfg)
+    assert [v.variant for v in report.variants] == [v.label for v in variants]
+    assert [v for v, _ in built] == variants
+    # two base texts, the genomes and one digest, each with one doubling pass
+    assert [base.provenance["mode"] for base in bases] == ["raw", "digest"]
+    assert [sum(codes is base.codes for codes in passes) for base in bases] == [1, 1]
+    monkeypatch.undo()
+    for variant, blob in built:
+        assert blob == build_variant_index(coll, variant).to_bytes(), variant.label
 
 
 def test_report_json_shape_and_class_partition():

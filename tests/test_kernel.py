@@ -146,3 +146,15 @@ def test_digest_kernel_provenance(golden_digest):
     index = build_index(again)
     assert index.digest_params == DigestParams()
     assert deserialize(index.to_bytes()).digest_params == DigestParams()
+
+
+def test_kernel_ids_do_not_wrap_on_large_texts():
+    # 50 005 rows: a window id rank * rows leaves int32 from 46 341 rows on,
+    # so the int32 doubling levels must be widened before the multiply
+    rng = random.Random(4321)
+    cores = ["".join(rng.choice("ACGT") for _ in range(2500)) for _ in range(5)]
+    genomes = [(core * 4)[:10_000] for core in cores]  # repeats: windows with many starts
+    st = separate(GenomeCollection(genomes=genomes))
+    assert len(st) + 1 > 46_341
+    for k_max in (7, 8, 64, 100):  # either side of levels 2/3 and 6
+        _assert_naive_kernel(st, k_max)

@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from memtax import DigestParams, GenomeCollection, digest_collection
+from memtax import DigestParams, GenomeCollection, digest_collection, suffix
 from memtax.collection import encode_bases
-from memtax.suffix import (IndexedSequence, RangeExtremes, build_suffix_array,
-                           derive_bwt, prefix_doubling_ranks, sort_keys)
+from memtax.suffix import (ALL_LEVELS, DoublingLevels, IndexedSequence, RangeExtremes,
+                           build_suffix_array, derive_bwt, prefix_doubling_ranks, sort_keys)
 
 import oracles
 
@@ -84,7 +84,9 @@ def test_sa_lcp_digest_alphabet_text():
 
 
 def _check_doubling_levels(codes):
-    levels = [list(rank) for rank in prefix_doubling_ranks(codes)]
+    levels = list(prefix_doubling_ranks(codes))
+    assert all(rank.dtype == np.int32 for rank in levels)  # fewer than 2**31 rows
+    levels = [rank.tolist() for rank in levels]
     for j, rank in enumerate(levels):
         assert rank == oracles.naive_prefix_ranks(codes, 1 << j)
     # the generator stops at the first all-distinct level, and only there
@@ -107,6 +109,41 @@ def test_doubling_levels_against_oracle():
     codes = digest_collection(GenomeCollection(genomes=genomes), DigestParams(k=3, w=2)).codes
     assert codes.max() > 8
     _check_doubling_levels(codes)
+
+
+def test_doubling_levels_shared_kept_and_restarted(monkeypatch):
+    passes = []
+
+    def counted(codes):
+        passes.append(len(codes))
+        yield from prefix_doubling_ranks(codes)
+
+    monkeypatch.setattr(suffix, "prefix_doubling_ranks", counted)
+    rng = random.Random(23)
+    codes = encode_bases("".join(rng.choice("ACGT") for _ in range(300)) * 2)
+    want = list(prefix_doubling_ranks(codes))
+    last = len(want) - 1
+
+    levels = DoublingLevels(codes)
+    assert np.array_equal(levels[3], want[3]) and levels.last is None
+    assert np.array_equal(levels[63], want[last]) and levels.last == last
+    assert passes == [len(codes)]  # one pass served both, and all levels below
+    assert np.array_equal(levels[1], want[1]) and len(passes) == 2  # let go: again
+
+    # kept levels serve later consumers; the rest are let go by trim
+    levels = DoublingLevels(codes)
+    levels.keep = ALL_LEVELS
+    assert np.array_equal(levels[2], want[2])
+    sa, lcp = build_suffix_array(levels)
+    assert [r.tolist() for r in levels.all()] == [r.tolist() for r in want]
+    assert len(passes) == 3
+    expected = build_suffix_array(codes)
+    assert np.array_equal(sa, expected[0]) and np.array_equal(lcp, expected[1])
+    levels.keep = {2, 40}  # 40 is past the last level, which serves it
+    levels.trim()
+    assert np.array_equal(levels[40], want[last]) and np.array_equal(levels[2], want[2])
+    assert len(passes) == 4  # build_suffix_array(codes) made its own
+    assert np.array_equal(levels[1], want[1]) and len(passes) == 5  # trimmed away
 
 
 @pytest.mark.parametrize("bound", [1, 7, 1 << 20, (1 << 62) - 3])

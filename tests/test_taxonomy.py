@@ -35,6 +35,14 @@ def test_parse_errors():
             parse_newick(bad)
 
 
+def test_parse_rejects_text_after_terminator():
+    # it used to parse the first tree and drop the rest
+    for bad in ("(a,b);(c,d);", "(a,b);c", "(a,b);;", "(a,b); ;\n"):
+        with pytest.raises(ValidationError, match="after its terminating"):
+            parse_newick(bad)
+    assert parse_newick(" (a,b);\n").leaf_count == 2
+
+
 def test_leaf_name_validation():
     tree = parse_newick("((g0,g1),(g2,g3));")
     tree.validate_leaf_names(["g0", "g1", "g2", "g3"])
