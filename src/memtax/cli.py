@@ -57,22 +57,23 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _read_tables(index, args):
-    """(read id, query symbols, MEM table) of each read of args.reads, in
-    file order; the tables come from the lockstep engine, which reads ahead
-    one chunk of reads.  An unclassifiable read (no query symbols, see
-    AugmentedFmIndex.query_symbols) has an empty table."""
+def _read_tables(index, source, args):
+    """(read id, query symbols, MEM table) of each read of the open reads
+    file source, in file order; the tables come from the lockstep engine,
+    which reads ahead one chunk of reads.  An unclassifiable read (no query
+    symbols, see AugmentedFmIndex.query_symbols) has an empty table."""
     reads, queries = itertools.tee((read_id, index.query_symbols(seq))
-                                   for read_id, seq in iter_reads(args.reads, fmt=args.format))
+                                   for read_id, seq in iter_reads(source, fmt=args.format))
     tables = compute_mem_tables(index, (symbols for _, symbols in queries), args.min_mem)
     return ((read_id, symbols, table) for (read_id, symbols), table in zip(reads, tables))
 
 
 def cmd_query(args) -> int:
     index = deserialize(args.index)
-    with _open_out(args.output) as out:
+    # the reads open first: a reads file that does not open leaves the output as it was
+    with open_text(args.reads) as source, _open_out(args.output) as out:
         out.write("\t".join(TSV_HEADER) + "\n")
-        for read_id, symbols, table in _read_tables(index, args):
+        for read_id, symbols, table in _read_tables(index, source, args):
             for row in tsv_rows(read_id, symbols, table, index.alphabet):
                 out.write("\t".join(str(x) for x in row) + "\n")
     return 0
@@ -86,9 +87,9 @@ def cmd_classify(args) -> int:
             f"tree has {tree.leaf_count} leaves but the index holds "
             f"{len(index.sep_positions)} genomes")
     lca = LcaStructure(tree)
-    with _open_out(args.output) as out:
+    with open_text(args.reads) as source, _open_out(args.output) as out:
         out.write("read_id\tread_start\tlength\tfirst_genome\tlast_genome\tnode_label\n")
-        for read_id, _, table in _read_tables(index, args):
+        for read_id, _, table in _read_tables(index, source, args):
             if not table.records:
                 out.write(f"{read_id}\t-\t-\t-\t-\t-\n")
                 continue

@@ -103,6 +103,11 @@ def classify_read(table: MemTable, true_genome: int) -> bool:
 
 
 # ----------------------------------------------------------------------
+# the parameters each index mode requires, every one at least 1
+_MODE_PARAMETERS = {"raw": (), "kernel": ("k_max",), "digest": ("k", "w"),
+                    "digest-kernel": ("k", "w", "k_max")}
+
+
 @dataclass(frozen=True)
 class IndexVariant:
     """One index configuration: raw | kernel | digest | digest-kernel."""
@@ -114,12 +119,13 @@ class IndexVariant:
     hash_params: tuple[int, int, int] = DEFAULT_HASH
 
     def __post_init__(self):
-        if self.mode not in ("raw", "kernel", "digest", "digest-kernel"):
+        if self.mode not in _MODE_PARAMETERS:
             raise ValidationError(f"unknown index mode {self.mode!r}")
-        if self.mode in ("kernel", "digest-kernel") and not self.k_max:
-            raise ValidationError(f"mode {self.mode!r} requires k_max")
-        if self.mode in ("digest", "digest-kernel") and not (self.k and self.w):
-            raise ValidationError(f"mode {self.mode!r} requires k and w")
+        for name in _MODE_PARAMETERS[self.mode]:
+            if getattr(self, name) is None:
+                raise ValidationError(f"mode {self.mode!r} requires {name}")
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
 
     @property
     def label(self) -> str:

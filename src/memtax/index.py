@@ -14,9 +14,11 @@ walk) and answer every lane with a few whole-array operations: a backward
 step is one search of the key array, the LCP minima of a shrink and the
 first/last positions of intervals are each one `reduceat` over the LCP or
 suffix array, and a shrink's prefix interval is widened by a scan over
-LCP windows gathered for all lanes at once.  The one-interval methods
-(`backward_step`, `first_last_positions`, `shrink_to_extendable`) answer
-single queries; the last two call the kernels with one lane.
+LCP windows gathered for many lanes at once (the first window, within
+which most widenings end, is small enough that one gather serves hundreds
+of lanes).  The one-interval methods (`backward_step`,
+`first_last_positions`, `shrink_to_extendable`) answer single queries;
+the last two call the kernels with one lane.
 """
 from __future__ import annotations
 
@@ -40,9 +42,10 @@ from .suffix import (BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ValidationError)
 MAGIC = b"KTK2"
 VERSION = 2
-# rows of the first LCP window a widening scan reads on each side; every
-# further window is 8 times larger, up to _GATHER_ROWS
-_SCAN_ROWS = 1024
+# rows of the first LCP window a widening scan reads on each side, which
+# most widenings end within; every further window is 8 times larger, up to
+# _GATHER_ROWS
+_SCAN_ROWS = 64
 # most rows one widening gather copies, over all its lanes together
 _GATHER_ROWS = 1 << 14
 

@@ -14,7 +14,9 @@ negatives.  The emitted intervals of a batch get their first/last text
 positions and genomes together once the batch is walked.
 
 Reads stream through the engine CHUNK_READS at a time; a single read's
-table is a batch of one.
+table is a batch of one.  Much of a round's cost is per numpy call,
+whatever its lane count, so wide chunks spread it over many reads; the
+records of a chunk are int32 to keep its memory small.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .collection import RESERVED, Alphabet
 from .errors import ValidationError
 from .index import AugmentedFmIndex
 
-CHUNK_READS = 512  # reads walked in lockstep
+CHUNK_READS = 2048  # reads walked in lockstep
 
 
 @dataclass
@@ -99,9 +101,11 @@ def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
     """The records of a batch of reads as the rows of one array (read
     start, length, first/last position, first/last genome; -1 in the last
     four for an empty record), sorted by lane and read start, and each
-    lane's column bounds in it."""
+    lane's column bounds in it.  The records are int32 below 2**31 rows
+    and read symbols, else int64."""
     codes = ix.alphabet.query_codes(reads)
     lengths = np.array([len(read) for read in reads], dtype=np.int64)
+    dtype = np.int32 if max(ix.rows, len(codes)) < 1 << 31 else np.int64
     # the live lanes: lane `lane` matches codes[at:end] of its read, which
     # starts at codes[offset], at the suffix-array rows rows[0]:rows[1]
     lane = np.flatnonzero(lengths)
@@ -111,12 +115,12 @@ def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
     rows = np.array([np.zeros_like(at), np.full_like(at, ix.rows)])
     # per emitting round: lane, read start, length and the two rows (-1 for
     # an empty record)
-    found = [np.empty((5, 0), dtype=np.int64)]
+    found = [np.empty((5, 0), dtype=dtype)]
 
     def emit(lanes):
         if np.count_nonzero(lanes := lanes & (end > at)):
             found.append(np.vstack([lane[lanes], (at - offset)[lanes], (end - at)[lanes],
-                                    rows[:, lanes]]))
+                                    rows[:, lanes]], dtype=dtype))
 
     while lane.size:
         # a code of -1 (no query symbol) precedes no row: its step is empty
@@ -137,7 +141,7 @@ def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
             if ix.alphabet.kind == "digest" and reset.size:  # the absent symbol's record
                 none = np.full(reset.size, -1)
                 found.append(np.array([lane[reset], (at - offset)[reset] - 1,
-                                       np.ones_like(none), none, none]))
+                                       np.ones_like(none), none, none], dtype=dtype))
             at[reset] -= 1
             end[reset] = at[reset]
             rows[:, reset] = [[0], [ix.rows]]
@@ -146,13 +150,14 @@ def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
             emit(done)
             lane, offset, at, end, rows = (a[..., ~done] for a in (lane, offset, at, end, rows))
 
+    del codes  # walked: the records below take its place
+    # each step replaces the records, so the chunk holds one copy of them
     found = np.concatenate(found, axis=1)
-    lane, start, length = found[:3]
-    keep = np.flatnonzero(length >= min_length)
-    order = keep[np.argsort(lane[keep] * (lengths.max() + 1) + start[keep], kind="stable")]
-    lane, rows = lane[order], found[3:, order]
-    columns = np.full((6, len(order)), -1)
-    columns[:2] = start[order], length[order]
+    found = found[:, found[2] >= min_length]
+    found = found[:, np.argsort(found[0] * (lengths.max() + 1) + found[1], kind="stable")]
+    lane, rows = found[0], found[3:]
+    columns = np.full((6, found.shape[1]), -1, dtype=dtype)
+    columns[:2] = found[1:3]
     mem = rows[0] >= 0
     pmin, pmax = ix.first_last(rows[:, mem])
     columns[2:, mem] = pmin, pmax, ix.rank_separators(pmin), ix.rank_separators(pmax)

@@ -28,19 +28,20 @@ def sort_keys(keys, bound: int):
     """(order, keys[order]) for int64 keys in [0, bound): an order that
     sorts them, with the sorted keys.  When the bit width of bound plus
     that of a row index fits in 63 bits, one in-place sort of
-    keys << b | row gives both, unpacked by a mask and a shift; otherwise
-    an argsort.  Equal keys come in no promised order.
+    keys << b | row gives both, unpacked by a mask and a shift; the keys
+    are then overwritten, so callers pass an array they no longer need.
+    Otherwise an argsort.  Equal keys come in no promised order.
     """
     b = max(len(keys) - 1, 0).bit_length()
     if (int(bound) - 1).bit_length() + b > 63:
         order = np.argsort(keys)
         return order, keys[order]
-    packed = keys << b
-    packed |= np.arange(len(keys))
-    packed.sort()
-    order = packed & ((1 << b) - 1)
-    packed >>= b
-    return order, packed
+    keys <<= b
+    keys |= np.arange(len(keys))
+    keys.sort()
+    order = keys & ((1 << b) - 1)
+    keys >>= b
+    return order, keys
 
 
 def prefix_doubling_ranks(codes):
@@ -71,11 +72,12 @@ def prefix_doubling_ranks(codes):
         change = np.empty(n, dtype=bool)
         change[0] = False
         np.not_equal(key[1:], key[:-1], out=change[1:])
-        np.cumsum(change, out=key)
-        distinct = int(key[-1]) + 1
+        del key  # the ranks take the level's dtype: no int64 beside them
+        dense = np.cumsum(change, dtype=dtype)
+        distinct = int(dense[-1]) + 1
         rank = np.empty(n, dtype=dtype)
-        rank[order] = key
-        del order, key, change
+        rank[order] = dense
+        del order, dense, change
         yield rank
         if distinct == n:
             return
@@ -168,7 +170,8 @@ def build_suffix_array(codes) -> tuple[np.ndarray, np.ndarray]:
     inverse = ranks.pop()
     n = len(inverse)
     sa = np.empty(n, dtype=np.int64)
-    sa[inverse] = np.arange(n)
+    for start in range(0, n, BLOCK_ROWS):
+        sa[inverse[start: start + BLOCK_ROWS]] = np.arange(start, min(start + BLOCK_ROWS, n))
     del inverse
     lcp = np.zeros(n, dtype=np.int64)
     # the last level is all-distinct, so every lcp is below its length
@@ -221,13 +224,17 @@ class IndexedSequence:
         """C[c] + rank(c, i): rows holding a smaller symbol, plus the
         occurrences of c in symbols[0..i).  Elementwise over int64 arrays
         of c and i, with one search for them all; many keys are searched
-        in sorted order, which keeps the search near the rows it last read."""
+        in sorted order (by sort_keys), which keeps the search near the rows
+        it last read."""
         keys = c * self.rows + i
         if np.size(keys) < 64:
             return self.keys.searchsorted(keys)
-        order = keys.ravel().argsort(kind="stable")
+        # a key below or past every key of K finds what K's bounds find, so
+        # clamped to them the keys fit sort_keys; a -1 code's keys become 0
+        top = int(self.keys[-1]) + 1
+        order, ordered = sort_keys(np.clip(keys.ravel(), 0, top), top + 1)
         out = np.empty_like(order)
-        out[order] = self.keys.searchsorted(keys.ravel()[order])
+        out[order] = self.keys.searchsorted(ordered)
         return out.reshape(keys.shape)
 
     def count(self, c: int) -> int:

@@ -227,6 +227,24 @@ def test_eval_json(tmp_path, toy_files):
     assert payload["config"]["seed"] == 5
 
 
+def test_missing_reads_leave_output(tmp_path, toy_files, capsys):
+    # the reads open before the output, so an existing output is kept
+    genomes, _ = toy_files
+    idx, tree, keep = tmp_path / "toy.ktk2", tmp_path / "toy.nwk", tmp_path / "keep.tsv"
+    tree.write_text("((g0,g1),(g2,(g3,g4)));")
+    assert main(["build", "--input", str(genomes), "--format", "lines",
+                 "--mode", "raw", "--output", str(idx)]) == 0
+    keep.write_text("earlier results\n")
+    missing = str(tmp_path / "nosuch.fa")
+    capsys.readouterr()
+    for argv in (["query", "--index", str(idx)],
+                 ["classify", "--index", str(idx), "--tree", str(tree)]):
+        assert main(argv + ["--reads", missing, "--output", str(keep)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "nosuch.fa" in err[0]
+        assert keep.read_text() == "earlier results\n"
+
+
 def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     genomes, reads = toy_files
     # validation error: reserved symbol in input
@@ -268,6 +286,24 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "reads_per_genome" in err[0]
+    # validation error: a variant parameter given below 1 says so, one
+    # missing says it is required; eval rejects a bad variant before any
+    # build (kernel:-3 used to exit 0 with a per-variant error)
+    build = ["build", "--input", str(genomes), "--format", "lines", "--output", str(idx)]
+    for argv, message in ((build + ["--mode", "kernel", "--kmax", "0"], "k_max must be at least 1"),
+                          (build + ["--mode", "kernel"], "mode 'kernel' requires k_max"),
+                          (build + ["--mode", "digest", "--w", "0"], "w must be at least 1"),
+                          (build + ["--mode", "digest-kernel", "--k", "0", "--kmax", "5"],
+                           "k must be at least 1"),
+                          (["eval", "--input", str(genomes), "--format", "lines",
+                            "--variants", "raw,kernel:0", "--reads-per-genome", "1",
+                            "--read-len", "5"], "k_max must be at least 1"),
+                          (["eval", "--input", str(genomes), "--format", "lines",
+                            "--variants", "kernel:-3", "--reads-per-genome", "1",
+                            "--read-len", "5"], "k_max must be at least 1")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message}"]
     # validation error: a digest k whose codes would not fit int32
     rc = main(["build", "--input", str(genomes), "--format", "lines",
                "--mode", "digest", "--k", "16", "--w", "2", "--output", str(idx)])

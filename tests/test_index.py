@@ -190,27 +190,31 @@ def test_shrink_randomized_against_bruteforce():
         checked += len(_check_shrinks(rng, build_index(st), st.text(), genomes,
                                       "ACG", trials=1))
 
-    # a few thousand rows: widened intervals cross more than one scan
-    # window upwards and downwards, and the second windows are cut at row 0
-    # and at the last row
-    shrinks = []
-    for _ in range(2):
-        genomes = [_runs(rng, rng.randint(2400, 2800)) for _ in range(3)]
-        st = separate(GenomeCollection(genomes=genomes))
-        ix = build_index(st)
-        assert ix.rows < 9 * _SCAN_ROWS
-        for iv, new_iv in _check_shrinks(rng, ix, st.text(), genomes, "AC", trials=40):
-            shrinks.append((iv.lo - new_iv.lo, new_iv.hi - iv.hi,
-                            new_iv.hi == ix.rows - 1))
-    assert any(up > _SCAN_ROWS for up, _, _ in shrinks)
-    assert any(down > _SCAN_ROWS and not last for _, down, last in shrinks)
-    assert any(last for _, _, last in shrinks)
-    # LCP values only a hand-edited file holds (no row below p): the scan
-    # still ends, at row 0 and at the last row
-    ix.lcp[:] = ix.rows
-    new_iv, kept = ix.shrink_to_extendable(ix.find_interval("AAC"), 3,
-                                           ix.alphabet.encode_query("C"))
-    assert (new_iv.lo, new_iv.hi, kept) == (0, ix.rows - 1, 3)
+    # A widening scan reads _SCAN_ROWS rows, then 8 * _SCAN_ROWS, on each
+    # side.  Below 9 * _SCAN_ROWS rows every second window is cut at row 0
+    # (upwards) or at the last row (downwards); a few thousand rows let
+    # widened intervals cross the second window too.  Both sizes widen
+    # across the first window upwards and downwards.
+    for length, second in ((150, "cut"), (2400, "crossed")):
+        shrinks = []
+        for _ in range(2):
+            genomes = [_runs(rng, rng.randint(length, length * 7 // 6)) for _ in range(3)]
+            st = separate(GenomeCollection(genomes=genomes))
+            ix = build_index(st)
+            assert (ix.rows < 9 * _SCAN_ROWS) == (second == "cut")
+            for iv, new_iv in _check_shrinks(rng, ix, st.text(), genomes, "AC", trials=40):
+                shrinks.append((iv.lo - new_iv.lo, new_iv.hi - iv.hi,
+                                new_iv.hi == ix.rows - 1))
+        scan = _SCAN_ROWS if second == "cut" else 9 * _SCAN_ROWS
+        assert any(up > scan for up, _, _ in shrinks)
+        assert any(down > scan and not last for _, down, last in shrinks)
+        assert any(last for _, _, last in shrinks)
+        # LCP values only a hand-edited file holds (no row below p): the
+        # scan still ends, at row 0 and at the last row
+        ix.lcp[:] = ix.rows
+        new_iv, kept = ix.shrink_to_extendable(ix.find_interval("AAC"), 3,
+                                               ix.alphabet.encode_query("C"))
+        assert (new_iv.lo, new_iv.hi, kept) == (0, ix.rows - 1, 3)
 
     # a digest text of a few thousand symbols over the 64 3-mer values
     genomes = ["".join(rng.choice("ACGT") for _ in range(3000)) for _ in range(3)]

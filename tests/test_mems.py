@@ -201,6 +201,11 @@ def test_mem_tables_batches_against_oracle(monkeypatch):
         for chunk in (1, 2, 5):
             assert _batch_tables(ix, reads, chunk, monkeypatch) == whole
         assert [record_tuples(compute_mem_table(ix, read)) for read in reads] == whole
+    # one call over more reads than a default chunk holds
+    monkeypatch.undo()
+    copies = mems.CHUNK_READS // len(reads) + 2
+    assert len(reads) * copies > mems.CHUNK_READS + len(reads)
+    assert [record_tuples(t) for t in compute_mem_tables(ix, reads * copies)] == whole * copies
 
 
 def test_mem_tables_digest_empties(golden_digest, golden_digest_index, monkeypatch):

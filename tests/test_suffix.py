@@ -152,7 +152,7 @@ def test_sort_keys_orders_keys(bound):
     rng = np.random.default_rng(bound % 1000)
     keys = rng.integers(0, bound, 300, dtype=np.int64)
     keys[::7] = keys[0]  # runs of equal keys
-    order, ordered = sort_keys(keys, bound)
+    order, ordered = sort_keys(keys.copy(), bound)  # the packed sort overwrites its keys
     assert np.array_equal(ordered, np.sort(keys))
     assert np.array_equal(keys[order], ordered)
     assert sorted(order) == list(range(len(keys)))
@@ -178,6 +178,30 @@ def test_rank_select_inverse_laws():
                 assert symbols[p] == c
                 assert seq.rank(c, p) == k
                 assert seq.rank(c, p + 1) == k + 1
+
+
+@pytest.mark.parametrize("sigma", [5, 70, 1 << 52])
+def test_lf_batched_against_per_key(sigma):
+    # a batch of 64 or more keys is searched in packed-sorted order; codes
+    # -1 (no query symbol) and sigma (one past the alphabet) fall outside
+    # K and find its bounds; at sigma = 2**52, (sigma + 1) * R leaves no
+    # room for the row bits and the keys take the argsort
+    rng = np.random.default_rng(sigma % 1000)
+    rows = 300
+    symbols = rng.integers(0, min(sigma, 4), rows)
+    symbols[::5] = rng.integers(0, sigma, len(symbols[::5]))  # the top of the alphabet too
+    seq = IndexedSequence(symbols, sigma)
+    for count in (64, 200, 2048):
+        c = rng.choice([-1, 0, 1, 2, int(symbols.max()), sigma - 1, sigma], count)
+        i = rng.integers(0, rows + 1, count)
+        c[:2], i[:2] = -1, (0, rows)
+        c[2:4], i[2:4] = sigma, (0, rows)
+        want = [int(seq.lf(int(cc), int(ii))) for cc, ii in zip(c, i)]
+        assert seq.lf(c, i).tolist() == want
+        assert seq.lf(np.array([c, c]), np.array([i, i])).tolist() == [want, want]
+        assert want[:4] == [0, 0, rows, rows]
+        stepped = seq.lf(c, np.array([i, np.minimum(i + 7, rows)]))
+        assert np.all(stepped[0][c == -1] == stepped[1][c == -1])  # an empty step
 
 
 def test_rmq_examples():
