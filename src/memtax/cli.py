@@ -9,8 +9,8 @@ import sys
 from .collection import iter_reads, open_text, parse_collection
 from .digest import DEFAULT_HASH
 from .errors import FormatError, MemtaxError, ValidationError
-from .evaluate import (IndexVariant, ReadSimConfig, build_variant_text,
-                       expand_variant_specs, run_experiment)
+from .evaluate import (MODE_PARAMETERS, IndexVariant, ReadSimConfig,
+                       build_variant_text, expand_variant_specs, run_experiment)
 from .index import AugmentedFmIndex, deserialize
 from .kernel import kernel_size_report
 from .mems import TSV_HEADER, compute_mem_tables, longest_mems, tsv_rows
@@ -33,13 +33,8 @@ def _read_tree(path):
 
 
 def _variant_from_args(args) -> IndexVariant:
-    return IndexVariant(
-        mode=args.mode,
-        k_max=args.kmax if args.mode in ("kernel", "digest-kernel") else None,
-        k=args.k if args.mode in ("digest", "digest-kernel") else None,
-        w=args.w if args.mode in ("digest", "digest-kernel") else None,
-        hash_params=(args.hash_a, args.hash_b, args.hash_m),
-    )
+    params = {name: getattr(args, name) for name in MODE_PARAMETERS[args.mode]}
+    return IndexVariant(args.mode, **params, hash_params=(args.hash_a, args.hash_b, args.hash_m))
 
 
 def cmd_build(args) -> int:
@@ -143,9 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build and serialize one index")
     add_common_build(b)
-    b.add_argument("--mode", required=True,
-                   choices=("raw", "kernel", "digest", "digest-kernel"))
-    b.add_argument("--kmax", type=int, help="kernel order (kernel modes)")
+    b.add_argument("--mode", required=True, choices=tuple(MODE_PARAMETERS))
+    b.add_argument("--kmax", dest="k_max", type=int, help="kernel order (kernel modes)")
     add_digest_params(b)
     b.add_argument("--tree", help="newick tree; validated against the collection")
     b.add_argument("--output", required=True, help="index file to write")

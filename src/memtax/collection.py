@@ -44,6 +44,7 @@ _QUERY_CODE_OF_BASE = {c: int(CODE_OF_BYTE[ord(c)]) for c in BASES}
 _DROP_BASES = str.maketrans("", "", BASES)
 _ASCII_RENDER_BASE = 37  # digest value v displays as chr(37 + v) when k == 3
 _FORMATS = ("fasta", "lines")  # genome and read file formats
+_CODE_BLOCK = 1 << 12  # digest values Alphabet.query_codes widens to int64 at once
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ class Alphabet:
         digest_k = type(self.k) is int and 1 <= self.k <= MAX_DIGEST_K
         if not (self.kind == "bases" and self.k == 0 or self.kind == "digest" and digest_k):
             raise ValidationError(f"unknown alphabet {self.kind!r} with k={self.k!r}")
-        # one past the last query code, fixed here: is_query_code runs on every backward step
+        # one past the last query code, fixed here: is_query_code runs once per
+        # chunk of reads walked and in every one-interval backward_step
         query_end = WILDCARD_CODE if self.kind == "bases" else FIRST_SYMBOL_CODE + 4**self.k
         object.__setattr__(self, "_query_end", query_end)
 
@@ -89,19 +91,22 @@ class Alphabet:
         return code if self.is_query_code(code) else None
 
     def query_codes(self, reads) -> np.ndarray:
-        """encode_query over reads laid end to end, one code per symbol and
-        -1 for a symbol that cannot be queried: int8 for bases (a character
-        outside ASCII encodes as one byte, '?'), int32 for digest values (a
-        string read holds no digest value)."""
+        """encode_query over reads laid end to end, one code per
+        symbol and -1 for a symbol that cannot be queried: int8 for bases (a
+        character outside ASCII encodes as one byte, '?'), int32 for digest
+        values (a string read holds no digest value), converted a block
+        at a time."""
         if self.kind == "bases":
             table = np.where(self.is_query_code(CODE_OF_BYTE), CODE_OF_BYTE, -1).astype(np.int8)
             text = "".join(r if isinstance(r, str) else "".join(r) for r in reads)
             return table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
-        codes = np.fromiter(chain.from_iterable([-1] * len(r) if isinstance(r, str) else r
-                                                for r in reads), dtype=np.int64)
-        codes += FIRST_SYMBOL_CODE
-        codes[~self.is_query_code(codes)] = -1
-        return codes.astype(np.int32)
+        values = chain.from_iterable([-1] * len(r) if isinstance(r, str) else r for r in reads)
+        codes = np.empty(sum(len(r) for r in reads), dtype=np.int32)
+        for at in range(0, len(codes), _CODE_BLOCK):
+            block = np.fromiter(values, np.int64, min(_CODE_BLOCK, len(codes) - at))
+            block += FIRST_SYMBOL_CODE
+            codes[at: at + len(block)] = np.where(self.is_query_code(block), block, -1)
+        return codes
 
     def render(self, symbols) -> str:
         """Display form of a run of symbols: bases verbatim; digest values as

@@ -103,9 +103,10 @@ def classify_read(table: MemTable, true_genome: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# the parameters each index mode requires, every one at least 1
-_MODE_PARAMETERS = {"raw": (), "kernel": ("k_max",), "digest": ("k", "w"),
-                    "digest-kernel": ("k", "w", "k_max")}
+# the parameters each index mode requires, every one at least 1, in the
+# order of its spec and label
+MODE_PARAMETERS = {"raw": (), "kernel": ("k_max",), "digest": ("k", "w"),
+                   "digest-kernel": ("k", "w", "k_max")}
 
 
 @dataclass(frozen=True)
@@ -119,31 +120,32 @@ class IndexVariant:
     hash_params: tuple[int, int, int] = DEFAULT_HASH
 
     def __post_init__(self):
-        if self.mode not in _MODE_PARAMETERS:
+        if self.mode not in MODE_PARAMETERS:
             raise ValidationError(f"unknown index mode {self.mode!r}")
-        for name in _MODE_PARAMETERS[self.mode]:
+        for name in MODE_PARAMETERS[self.mode]:
             if getattr(self, name) is None:
                 raise ValidationError(f"mode {self.mode!r} requires {name}")
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1")
 
     @property
+    def is_digest(self) -> bool:
+        """Built on the genomes' digest (digest, digest-kernel)."""
+        return "w" in MODE_PARAMETERS[self.mode]
+
+    @property
+    def is_kernel(self) -> bool:
+        """A kernel of its base text (kernel, digest-kernel)."""
+        return "k_max" in MODE_PARAMETERS[self.mode]
+
+    @property
     def label(self) -> str:
-        if self.mode == "raw":
-            return "raw"
-        if self.mode == "kernel":
-            return f"kernel(k_max={self.k_max})"
-        if self.mode == "digest":
-            return f"digest(k={self.k},w={self.w})"
-        return f"digest-kernel(k={self.k},w={self.w},k_max={self.k_max})"
+        values = ",".join(f"{name}={getattr(self, name)}" for name in MODE_PARAMETERS[self.mode])
+        return f"{self.mode}({values})" if values else self.mode
 
     def params_dict(self) -> dict:
-        out: dict = {}
-        if self.k_max is not None:
-            out["k_max"] = self.k_max
-        if self.mode in ("digest", "digest-kernel"):
-            out["k"] = self.k
-            out["w"] = self.w
+        out = {name: getattr(self, name) for name in MODE_PARAMETERS[self.mode]}
+        if self.is_digest:
             out["hash"] = list(self.hash_params)
         return out
 
@@ -155,20 +157,13 @@ class IndexVariant:
     def parse(cls, spec: str) -> "IndexVariant":
         """Parse a compact spec: raw | kernel:KMAX | digest:K:W |
         digest-kernel:K:W:KMAX."""
-        parts = spec.strip().split(":")
-        mode = parts[0]
-        try:
-            if mode == "raw" and len(parts) == 1:
-                return cls("raw")
-            if mode == "kernel" and len(parts) == 2:
-                return cls("kernel", k_max=int(parts[1]))
-            if mode == "digest" and len(parts) == 3:
-                return cls("digest", k=int(parts[1]), w=int(parts[2]))
-            if mode == "digest-kernel" and len(parts) == 4:
-                return cls("digest-kernel", k=int(parts[1]), w=int(parts[2]),
-                           k_max=int(parts[3]))
-        except ValueError:
-            pass
+        mode, *values = spec.strip().split(":")
+        names = MODE_PARAMETERS.get(mode)
+        if names is not None and len(values) == len(names):
+            try:
+                return cls(mode, **dict(zip(names, map(int, values))))
+            except ValueError:
+                pass
         raise ValidationError(f"cannot parse variant spec {spec!r}")
 
 
@@ -198,7 +193,7 @@ def expand_variant_specs(specs: list[str]) -> list[IndexVariant]:
 def build_base_text(collection: GenomeCollection, variant: IndexVariant) -> SeparatedText:
     """The text a variant is built on: the separated genomes for raw and
     kernel variants, their digest for digest and digest-kernel ones."""
-    if variant.mode in ("raw", "kernel"):
+    if not variant.is_digest:
         return separate(collection)
     return digest_collection(collection, variant.digest_params())
 
@@ -209,7 +204,7 @@ def build_variant_text(collection: GenomeCollection, variant: IndexVariant,
     not given), whose doubling levels its kernel takes."""
     if base is None:
         base = build_base_text(collection, variant)
-    if variant.mode in ("raw", "digest"):
+    if not variant.is_kernel:
         return base
     return build_katka_kernel(base, KernelParams(variant.k_max))
 
@@ -284,7 +279,7 @@ def _evaluate_variant(index: AugmentedFmIndex, variant: IndexVariant,
 
 
 def _base_key(variant: IndexVariant) -> tuple:
-    if variant.mode in ("raw", "kernel"):
+    if not variant.is_digest:
         return ("raw",)
     return ("digest", variant.k, variant.w, variant.hash_params)
 
@@ -292,7 +287,7 @@ def _base_key(variant: IndexVariant) -> tuple:
 def _levels_wanted(variants: list[IndexVariant]):
     """The doubling levels of their base text that variants take: every
     one for a suffix array of the base itself, else one per kernel order."""
-    if any(v.mode in ("raw", "digest") for v in variants):
+    if any(not v.is_kernel for v in variants):
         return ALL_LEVELS
     return {doubling_level(v.k_max) for v in variants}
 

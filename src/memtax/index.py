@@ -14,11 +14,12 @@ walk) and answer every lane with a few whole-array operations: a backward
 step is one search of the key array, the LCP minima of a shrink and the
 first/last positions of intervals are each one `reduceat` over the LCP or
 suffix array, and a shrink's prefix interval is widened by a scan over
-LCP windows gathered for many lanes at once (the first window, within
-which most widenings end, is small enough that one gather serves hundreds
-of lanes).  The one-interval methods (`backward_step`,
-`first_last_positions`, `shrink_to_extendable`) answer single queries;
-the last two call the kernels with one lane.
+LCP windows gathered for many lanes at once (suffix.first_below; its
+first window, within which most widenings end, is small enough that one
+gather serves hundreds of lanes).  A shrink by a symbol that occurs
+nowhere keeps -1 symbols and all rows.  The one-interval methods
+(`backward_step`, `first_last_positions`, `shrink_to_extendable`) answer
+single queries; the last two call the kernels with one lane.
 """
 from __future__ import annotations
 
@@ -42,12 +43,6 @@ from .suffix import (BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ValidationError)
 MAGIC = b"KTK2"
 VERSION = 2
-# rows of the first LCP window a widening scan reads on each side, which
-# most widenings end within; every further window is 8 times larger, up to
-# _GATHER_ROWS
-_SCAN_ROWS = 64
-# most rows one widening gather copies, over all its lanes together
-_GATHER_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -221,8 +216,8 @@ class AugmentedFmIndex:
         """The shrink step of lanes whose backward step by codes from their
         rows failed, stepped being that step's rows: per lane, the longest
         prefix of the match (length symbols long) that the code precedes
-        somewhere in the text, as (its rows, kept).  kept is -1 where the
-        code occurs nowhere in the text; the rows then stay.
+        somewhere in the text, as (its rows, kept); all rows where kept is
+        0, or -1 because the code occurs nowhere in the text.
 
         The nearest code-rows above and below the rows are the keys before
         and at the two searches of the step, less code * R, if in code's
@@ -242,7 +237,7 @@ class AugmentedFmIndex:
         kept[down] = np.maximum(kept[down], minima[above_minima:])
         kept = np.minimum(kept, length)
         rows = rows.copy()
-        rows[:, kept == 0] = [[0], [n]]
+        rows[:, kept <= 0] = [[0], [n]]
         rows[:, kept > 0] = self._widen(rows[:, kept > 0], kept[kept > 0])
         return rows, kept
 
@@ -251,9 +246,9 @@ class AugmentedFmIndex:
         lo moves to the last row at or above it whose LCP is below p, else
         row 0, and end to the first row at or past it whose LCP is below p,
         else the row count."""
-        last, windows = self.rows - 1, (_SCAN_ROWS, _GATHER_ROWS)
-        top = last - first_below(self.lcp[::-1], last - rows[0], p, *windows)
-        return np.maximum(top, 0), first_below(self.lcp, rows[1], p, *windows)
+        last = self.rows - 1
+        top = last - first_below(self.lcp[::-1], last - rows[0], p)
+        return np.maximum(top, 0), first_below(self.lcp, rows[1], p)
 
     def first_last(self, rows):
         """Smallest and largest text position in SA[lo:end] (non-empty)."""
@@ -392,7 +387,11 @@ def _decode(meta: dict, payload) -> AugmentedFmIndex:
         seen[sa] = True
     if not seen.all():
         raise FormatError("suffix array is not a permutation of the text positions")
-    if lcp[0] != 0 or np.any(lcp[1:] > n - np.maximum(sa[:-1], sa[1:])):
+    del seen
+    # the LCP bound a block of rows at a time, with no row-sized temporaries
+    blocks = (slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS))
+    if lcp[0] != 0 or any(np.any(lcp[1:][b] > n - np.maximum(sa[:-1][b], sa[1:][b]))
+                          for b in blocks):
         raise FormatError("LCP array exceeds the suffix lengths")
     bwt = IndexedSequence(bwt, alphabet.size)
     # LF maps row keys[g] mod R to row g, whose suffix starts one earlier

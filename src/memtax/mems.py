@@ -8,10 +8,13 @@ left-nonextendable by the failure and right-nonextendable by the invariant
 that one more symbol to the right does not occur), then cut in the same
 round to the longest prefix that the failing symbol does precede somewhere
 in the text, which the next round extends.  A symbol absent from the whole
-text resets the lane; against digest indexes the absent symbol itself is
-recorded as an `empty` entry so downstream classification can count false
-negatives.  The emitted intervals of a batch get their first/last text
-positions and genomes together once the batch is walked.
+text resets the lane: its shrink keeps -1 symbols and all rows, and the
+lane moves past the symbol as an extended lane does.  Against digest
+indexes the absent symbol itself is recorded as an `empty` entry so
+downstream classification can count false negatives.  The lanes are the
+columns of one array, and a record is a lane's column as it is emitted;
+a batch's records get their first/last text positions and genomes
+together once it is walked.
 
 Reads stream through the engine CHUNK_READS at a time; a single read's
 table is a batch of one.  Much of a round's cost is per numpy call,
@@ -100,68 +103,62 @@ def _chunk_tables(ix: AugmentedFmIndex, reads: list, min_length: int):
 def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
     """The records of a batch of reads as the rows of one array (read
     start, length, first/last position, first/last genome; -1 in the last
-    four for an empty record), sorted by lane and read start, and each
-    lane's column bounds in it.  The records are int32 below 2**31 rows
+    four for an empty record), sorted by read and read start, and each
+    read's column bounds in it.  The records are int32 below 2**31 rows
     and read symbols, else int64."""
     codes = ix.alphabet.query_codes(reads)
-    lengths = np.array([len(read) for read in reads], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(read) for read in reads])  # of each read's codes, and the end
     dtype = np.int32 if max(ix.rows, len(codes)) < 1 << 31 else np.int64
-    # the live lanes: lane `lane` matches codes[at:end] of its read, which
-    # starts at codes[offset], at the suffix-array rows rows[0]:rows[1]
-    lane = np.flatnonzero(lengths)
-    end = np.cumsum(lengths)[lane]
-    offset = end - lengths[lane]
-    at = end.copy()
-    rows = np.array([np.zeros_like(at), np.full_like(at, ix.rows)])
-    # per emitting round: lane, read start, length and the two rows (-1 for
-    # an empty record)
-    found = [np.empty((5, 0), dtype=dtype)]
-
-    def emit(lanes):
-        if np.count_nonzero(lanes := lanes & (end > at)):
-            found.append(np.vstack([lane[lanes], (at - offset)[lanes], (end - at)[lanes],
-                                    rows[:, lanes]], dtype=dtype))
-
-    while lane.size:
+    # one column per live lane: the offset of its read's codes, the codes
+    # at:end that it matches, and their suffix-array rows lo:end; a record
+    # is a lane's column as it is emitted (rows -1 for an empty record)
+    live = np.zeros((5, len(reads)), dtype=np.int64)
+    live[0], live[1], live[2], live[4] = offsets[:-1], offsets[1:], offsets[1:], ix.rows
+    live = live[:, live[0] < live[1]]  # an empty read has no lane
+    found = []
+    while live.shape[1]:
+        at, end, rows = live[1], live[2], live[3:]
         # a code of -1 (no query symbol) precedes no row: its step is empty
         # and its shrink finds no row, so its lane resets
         c = codes[at - 1].astype(np.int64)
         stepped = ix.bwt.lf(c, rows)
-        extended = stepped[1] > stepped[0]
-        rows, at = np.where(extended, stepped, rows), at - extended
-        if np.count_nonzero(extended) < len(extended):
-            emit(~extended)
+        moved = stepped[1] > stepped[0]
+        np.copyto(rows, stepped, where=moved)
+        if np.count_nonzero(moved) < len(moved):
+            failed = np.flatnonzero(~moved)
+            found.append(live[:, failed[end[failed] > at[failed]]].astype(dtype))
             # the shrunk rows hold the code-row that bounded the kept length,
             # whatever the LCP values, so the next round extends these lanes
-            failed = np.flatnonzero(~extended)
             rows[:, failed], kept = ix.shrink(c[failed], rows[:, failed], (end - at)[failed],
                                               stepped[:, failed])
             end[failed] = at[failed] + kept
+            # a code absent from the text keeps -1 symbols and all rows: its
+            # lane moves past it as an extended lane does, to an empty match
             reset = failed[kept < 0]
+            moved[reset] = True
             if ix.alphabet.kind == "digest" and reset.size:  # the absent symbol's record
-                none = np.full(reset.size, -1)
-                found.append(np.array([lane[reset], (at - offset)[reset] - 1,
-                                       np.ones_like(none), none, none], dtype=dtype))
-            at[reset] -= 1
-            end[reset] = at[reset]
-            rows[:, reset] = [[0], [ix.rows]]
-        done = at == offset
+                found.append(absent := live[:, reset].astype(dtype))
+                absent[1] -= 1
+                absent[2] = absent[1] + 1
+                absent[3:] = -1
+        at -= moved
+        done = at == live[0]
         if np.count_nonzero(done):
-            emit(done)
-            lane, offset, at, end, rows = (a[..., ~done] for a in (lane, offset, at, end, rows))
+            found.append(live[:, done & (end > at)].astype(dtype))
+            live = live[:, ~done]
 
     del codes  # walked: the records below take its place
-    # each step replaces the records, so the chunk holds one copy of them
-    found = np.concatenate(found, axis=1)
-    found = found[:, found[2] >= min_length]
-    found = found[:, np.argsort(found[0] * (lengths.max() + 1) + found[1], kind="stable")]
-    lane, rows = found[0], found[3:]
+    # each step replaces the records, so the chunk holds one copy of them;
+    # live, empty by now, gives their shape when the chunk has none
+    found = np.concatenate([*found, live.astype(dtype)], axis=1)
+    found = found[:, found[2] - found[1] >= min_length]
+    found = found[:, np.argsort(found[1], kind="stable")]  # by read, then read start
     columns = np.full((6, found.shape[1]), -1, dtype=dtype)
-    columns[:2] = found[1:3]
-    mem = rows[0] >= 0
-    pmin, pmax = ix.first_last(rows[:, mem])
+    columns[:2] = found[1] - found[0], found[2] - found[1]
+    mem = found[3] >= 0
+    pmin, pmax = ix.first_last(found[3:, mem])
     columns[2:, mem] = pmin, pmax, ix.rank_separators(pmin), ix.rank_separators(pmax)
-    return columns, np.searchsorted(lane, np.arange(len(reads) + 1))
+    return columns, np.searchsorted(found[1], offsets)
 
 
 def longest_mems(table: MemTable) -> list[MemRecord]:

@@ -10,9 +10,9 @@ and the C table.  A text's levels come from one lazily advanced pass
 (DoublingLevels), shared by its suffix array and its kernels.  Two
 scans over such an array answer many lanes at once: reduce_ranges (a min
 or max over each of many row ranges) and first_below (the first row past
-each origin whose value is below a bound).  RangeExtremes, a sparse table
-for range-min / range-max positions, serves the LCA over a tree's Euler
-tour.
+each origin whose value is below a bound, in windows of _SCAN_ROWS rows
+and wider).  RangeExtremes, a sparse table for range-min / range-max
+positions, serves the LCA over a tree's Euler tour.
 """
 from __future__ import annotations
 
@@ -22,6 +22,9 @@ from .collection import EOF_CODE
 
 # rows per block of the passes that would otherwise copy a row-sized int64 array
 BLOCK_ROWS = 1 << 16
+# first_below's first window per lane, which most LCP widenings of the MEM
+# walk end within, and the most rows one of its gathers copies
+_SCAN_ROWS, _GATHER_ROWS = 64, 1 << 14
 
 
 def sort_keys(keys, bound: int):
@@ -280,21 +283,21 @@ def reduce_ranges(ufunc, values, starts, stops):
     return out
 
 
-def first_below(values, origins, bounds, first_width: int, most_rows: int):
+def first_below(values, origins, bounds):
     """Per lane, the first row x >= origins[k] with values[x] < bounds[k],
-    else len(values).  Each lane scans a window of first_width rows, then
-    windows 8 times wider up to most_rows, so the cost follows the
-    distance scanned; one gather copies at most most_rows rows."""
+    else len(values).  Each lane scans a window of _SCAN_ROWS rows, then
+    windows 8 times wider up to _GATHER_ROWS, so the cost follows the
+    distance scanned; one gather copies at most _GATHER_ROWS rows."""
     n = len(values)
     found = np.full(len(origins), n, dtype=np.int64)
     start = np.array(origins, dtype=np.int64)
     bounds = np.asarray(bounds).astype(values.dtype)  # no upcast of the windows
-    todo, width = np.flatnonzero(start < n), first_width
+    todo, width = np.flatnonzero(start < n), _SCAN_ROWS
     while todo.size:
         w = min(width, n)
         windows = np.lib.stride_tricks.as_strided(values, (n - w + 1, w), values.strides * 2,
                                                   writeable=False)
-        per_gather = max(1, most_rows // w)
+        per_gather = max(1, _GATHER_ROWS // w)
         for k in range(0, len(todo), per_gather):
             group = todo[k: k + per_gather]
             # a window past the last row moves back and skips the rows before start
@@ -307,7 +310,7 @@ def first_below(values, origins, bounds, first_width: int, most_rows: int):
             found[group[ok]] = first[ok] + col[ok]
             start[group] = first + w
         todo = todo[(found[todo] == n) & (start[todo] < n)]
-        width = min(8 * width, most_rows)
+        width = min(8 * width, _GATHER_ROWS)
     return found
 
 

@@ -77,11 +77,18 @@ def test_variant_specs():
     assert [v.label for v in variants] == [
         "raw", "kernel(k_max=20)", "digest(k=3,w=10)",
         "digest-kernel(k=3,w=10,k_max=5)"]
-    with pytest.raises(ValidationError):
-        expand_variant_specs(["kernel"])
-    with pytest.raises(ValidationError):
-        expand_variant_specs(["kernel:x"])
+    # a mode at a wrong arity, a parameter that is no integer, an unknown mode
+    for spec in ("kernel", "raw:5", "kernel:1:2", "digest:3", "digest-kernel:3:10",
+                 "kernel:x", "protein:3"):
+        with pytest.raises(ValidationError, match=f"cannot parse variant spec '{spec}'"):
+            expand_variant_specs([spec])
     grid = full_grid()
+    # every grid variant survives a spec round trip: same label, same params
+    for variant in grid:
+        mode, _, values = variant.label.rstrip(")").partition("(")
+        spec = ":".join([mode] + [value.split("=")[1] for value in values.split(",") if value])
+        again = IndexVariant.parse(spec)
+        assert (again.label, again.params_dict()) == (variant.label, variant.params_dict())
     assert sum(v.mode == "raw" for v in grid) == 1
     assert sum(v.mode == "kernel" for v in grid) == 11
     assert sum(v.mode == "digest" for v in grid) == 10

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,7 +16,8 @@ from memtax import (AbsentSymbolError, DigestParams, EmptyIntervalError,
                     ValidationError, build_index, compute_mem_table,
                     deserialize, digest_collection, digest_sequence, separate)
 from memtax.collection import SEP_CODE
-from memtax.index import _SCAN_ROWS, EMPTY_INTERVAL
+from memtax.index import EMPTY_INTERVAL
+from memtax.suffix import _SCAN_ROWS
 
 import oracles
 from conftest import P, TOY_GENOMES, moved_separator, rewritten_index, rewritten_rows
@@ -136,6 +138,11 @@ def test_shrink_absent_symbol():
     iv = ix.find_interval("AA")
     with pytest.raises(AbsentSymbolError):
         ix.shrink_to_extendable(iv, 2, ix.alphabet.encode_query("G"))
+    # the lockstep kernel: an absent code keeps -1 symbols and gives all rows
+    codes, rows = np.array([ix.alphabet.encode_query("G")]), np.array([[iv.lo], [iv.hi + 1]])
+    new_rows, kept = ix.shrink(codes, rows, np.array([2]), ix.bwt.lf(codes, rows))
+    assert kept.tolist() == [-1]
+    assert new_rows.tolist() == [[0], [ix.rows]]
 
 
 def _check_shrinks(rng, ix, text, genomes, symbols, trials, query=str):
@@ -276,6 +283,25 @@ def test_loaded_arrays_aligned(tmp_path):
             assert got.sa.flags.aligned and got.lcp.flags.aligned
             assert got.bwt.symbols.flags.aligned
             assert got.to_bytes() == blob
+
+
+def test_load_peak_over_resident_bytes(monkeypatch):
+    # with small blocks the load's checks add no row-sized temporary: its
+    # peak stays within one byte per row of what the loaded index keeps
+    rng = random.Random(11)
+    genomes = ["".join(rng.choice("ACGT") for _ in range(20_000)) for _ in range(5)]
+    blob = build_index(separate(GenomeCollection(genomes=genomes))).to_bytes()
+    monkeypatch.setattr("memtax.index.BLOCK_ROWS", 1 << 12)
+    monkeypatch.setattr("memtax.suffix.BLOCK_ROWS", 1 << 12)
+    deserialize(blob)  # warm up
+    tracemalloc.start()
+    try:
+        ix = deserialize(blob)
+        resident, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ix.rows >= 100_000
+    assert peak - resident < ix.rows
 
 
 def _with_header(blob: bytes, old: bytes, new: bytes, fix_crc: bool,

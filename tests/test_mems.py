@@ -214,7 +214,10 @@ def test_mem_tables_digest_empties(golden_digest, golden_digest_index, monkeypat
     text = ["$" if c == SEP_CODE - 3 else c for c in values]
     present = set(values) - {SEP_CODE - 3}
     rng = random.Random(9)
-    reads = [[24, 63, 62], [63], [64], [-1, 24], [24] * 7]
+    # absent values: 64 = 4**k, 2**40, negative ones; absent first, last
+    # and everywhere
+    reads = [[24, 63, 62], [63], [64], [-1, 24], [24] * 7, [24, 2**40, 63], [-7, 62],
+             [64, 24, 63], [24, 63, 2**40], [64, 2**40, -7]]
     for _ in range(30):
         start = rng.randrange(len(values) - 20)
         read = [v for v in values[start: start + rng.randint(1, 20)] if v != SEP_CODE - 3]
@@ -223,6 +226,7 @@ def test_mem_tables_digest_empties(golden_digest, golden_digest_index, monkeypat
         tables = _batch_tables(golden_digest_index, reads, 7, monkeypatch, min_length)
         assert tables == _batch_tables(golden_digest_index, reads, 1000, monkeypatch,
                                        min_length)
+        assert tables == _batch_tables(golden_digest_index, reads, 1, monkeypatch, min_length)
         for read, table in zip(reads, tables):
             want = [(*t, False) for t in oracles.naive_mem_table(text, read)]
             want += [(i, 1, None, None, None, None, True)
