@@ -125,8 +125,8 @@ def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
         moved = stepped[1] > stepped[0]
         np.copyto(rows, stepped, where=moved)
         if np.count_nonzero(moved) < len(moved):
+            found.append(live[:, ~moved & (end > at)].astype(dtype))
             failed = np.flatnonzero(~moved)
-            found.append(live[:, failed[end[failed] > at[failed]]].astype(dtype))
             # the shrunk rows hold the code-row that bounded the kept length,
             # whatever the LCP values, so the next round extends these lanes
             rows[:, failed], kept = ix.shrink(c[failed], rows[:, failed], (end - at)[failed],
