@@ -110,8 +110,9 @@ def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
     offsets = np.cumsum([0] + [len(read) for read in reads])  # of each read's codes, and the end
     dtype = np.int32 if max(ix.rows, len(codes)) < 1 << 31 else np.int64
     # one column per live lane: the offset of its read's codes, the codes
-    # at:end that it matches, and their suffix-array rows lo:end; a record
-    # is a lane's column as it is emitted (rows -1 for an empty record)
+    # at:end that it matches, and the half-open suffix-array row range of
+    # that match; a record is a lane's column as it is emitted (rows -1 for
+    # an empty record)
     live = np.zeros((5, len(reads)), dtype=np.int64)
     live[0], live[1], live[2], live[4] = offsets[:-1], offsets[1:], offsets[1:], ix.rows
     live = live[:, live[0] < live[1]]  # an empty read has no lane
