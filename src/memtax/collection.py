@@ -91,11 +91,10 @@ class Alphabet:
         return code if self.is_query_code(code) else None
 
     def query_codes(self, reads) -> np.ndarray:
-        """encode_query over reads laid end to end, one code per
-        symbol and -1 for a symbol that cannot be queried: int8 for bases (a
-        character outside ASCII encodes as one byte, '?'), int32 for digest
-        values (a string read holds no digest value), converted a block
-        at a time."""
+        """encode_query over reads laid end to end, one code per symbol and
+        -1 for a symbol that cannot be queried: int8 for bases (a character
+        outside ASCII encodes as one byte, '?'), int32 for digest values (a
+        string read holds no digest value), converted a block at a time."""
         if self.kind == "bases":
             table = np.where(self.is_query_code(CODE_OF_BYTE), CODE_OF_BYTE, -1).astype(np.int8)
             text = "".join(r if isinstance(r, str) else "".join(r) for r in reads)
