@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import sys
 
 from .collection import iter_reads, open_text, parse_collection
@@ -13,7 +12,7 @@ from .evaluate import (MODE_PARAMETERS, IndexVariant, ReadSimConfig,
                        build_variant_text, expand_variant_specs, run_experiment)
 from .index import AugmentedFmIndex, deserialize
 from .kernel import kernel_size_report
-from .mems import TSV_HEADER, compute_mem_tables, longest_mems, tsv_rows
+from .mems import TSV_HEADER, longest_mems, read_mem_tables, tsv_rows
 from .taxonomy import LcaStructure, parse_newick
 
 EXIT_VALIDATION = 2
@@ -53,14 +52,12 @@ def cmd_build(args) -> int:
 
 
 def _read_tables(index, source, args):
-    """(read id, query symbols, MEM table) of each read of the open reads
-    file source, in file order; the tables come from the lockstep engine,
-    which reads ahead one chunk of reads.  An unclassifiable read (no query
-    symbols, see AugmentedFmIndex.query_symbols) has an empty table."""
-    reads, queries = itertools.tee((read_id, index.query_symbols(seq))
-                                   for read_id, seq in iter_reads(source, fmt=args.format))
-    tables = compute_mem_tables(index, (symbols for _, symbols in queries), args.min_mem)
-    return ((read_id, symbols, table) for (read_id, symbols), table in zip(reads, tables))
+    """(read id, query codes, MEM table) of each read of the open reads
+    file source, in file order (mems.read_mem_tables): a chunk of reads at
+    a time is encoded straight into the walk's query codes, a block of
+    read strings at a time, and walked.  An unclassifiable read (no query
+    codes, see AugmentedFmIndex.encode_reads) has an empty table."""
+    return read_mem_tables(index, iter_reads(source, fmt=args.format), args.min_mem)
 
 
 def cmd_query(args) -> int:
@@ -68,7 +65,8 @@ def cmd_query(args) -> int:
     # the reads open first: a reads file that does not open leaves the output as it was
     with open_text(args.reads) as source, _open_out(args.output) as out:
         out.write("\t".join(TSV_HEADER) + "\n")
-        for read_id, symbols, table in _read_tables(index, source, args):
+        for read_id, codes, table in _read_tables(index, source, args):
+            symbols = index.alphabet.symbols(codes)
             for row in tsv_rows(read_id, symbols, table, index.alphabet):
                 out.write("\t".join(str(x) for x in row) + "\n")
     return 0

@@ -42,6 +42,7 @@ CODE_OF_BYTE = np.full(256, -1, dtype=np.int32)  # A,C,G,T -> 3..6, N -> wildcar
 CODE_OF_BYTE[[ord(c) for c in BASES + WILDCARD]] = np.arange(FIRST_SYMBOL_CODE, WILDCARD_CODE + 1)
 _QUERY_CODE_OF_BASE = {c: int(CODE_OF_BYTE[ord(c)]) for c in BASES}
 _DROP_BASES = str.maketrans("", "", BASES)
+_BASE_SYMBOL_OF_CODE = np.frombuffer(("\x00#$" + BASES + WILDCARD).encode(), dtype=np.uint8)
 _ASCII_RENDER_BASE = 37  # digest value v displays as chr(37 + v) when k == 3
 _FORMATS = ("fasta", "lines")  # genome and read file formats
 _CODE_BLOCK = 1 << 12  # digest values Alphabet.query_codes widens to int64 at once
@@ -106,6 +107,14 @@ class Alphabet:
             block += FIRST_SYMBOL_CODE
             codes[at: at + len(block)] = np.where(self.is_query_code(block), block, -1)
         return codes
+
+    def symbols(self, codes):
+        """The query symbols of query codes, the inverse of query_codes: a
+        base string (a code of -1 shows as the wildcard), or a list of
+        digest values."""
+        if self.kind == "bases":
+            return _BASE_SYMBOL_OF_CODE[codes].tobytes().decode("ascii")
+        return (np.asarray(codes) - FIRST_SYMBOL_CODE).tolist()
 
     def render(self, symbols) -> str:
         """Display form of a run of symbols: bases verbatim; digest values as

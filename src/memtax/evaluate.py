@@ -13,7 +13,7 @@ from .digest import DEFAULT_HASH, DigestParams, digest_collection
 from .errors import MemtaxError, ValidationError
 from .index import AugmentedFmIndex
 from .kernel import KernelParams, build_katka_kernel, doubling_level
-from .mems import MemTable, compute_mem_tables, longest_mems
+from .mems import MemTable, longest_mems, read_mem_tables
 from .suffix import ALL_LEVELS
 from .taxonomy import PhyloTree
 
@@ -257,20 +257,19 @@ def _evaluate_variant(index: AugmentedFmIndex, variant: IndexVariant,
     counts = {cls.value: 0 for cls in RangeClass}
     tp = 0
     started = time.perf_counter()
-    queries = [index.query_symbols(read.sequence) for read in reads]
-    for read, query, table in zip(reads, queries, compute_mem_tables(index, queries)):
-        is_tp = classify_read(table, read.source)
-        if not query:
+    for source, codes, table in read_mem_tables(index, ((r.source, r.sequence) for r in reads)):
+        is_tp = classify_read(table, source)
+        if not len(codes):
             report.unclassifiable_reads += 1
         tp += is_tp
         for rec in table.records:
-            counts[classify_range(rec.genome_range, read.source).value] += 1
+            counts[classify_range(rec.genome_range, source).value] += 1
         if per_read_sink is not None:
             ranges = ";".join(
                 "-" if rec.genome_range is None else f"{rec.first_genome},{rec.last_genome}"
                 for rec in longest_mems(table)) if table.records else "-"
             per_read_sink.write(
-                f"{variant.label}\t{read.source}\t{int(is_tp)}\t{ranges}\n")
+                f"{variant.label}\t{source}\t{int(is_tp)}\t{ranges}\n")
     report.reads_evaluated = len(reads)
     report.tp_rate = tp / len(reads) if reads else 0.0
     report.mean_query_us = (time.perf_counter() - started) / len(reads) * 1e6 if reads else 0.0

@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from .collection import RESERVED, SEP_CODE, Alphabet, SeparatedText
-from .digest import DigestParams, digest_sequence
+from .digest import BLOCK_SYMBOLS, DigestParams, digest_reads
 from .errors import (AbsentSymbolError, EmptyIntervalError, FormatError,
                      ValidationError)
 from .suffix import (BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt,
@@ -127,20 +127,48 @@ class AugmentedFmIndex:
         return SaInterval(0, self.rows - 1)
 
     def query_symbols(self, sequence: str):
-        """The symbols a read is queried with: the base string itself against
-        raw/kernel indexes, its minimizer values (digested with the index's
-        stored parameters) against digest indexes.  A read holding a reserved
-        symbol, or one that cannot be digested because it holds a non-ACGT
-        symbol, gives no symbols and is unclassifiable, like a read shorter
-        than one digest window."""
-        if any(symbol in sequence for symbol in RESERVED):
-            return []
+        """The symbols one read is queried with (see encode_reads): the base
+        string itself against raw/kernel indexes, its minimizer values
+        against digest indexes; none for an unclassifiable read."""
         if self.digest_params is None:
-            return sequence
-        try:
-            return digest_sequence(sequence, self.digest_params)
-        except ValidationError:
-            return []
+            return [] if any(symbol in sequence for symbol in RESERVED) else sequence
+        return self.alphabet.symbols(self.encode_reads([(None, sequence)])[1])
+
+    def encode_reads(self, reads) -> tuple[list, np.ndarray, np.ndarray]:
+        """(ids, codes, offsets) of an iterable of (id, read string) pairs:
+        the reads' query codes laid end to end, read i's at
+        codes[offsets[i]:offsets[i + 1]].  Against digest indexes they are
+        the minimizer values of the reads digested with the index's stored
+        parameters (int32), against raw/kernel indexes the bases' codes
+        (int8, -1 for a symbol that cannot be queried).  A read holding a
+        reserved symbol, or against a digest index any non-ACGT symbol, has
+        no codes and is unclassifiable, like a read shorter than one digest
+        window.  The strings are encoded about BLOCK_SYMBOLS symbols at a
+        time and let go."""
+        ids, parts, block, size = [], [], [], 0
+        for read_id, sequence in reads:
+            ids.append(read_id)
+            block.append(sequence)
+            size += len(sequence)
+            if size >= BLOCK_SYMBOLS:
+                parts.append(self._encode(block))
+                block, size = [], 0
+        parts.append(self._encode(block))
+        codes, counts = (np.concatenate(arrays) for arrays in zip(*parts))
+        return ids, codes, np.concatenate([[0], np.cumsum(counts)])
+
+    def _encode(self, reads: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The query codes of read strings laid end to end, and each read's
+        count of them."""
+        if self.digest_params is not None:
+            return digest_reads(reads, self.digest_params)
+        lengths = np.array([len(read) for read in reads], dtype=np.int64)
+        codes = self.alphabet.query_codes(reads)
+        keep = np.array([not any(symbol in read for symbol in RESERVED) for read in reads],
+                        dtype=bool)
+        if not keep.all():
+            codes = codes[np.repeat(keep, lengths)]
+        return codes, lengths * keep
 
     def backward_step(self, iv: SaInterval, code: int) -> SaInterval | None:
         """Interval of code-prefixed extensions; None when code is not a
@@ -388,20 +416,44 @@ def _decode(meta: dict, payload) -> AugmentedFmIndex:
     if not seen.all():
         raise FormatError("suffix array is not a permutation of the text positions")
     del seen
-    # the LCP bound a block of rows at a time, with no row-sized temporaries
-    blocks = (slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS))
-    if lcp[0] != 0 or any(np.any(lcp[1:][b] > n - np.maximum(sa[:-1][b], sa[1:][b]))
-                          for b in blocks):
+    if not _lcp_in_bounds(sa, lcp):
         raise FormatError("LCP array exceeds the suffix lengths")
     bwt = IndexedSequence(bwt, alphabet.size)
-    # LF maps row keys[g] mod R to row g, whose suffix starts one earlier
-    rows = n + 1
-    for start in range(0, rows, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        if np.any(sa[bwt.keys[block] % rows] != (sa[block] + 1) % rows):
-            raise FormatError("BWT disagrees with the suffix array")
+    if not _lf_agrees(sa, bwt.keys):
+        raise FormatError("BWT disagrees with the suffix array")
     # with LF intact, the SA rows of K's `$` run are the separator positions
     seps = sa[bwt.lf(SEP_CODE, 0): bwt.lf(SEP_CODE + 1, 0)]
     if not np.array_equal(np.sort(seps), sep_positions):
         raise FormatError("separator bits disagree with the BWT")
     return AugmentedFmIndex(bwt, sa, lcp, sep_positions, alphabet, meta["provenance"])
+
+
+# The load's blocked checks: a block's temporaries are one buffer of the
+# suffix array's dtype, reused by every block and computed into in place,
+# and, for the BWT, one gather by it; nothing outlives the check.
+def _lcp_in_bounds(sa, lcp) -> bool:
+    """lcp[0] = 0 and no LCP entry exceeds the shorter of its two suffixes."""
+    n = len(sa) - 1
+    buffer = np.empty(min(BLOCK_ROWS, n), dtype=sa.dtype)
+    for start in range(1, n + 1, BLOCK_ROWS):
+        room = buffer[:min(BLOCK_ROWS, n + 1 - start)]
+        np.maximum(sa[start - 1: start - 1 + len(room)], sa[start: start + len(room)], out=room)
+        if np.any(lcp[start: start + len(room)] > np.subtract(n, room, out=room)):
+            return False
+    return lcp[0] == 0
+
+
+def _lf_agrees(sa, keys) -> bool:
+    """LF maps row keys[g] mod R to row g, whose suffix starts one earlier:
+    sa[keys[g] mod R] = sa[g] + 1 mod R for every row g.  The rows mod R
+    are cast down to the suffix array's dtype as they are computed."""
+    rows = len(sa)
+    buffer = np.empty(min(BLOCK_ROWS, rows), dtype=sa.dtype)
+    for start in range(0, rows, BLOCK_ROWS):
+        row = buffer[:min(BLOCK_ROWS, rows - start)]
+        stepped = sa[np.remainder(keys[start: start + len(row)], rows, out=row, casting="unsafe")]
+        np.add(sa[start: start + len(row)], 1, out=row)
+        if np.any(stepped != np.remainder(row, rows, out=row)):
+            return False
+        del stepped  # before the next block's gather
+    return True

@@ -17,9 +17,13 @@ a batch's records get their first/last text positions and genomes
 together once it is walked.
 
 Reads stream through the engine CHUNK_READS at a time; a single read's
-table is a batch of one.  Much of a round's cost is per numpy call,
-whatever its lane count, so wide chunks spread it over many reads; the
-records of a chunk are int32 to keep its memory small.
+table is a batch of one.  Read strings (read_mem_tables) become a
+chunk's query codes by the index, a block of strings at a time, and a
+chunk holds nothing per read but its id; sequences of query symbols
+(compute_mem_tables) are encoded by the alphabet.  Much of a round's
+cost is per numpy call, whatever its lane count, so wide chunks spread
+it over many reads; the records of a chunk are int32 to keep its memory
+small.
 """
 from __future__ import annotations
 
@@ -82,38 +86,53 @@ def compute_mem_tables(ix: AugmentedFmIndex, reads, min_length: int = 1):
     """
     reads = iter(reads)
     while chunk := list(islice(reads, CHUNK_READS)):
-        yield from _chunk_tables(ix, chunk, min_length)
+        for read in chunk:
+            for s in RESERVED:
+                if s in read:
+                    raise ValidationError(f"read contains reserved symbol {s!r}")
+        offsets = np.cumsum([0] + [len(read) for read in chunk])
+        yield from _tables(ix, ix.alphabet.query_codes(chunk), offsets, min_length)
 
 
-def _chunk_tables(ix: AugmentedFmIndex, reads: list, min_length: int):
-    """The MEM tables of one chunk of reads, each built as it is consumed
-    from the chunk's columnar records."""
-    for read in reads:
-        for s in RESERVED:
-            if s in read:
-                raise ValidationError(f"read contains reserved symbol {s!r}")
-    columns, bounds = _walk(ix, reads, min_length)
-    for lane in range(len(reads)):
+def read_mem_tables(ix: AugmentedFmIndex, reads, min_length: int = 1):
+    """(id, query codes, MEM table) of every (id, read string) pair of an
+    iterable, in order: CHUNK_READS reads at a time are encoded into query
+    codes (AugmentedFmIndex.encode_reads) and walked in lockstep.  An
+    unclassifiable read has no codes and an empty table."""
+    reads = iter(reads)
+    while True:
+        ids, codes, offsets = ix.encode_reads(islice(reads, CHUNK_READS))
+        if not ids:
+            return
+        bounds = offsets.tolist()
+        for lane, table in enumerate(_tables(ix, codes, offsets, min_length)):
+            yield ids[lane], codes[bounds[lane]: bounds[lane + 1]], table
+
+
+def _tables(ix: AugmentedFmIndex, codes, offsets, min_length: int):
+    """The MEM tables of a chunk's reads, read i's query codes being
+    codes[offsets[i]:offsets[i + 1]], each built as it is consumed from the
+    chunk's columnar records."""
+    columns, bounds = _walk(ix, codes, offsets, min_length)
+    for lane in range(len(offsets) - 1):
         rows = zip(*columns[:, bounds[lane]: bounds[lane + 1]].tolist())
         yield MemTable([MemRecord(start, length, empty=True) if pmin < 0 else
                         MemRecord(start, length, pmin, pmax, gmin, gmax)
                         for start, length, pmin, pmax, gmin, gmax in rows])
 
 
-def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
-    """The records of a batch of reads as the rows of one array (read
-    start, length, first/last position, first/last genome; -1 in the last
-    four for an empty record), sorted by read and read start, and each
-    read's column bounds in it.  The records are int32 below 2**31 rows
-    and read symbols, else int64."""
-    codes = ix.alphabet.query_codes(reads)
-    offsets = np.cumsum([0] + [len(read) for read in reads])  # of each read's codes, and the end
+def _walk(ix: AugmentedFmIndex, codes, offsets, min_length: int):
+    """The records of a chunk's reads as the rows of one array (read start,
+    length, first/last position, first/last genome; -1 in the last four
+    for an empty record), sorted by read and read start, and each read's
+    column bounds in it.  The records are int32 below 2**31 rows and read
+    symbols, else int64."""
     dtype = np.int32 if max(ix.rows, len(codes)) < 1 << 31 else np.int64
     # one column per live lane: the offset of its read's codes, the codes
     # at:end that it matches, and the half-open suffix-array row range of
     # that match; a record is a lane's column as it is emitted (rows -1 for
     # an empty record)
-    live = np.zeros((5, len(reads)), dtype=np.int64)
+    live = np.zeros((5, len(offsets) - 1), dtype=np.int64)
     live[0], live[1], live[2], live[4] = offsets[:-1], offsets[1:], offsets[1:], ix.rows
     live = live[:, live[0] < live[1]]  # an empty read has no lane
     found = []
@@ -148,7 +167,6 @@ def _walk(ix: AugmentedFmIndex, reads: list, min_length: int):
             found.append(live[:, done & (end > at)].astype(dtype))
             live = live[:, ~done]
 
-    del codes  # walked: the records below take its place
     # each step replaces the records, so the chunk holds one copy of them;
     # live, empty by now, gives their shape when the chunk has none
     found = np.concatenate([*found, live.astype(dtype)], axis=1)

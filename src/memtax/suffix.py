@@ -211,11 +211,17 @@ class IndexedSequence:
             raise ValueError("symbol out of declared alphabet range")
         self.symbols = symbols
         self.rows = len(symbols)
-        # in place, a block at a time: no second row-sized int64 array
+        # in place, a block at a time: no second row-sized int64 array, and
+        # no int64 block either, as a block's rows wait in their narrowest
+        # dtype while the block is overwritten by its symbols times R
         self.keys = np.argsort(symbols, kind="stable").astype(np.int64, copy=False)
+        order = np.empty(min(BLOCK_ROWS, self.rows), dtype=np.min_scalar_type(self.rows))
         for start in range(0, self.rows, BLOCK_ROWS):
             block = self.keys[start: start + BLOCK_ROWS]
-            block += symbols[block] * np.int64(self.rows)
+            rows = order[:len(block)]
+            np.copyto(rows, block, casting="unsafe")
+            np.multiply(symbols[block], np.int64(self.rows), out=block)
+            block += rows
 
     def __len__(self) -> int:
         return self.rows

@@ -1,13 +1,16 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from memtax import (DigestParams, GenomeCollection, ValidationError,
                     digest_collection, digest_sequence, hash_value,
                     kmer_value, render_ascii)
+from memtax import digest
 from memtax.collection import FIRST_SYMBOL_CODE, Alphabet
-from memtax.digest import digest_with_positions
+from memtax.digest import digest_reads, digest_with_positions
 from memtax.mems import render_symbols
 
 from conftest import P
@@ -122,6 +125,93 @@ def test_digest_equals_naive_digest_random():
         want = oracles.naive_digest(s, k, w, a, b, m)
         assert digest_with_positions(s, params) == want
         assert digest_sequence(s, params) == [v for v, _ in want]
+
+
+def _random_reads(rng, k, w, long):
+    """Reads of every awkward length: empty, shorter than, exactly and just
+    over one window's k + w - 1 bases, random ones, one of long bases; some
+    with a non-base symbol."""
+    lengths = [0, 1, k + w - 2, k + w - 1, k + w, long] + \
+        [rng.randint(0, 3 * (k + w)) for _ in range(rng.randint(0, 8))]
+    reads = ["".join(rng.choice("ACGT") for _ in range(n)) for n in lengths]
+    for i in rng.sample(range(len(reads)), 3):
+        if reads[i]:
+            at = rng.randrange(len(reads[i]))
+            reads[i] = reads[i][:at] + rng.choice("NÄ$#") + reads[i][at + 1:]
+    rng.shuffle(reads)
+    return reads
+
+
+def test_chunk_digest_equals_naive_digest_read_by_read(monkeypatch):
+    # small blocks: reads straddle their boundaries and the long read spans
+    # several of them
+    monkeypatch.setattr(digest, "BLOCK_SYMBOLS", 48)
+    rng = random.Random(31)
+    for case in range(240):
+        k, w = rng.choice([1, 3, 12, 15]), rng.choice([1, 1, 2, 5, 10])
+        # m = 7 makes ties common: the leftmost least hash must win
+        m = 7 if case % 3 == 0 else 2**63 // 4**k
+        params = DigestParams(k=k, w=w, a=rng.randint(-10**20, 10**20),
+                              b=rng.randint(-10**20, 10**20), m=m)
+        reads = _random_reads(rng, k, w, long=rng.randint(49, 200))
+        codes, counts = digest_reads(reads, params)
+        assert len(counts) == len(reads) and counts.sum() == len(codes)
+        assert codes.dtype == np.int32
+        at = 0
+        for read, count in zip(reads, counts.tolist()):
+            want = [] if set(read) - set("ACGT") else \
+                oracles.naive_digest(read, k, w, params.a, params.b, m)
+            assert (codes[at: at + count] - FIRST_SYMBOL_CODE).tolist() == [v for v, _ in want]
+            at += count
+            if not set(read) - set("ACGT"):  # the one-sequence call of the same routine
+                assert digest_with_positions(read, params) == want
+
+
+def test_index_encodes_reads_as_one_read_each(golden_digest_index, monkeypatch):
+    # blocks of read strings and of windows both split the chunk; every
+    # read gets the codes query_symbols gives it alone, an N, Ä, $ or #
+    # read none
+    rng = random.Random(32)
+    reads = _random_reads(rng, 3, 10, long=300) + ["ACGT" * 5 + s + "ACGT" * 5 for s in "NÄ$#"]
+    alone = [golden_digest_index.query_symbols(read) for read in reads]
+    assert all(not symbols for symbols in alone[-4:])
+    for block in (16, 100, 1 << 13):
+        monkeypatch.setattr(digest, "BLOCK_SYMBOLS", block)
+        monkeypatch.setattr("memtax.index.BLOCK_SYMBOLS", block)
+        ids, codes, offsets = golden_digest_index.encode_reads(enumerate(reads))
+        assert ids == list(range(len(reads)))
+        assert [golden_digest_index.alphabet.symbols(codes[s:e])
+                for s, e in zip(offsets[:-1], offsets[1:])] == alone
+        assert alone == [digest_sequence(read, DigestParams()) if not set(read) - set("ACGT")
+                         else [] for read in reads]
+
+
+def test_chunk_encoding_memory(golden_digest_index):
+    # a chunk of 2048 reads of 200 bases: 1.088 MB is the tracemalloc peak
+    # of digesting each read into a list of values and converting the lists
+    # to one code array (one query_symbols call per read, then
+    # Alphabet.query_codes), which the block-wise encoding stays under; a
+    # 2**14-window block whose window argmins come from a (windows x w)
+    # view copies 1.3 MB of int64 and would not
+    rng = random.Random(33)
+    reads = ["".join(rng.choices("ACGT", k=200)) for _ in range(2048)]
+    golden_digest_index.encode_reads(enumerate(reads[:10]))  # warm up
+    tracemalloc.start()
+    try:
+        ids, codes, offsets = golden_digest_index.encode_reads(enumerate(reads))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == len(offsets) - 1 == 2048 and len(codes) > 2048 * 30
+    assert peak < 1_088_000
+
+
+def test_collection_digest_rejects_n_genome():
+    # eval reports carry this text as the error of every digest variant
+    coll = GenomeCollection(genomes=["ACGTACGTACGTAC", "ACGTNACGT", "ACGTXACGT"])
+    with pytest.raises(ValidationError) as e:
+        digest_collection(coll, DigestParams())
+    assert str(e.value) == "non-base symbol 'N' in sequence"
 
 
 def test_digest_rejects_non_base_symbols():

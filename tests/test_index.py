@@ -17,7 +17,7 @@ from memtax import (AbsentSymbolError, DigestParams, EmptyIntervalError,
                     deserialize, digest_collection, digest_sequence, separate)
 from memtax.collection import SEP_CODE
 from memtax.index import EMPTY_INTERVAL
-from memtax.suffix import _SCAN_ROWS
+from memtax.suffix import BLOCK_ROWS, _SCAN_ROWS
 
 import oracles
 from conftest import P, TOY_GENOMES, moved_separator, rewritten_index, rewritten_rows
@@ -285,14 +285,18 @@ def test_loaded_arrays_aligned(tmp_path):
             assert got.to_bytes() == blob
 
 
-def test_load_peak_over_resident_bytes(monkeypatch):
-    # with small blocks the load's checks add no row-sized temporary: its
-    # peak stays within one byte per row of what the loaded index keeps
+@pytest.mark.parametrize("block_rows", [1 << 12, BLOCK_ROWS])
+def test_load_peak_over_resident_bytes(monkeypatch, block_rows):
+    # the load's checks add no row-sized temporary, and each of their blocks
+    # (and each of the key array's) holds two blocks of the suffix array's
+    # four-byte dtype and a few narrower ones at most: with small blocks the
+    # peak stays within one byte per row of what the loaded index keeps, at
+    # the default within 10 bytes per block row (12 with an int64 block)
     rng = random.Random(11)
     genomes = ["".join(rng.choice("ACGT") for _ in range(20_000)) for _ in range(5)]
     blob = build_index(separate(GenomeCollection(genomes=genomes))).to_bytes()
-    monkeypatch.setattr("memtax.index.BLOCK_ROWS", 1 << 12)
-    monkeypatch.setattr("memtax.suffix.BLOCK_ROWS", 1 << 12)
+    monkeypatch.setattr("memtax.index.BLOCK_ROWS", block_rows)
+    monkeypatch.setattr("memtax.suffix.BLOCK_ROWS", block_rows)
     deserialize(blob)  # warm up
     tracemalloc.start()
     try:
@@ -300,8 +304,8 @@ def test_load_peak_over_resident_bytes(monkeypatch):
         resident, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ix.rows >= 100_000
-    assert peak - resident < ix.rows
+    assert ix.rows >= max(100_000, block_rows)
+    assert peak - resident < (ix.rows if block_rows < BLOCK_ROWS else 10 * BLOCK_ROWS)
 
 
 def _with_header(blob: bytes, old: bytes, new: bytes, fix_crc: bool,
