@@ -6,8 +6,7 @@ from .collection import (Alphabet, GenomeCollection, SeparatedText,
                          parse_collection, separate)
 from .digest import (DigestParams, Digest, digest_collection, digest_sequence,
                      hash_value, kmer_value, render_ascii)
-from .errors import (AbsentSymbolError, EmptyIntervalError, FormatError,
-                     MemtaxError, ValidationError)
+from .errors import EmptyIntervalError, FormatError, MemtaxError, ValidationError
 from .evaluate import (EvalReport, IndexVariant, RangeClass, ReadSimConfig,
                        classify_range, classify_read, run_experiment,
                        simulate_reads)

@@ -51,21 +51,13 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _read_tables(index, source, args):
-    """(read id, query codes, MEM table) of each read of the open reads
-    file source, in file order (mems.read_mem_tables): a chunk of reads at
-    a time is encoded straight into the walk's query codes, a block of
-    read strings at a time, and walked.  An unclassifiable read (no query
-    codes, see AugmentedFmIndex.encode_reads) has an empty table."""
-    return read_mem_tables(index, iter_reads(source, fmt=args.format), args.min_mem)
-
-
 def cmd_query(args) -> int:
     index = deserialize(args.index)
     # the reads open first: a reads file that does not open leaves the output as it was
     with open_text(args.reads) as source, _open_out(args.output) as out:
         out.write("\t".join(TSV_HEADER) + "\n")
-        for read_id, codes, table in _read_tables(index, source, args):
+        reads = iter_reads(source, fmt=args.format)
+        for read_id, codes, table in read_mem_tables(index, reads, args.min_mem):
             symbols = index.alphabet.symbols(codes)
             for row in tsv_rows(read_id, symbols, table, index.alphabet):
                 out.write("\t".join(str(x) for x in row) + "\n")
@@ -82,7 +74,8 @@ def cmd_classify(args) -> int:
     lca = LcaStructure(tree)
     with open_text(args.reads) as source, _open_out(args.output) as out:
         out.write("read_id\tread_start\tlength\tfirst_genome\tlast_genome\tnode_label\n")
-        for read_id, _, table in _read_tables(index, source, args):
+        reads = iter_reads(source, fmt=args.format)
+        for read_id, _, table in read_mem_tables(index, reads, args.min_mem):
             if not table.records:
                 out.write(f"{read_id}\t-\t-\t-\t-\t-\n")
                 continue

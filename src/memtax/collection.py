@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -40,12 +41,10 @@ WILDCARD_CODE = FIRST_SYMBOL_CODE + len(BASES)
 RESERVED = ("$", "#")  # read symbols never queried; a tuple, so digest values test too
 CODE_OF_BYTE = np.full(256, -1, dtype=np.int32)  # A,C,G,T -> 3..6, N -> wildcard, else -1
 CODE_OF_BYTE[[ord(c) for c in BASES + WILDCARD]] = np.arange(FIRST_SYMBOL_CODE, WILDCARD_CODE + 1)
-_QUERY_CODE_OF_BASE = {c: int(CODE_OF_BYTE[ord(c)]) for c in BASES}
 _DROP_BASES = str.maketrans("", "", BASES)
 _BASE_SYMBOL_OF_CODE = np.frombuffer(("\x00#$" + BASES + WILDCARD).encode(), dtype=np.uint8)
 _ASCII_RENDER_BASE = 37  # digest value v displays as chr(37 + v) when k == 3
 _FORMATS = ("fasta", "lines")  # genome and read file formats
-_CODE_BLOCK = 1 << 12  # digest values Alphabet.query_codes widens to int64 at once
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class Alphabet:
         if not (self.kind == "bases" and self.k == 0 or self.kind == "digest" and digest_k):
             raise ValidationError(f"unknown alphabet {self.kind!r} with k={self.k!r}")
         # one past the last query code, fixed here: is_query_code runs once per
-        # chunk of reads walked and in every one-interval backward_step
+        # chunk of reads walked and once per pattern found
         query_end = WILDCARD_CODE if self.kind == "bases" else FIRST_SYMBOL_CODE + 4**self.k
         object.__setattr__(self, "_query_end", query_end)
 
@@ -78,35 +77,21 @@ class Alphabet:
         never legal query symbols.  Elementwise over an array of codes."""
         return (FIRST_SYMBOL_CODE <= code) & (code < self._query_end)
 
-    def encode_query(self, symbol) -> int | None:
-        """Code for a query symbol, or None when it cannot be queried.
-
-        Separators, the wildcard and anything outside the declared symbol
-        set are not legal query symbols.
-        """
-        if self.kind == "bases":
-            return _QUERY_CODE_OF_BASE.get(symbol)
-        if isinstance(symbol, str):
-            return None
-        code = FIRST_SYMBOL_CODE + int(symbol)
-        return code if self.is_query_code(code) else None
-
     def query_codes(self, reads) -> np.ndarray:
-        """encode_query over reads laid end to end, one code per symbol and
-        -1 for a symbol that cannot be queried: int8 for bases (a character
-        outside ASCII encodes as one byte, '?'), int32 for digest values (a
-        string read holds no digest value), converted a block at a time."""
+        """The query code of every symbol of reads laid end to end, -1 for a
+        symbol that cannot be queried (separators, the wildcard and anything
+        outside the declared symbol set): int8 for bases (a character
+        outside ASCII encodes as one byte, '?'), int32 for digest values,
+        where only an integer v in [0, 4^k) is queryable, as v + 3 (a
+        string read holds no digest value)."""
         if self.kind == "bases":
             table = np.where(self.is_query_code(CODE_OF_BYTE), CODE_OF_BYTE, -1).astype(np.int8)
             text = "".join(r if isinstance(r, str) else "".join(r) for r in reads)
             return table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
-        values = chain.from_iterable([-1] * len(r) if isinstance(r, str) else r for r in reads)
-        codes = np.empty(sum(len(r) for r in reads), dtype=np.int32)
-        for at in range(0, len(codes), _CODE_BLOCK):
-            block = np.fromiter(values, np.int64, min(_CODE_BLOCK, len(codes) - at))
-            block += FIRST_SYMBOL_CODE
-            codes[at: at + len(block)] = np.where(self.is_query_code(block), block, -1)
-        return codes
+        end = 4**self.k
+        values = chain.from_iterable([None] * len(r) if isinstance(r, str) else r for r in reads)
+        return np.array([FIRST_SYMBOL_CODE + int(v) if isinstance(v, Integral) and 0 <= v < end
+                         else -1 for v in values], dtype=np.int32)
 
     def symbols(self, codes):
         """The query symbols of query codes, the inverse of query_codes: a

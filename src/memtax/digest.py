@@ -44,10 +44,12 @@ class DigestParams:
         values = (self.k, self.w, self.a, self.b, self.m)
         if not all(type(v) is int for v in values):
             raise ValidationError(f"digest parameters must be integers, got {values}")
-        # k first: 4**k of an unchecked k may not fit in memory
-        if not (1 <= self.k <= MAX_DIGEST_K and self.w >= 1 and 0 < self.m <= 2**63 // 4**self.k):
+        # k first: 4**k of an unchecked k may not fit in memory; a window's
+        # k + w - 1 symbols must fit int64
+        if not (1 <= self.k <= MAX_DIGEST_K and 1 <= self.w <= 2**63 - self.k
+                and 0 < self.m <= 2**63 // 4**self.k):
             raise ValidationError(f"digest parameters must satisfy 1 <= k <= {MAX_DIGEST_K}, "
-                                  "w >= 1, 0 < m <= 2^63 / 4^k")
+                                  "1 <= w <= 2^63 - k, 0 < m <= 2^63 / 4^k")
 
     @property
     def is_injective_on_kmers(self) -> bool:

@@ -15,7 +15,3 @@ class FormatError(MemtaxError):
 
 class EmptyIntervalError(MemtaxError):
     """An operation requiring a non-empty suffix-array interval got an empty one."""
-
-
-class AbsentSymbolError(MemtaxError):
-    """A query symbol does not occur anywhere in the indexed text."""

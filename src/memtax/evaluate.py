@@ -127,6 +127,8 @@ class IndexVariant:
                 raise ValidationError(f"mode {self.mode!r} requires {name}")
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1")
+        if self.is_digest:
+            self.digest_params()  # rejects what a digest cannot be built with
 
     @property
     def is_digest(self) -> bool:

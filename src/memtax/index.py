@@ -17,9 +17,9 @@ suffix array, and a shrink's prefix interval is widened by a scan over
 LCP windows gathered for many lanes at once (suffix.first_below; its
 first window, within which most widenings end, is small enough that one
 gather serves hundreds of lanes).  A shrink by a symbol that occurs
-nowhere keeps -1 symbols and all rows.  The one-interval methods
-(`backward_step`, `first_last_positions`, `shrink_to_extendable`) answer
-single queries; the last two call the kernels with one lane.
+nowhere keeps -1 symbols and all rows.  `find_interval` and
+`first_last_positions` answer one pattern or interval by calling the
+kernels with one lane.
 """
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ import numpy as np
 
 from .collection import RESERVED, SEP_CODE, Alphabet, SeparatedText
 from .digest import BLOCK_SYMBOLS, DigestParams, digest_reads
-from .errors import (AbsentSymbolError, EmptyIntervalError, FormatError,
-                     ValidationError)
+from .errors import EmptyIntervalError, FormatError, ValidationError
 from .suffix import (BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt,
                      first_below, reduce_ranges)
 
@@ -123,17 +122,6 @@ class AugmentedFmIndex:
         """Number of suffix-array rows (text length + 1 for the sentinel)."""
         return len(self.sa)
 
-    def full_interval(self) -> SaInterval:
-        return SaInterval(0, self.rows - 1)
-
-    def query_symbols(self, sequence: str):
-        """The symbols one read is queried with (see encode_reads): the base
-        string itself against raw/kernel indexes, its minimizer values
-        against digest indexes; none for an unclassifiable read."""
-        if self.digest_params is None:
-            return [] if any(symbol in sequence for symbol in RESERVED) else sequence
-        return self.alphabet.symbols(self.encode_reads([(None, sequence)])[1])
-
     def encode_reads(self, reads) -> tuple[list, np.ndarray, np.ndarray]:
         """(ids, codes, offsets) of an iterable of (id, read string) pairs:
         the reads' query codes laid end to end, read i's at
@@ -170,30 +158,17 @@ class AugmentedFmIndex:
             codes = codes[np.repeat(keep, lengths)]
         return codes, lengths * keep
 
-    def backward_step(self, iv: SaInterval, code: int) -> SaInterval | None:
-        """Interval of code-prefixed extensions; None when code is not a
-        legal query symbol (distinct from the empty interval)."""
-        if not self.alphabet.is_query_code(code):
-            return None
-        lo = int(self.bwt.lf(code, iv.lo))
-        hi = int(self.bwt.lf(code, iv.hi + 1)) - 1
-        if hi < lo:
-            return EMPTY_INTERVAL
-        return SaInterval(lo, hi)
-
     def find_interval(self, symbols) -> SaInterval:
-        """Interval of a pattern given as a base string or digest values.
-        The empty pattern maps to the full interval; symbols outside the
-        query alphabet make the result empty."""
-        iv = self.full_interval()
-        for sym in reversed(list(symbols)):
-            code = self.alphabet.encode_query(sym)
-            if code is None:
-                return EMPTY_INTERVAL
-            iv = self.backward_step(iv, code)
-            if iv is None or iv.is_empty:
-                return EMPTY_INTERVAL
-        return iv
+        """Interval of a pattern given as a base string or digest values:
+        the walk's backward step with one lane, from all rows, right to left
+        over the pattern's query codes.  The empty pattern maps to the full
+        interval; a symbol outside the query alphabet, whose code of -1
+        precedes no row, makes the result empty."""
+        rows = np.array([0, self.rows])
+        for code in reversed(self.alphabet.query_codes([symbols]).tolist()):
+            rows = self.bwt.lf(code, rows)
+        lo, end = rows.tolist()
+        return SaInterval(lo, end - 1) if lo < end else EMPTY_INTERVAL
 
     def first_last_positions(self, iv: SaInterval) -> tuple[int, int]:
         """Smallest and largest text position in SA[iv], i.e. the first and
@@ -215,24 +190,6 @@ class AugmentedFmIndex:
             return None
         pmin, pmax = self.first_last_positions(iv)
         return int(self.rank_separators(pmin)), int(self.rank_separators(pmax))
-
-    def shrink_to_extendable(self, iv: SaInterval, length: int, code: int
-                             ) -> tuple[SaInterval, int]:
-        """Longest prefix of the current match that is preceded by `code`
-        somewhere in the text, with its interval: shrink() with one lane.
-
-        Preconditions: iv is a non-empty interval of suffixes sharing the
-        current match of the given length, and backward_step(iv, code) was
-        empty.  Raises AbsentSymbolError when the symbol occurs nowhere in
-        the text, which tells the caller to reset instead.
-        """
-        if iv.is_empty:
-            raise EmptyIntervalError("shrink_to_extendable on an empty interval")
-        codes, rows = np.array([code]), np.array([[iv.lo], [iv.hi + 1]])
-        rows, kept = self.shrink(codes, rows, length, self.bwt.lf(codes, rows))
-        if kept[0] < 0:
-            raise AbsentSymbolError(f"symbol code {code} does not occur in the text")
-        return SaInterval(int(rows[0, 0]), int(rows[1, 0]) - 1), int(kept[0])
 
     # ------------------------------------------------------------------
     # The kernels of the lockstep MEM walk.  Each takes int64 arrays with

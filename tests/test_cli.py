@@ -288,8 +288,13 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     assert len(err) == 1 and "reads_per_genome" in err[0]
     # validation error: a variant parameter given below 1 says so, one
     # missing says it is required; eval rejects a bad variant before any
-    # build (kernel:-3 used to exit 0 with a per-variant error)
+    # build (kernel:-3 used to exit 0 with a per-variant error); a digest w
+    # whose window of k + w - 1 symbols does not fit int64 is rejected too
+    # (it used to end in an OverflowError traceback)
     build = ["build", "--input", str(genomes), "--format", "lines", "--output", str(idx)]
+    huge = "100000000000000000000"
+    digest_bounds = ("digest parameters must satisfy 1 <= k <= 15, 1 <= w <= 2^63 - k, "
+                     "0 < m <= 2^63 / 4^k")
     for argv, message in ((build + ["--mode", "kernel", "--kmax", "0"], "k_max must be at least 1"),
                           (build + ["--mode", "kernel"], "mode 'kernel' requires k_max"),
                           (build + ["--mode", "digest", "--w", "0"], "w must be at least 1"),
@@ -300,7 +305,11 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
                             "--read-len", "5"], "k_max must be at least 1"),
                           (["eval", "--input", str(genomes), "--format", "lines",
                             "--variants", "kernel:-3", "--reads-per-genome", "1",
-                            "--read-len", "5"], "k_max must be at least 1")):
+                            "--read-len", "5"], "k_max must be at least 1"),
+                          (build + ["--mode", "digest", "--w", huge], digest_bounds),
+                          (["eval", "--input", str(genomes), "--format", "lines",
+                            "--variants", f"raw,digest:3:{huge}", "--reads-per-genome", "1",
+                            "--read-len", "5"], digest_bounds)):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {message}"]
@@ -311,10 +320,18 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     # format error: a checksummed digest header whose provenance lacks the hash
     assert main(["build", "--input", str(genomes), "--format", "lines",
                  "--mode", "digest", "--k", "3", "--w", "2", "--output", str(idx)]) == 0
-    idx.write_bytes(rewritten_index(idx.read_bytes(),
-                                    lambda meta: meta["provenance"].pop("hash")))
+    digest_blob = idx.read_bytes()
+    idx.write_bytes(rewritten_index(digest_blob, lambda meta: meta["provenance"].pop("hash")))
     rc = main(["query", "--index", str(idx), "--reads", str(reads)])
     assert rc == 4
+    # format error: a checksummed digest header whose w is too large for a
+    # window (it used to load and end the query in an OverflowError)
+    idx.write_bytes(rewritten_index(digest_blob,
+                                    lambda meta: meta["provenance"].update(w=10**30)))
+    capsys.readouterr()
+    assert main(["query", "--index", str(idx), "--reads", str(reads)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed index header")
     # format error: a checksummed raw index whose LCP rows exceed the
     # suffix lengths (it used to load and report a 5-long MEM for ACATA)
     assert main(["build", "--input", str(genomes), "--format", "lines",
@@ -326,7 +343,7 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     # format error: a checksummed raw index with one BWT A edited to C (it
     # used to load and report GATTAGATA over genomes 0-3), and one whose
     # first separator bit moved one position earlier
-    a, c = (toy_index.alphabet.encode_query(b) for b in "AC")
+    a, c = toy_index.alphabet.query_codes(["AC"]).tolist()
     a_row = int(np.flatnonzero(toy_index.bwt.symbols == a)[0])
     capsys.readouterr()
     for bad in (rewritten_rows(raw_blob, "bwt", a_row, c),

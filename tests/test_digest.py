@@ -169,11 +169,12 @@ def test_chunk_digest_equals_naive_digest_read_by_read(monkeypatch):
 
 def test_index_encodes_reads_as_one_read_each(golden_digest_index, monkeypatch):
     # blocks of read strings and of windows both split the chunk; every
-    # read gets the codes query_symbols gives it alone, an N, Ä, $ or #
-    # read none
+    # read gets the codes it gets when encoded alone, an N, Ä, $ or # read
+    # none
     rng = random.Random(32)
     reads = _random_reads(rng, 3, 10, long=300) + ["ACGT" * 5 + s + "ACGT" * 5 for s in "NÄ$#"]
-    alone = [golden_digest_index.query_symbols(read) for read in reads]
+    alone = [golden_digest_index.alphabet.symbols(golden_digest_index.encode_reads([(0, read)])[1])
+             for read in reads]
     assert all(not symbols for symbols in alone[-4:])
     for block in (16, 100, 1 << 13):
         monkeypatch.setattr(digest, "BLOCK_SYMBOLS", block)
@@ -189,7 +190,7 @@ def test_index_encodes_reads_as_one_read_each(golden_digest_index, monkeypatch):
 def test_chunk_encoding_memory(golden_digest_index):
     # a chunk of 2048 reads of 200 bases: 1.088 MB is the tracemalloc peak
     # of digesting each read into a list of values and converting the lists
-    # to one code array (one query_symbols call per read, then
+    # to one code array (one digest call per read, then
     # Alphabet.query_codes), which the block-wise encoding stays under; a
     # 2**14-window block whose window argmins come from a (windows x w)
     # view copies 1.3 MB of int64 and would not
@@ -258,10 +259,12 @@ def test_general_k_digest_queryable():
 
 
 def test_digest_params_bounds():
+    # a window's k + w - 1 symbols must fit int64
     for bad in (dict(k=16), dict(k=0), dict(w=0), dict(m=0), dict(k=15, m=2**34),
-                dict(k="3"), dict(w=True), dict(a=1.5)):
+                dict(k="3"), dict(w=True), dict(a=1.5), dict(w=10**20), dict(k=3, w=2**63 - 2)):
         with pytest.raises(ValidationError):
             DigestParams(**bad)
+    assert DigestParams(k=3, w=2**63 - 3).w == 2**63 - 3
     assert DigestParams(k=15, m=2**33).m == 2**33
     # a and b act modulo m: huge or negative ones digest like their residues
     s = "ACGTTGCAACGGTACCATGA" * 3

@@ -11,16 +11,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from memtax import (AbsentSymbolError, DigestParams, EmptyIntervalError,
+from memtax import (DigestParams, EmptyIntervalError,
                     FormatError, GenomeCollection, MemtaxError, SaInterval,
                     ValidationError, build_index, compute_mem_table,
                     deserialize, digest_collection, digest_sequence, separate)
-from memtax.collection import SEP_CODE
 from memtax.index import EMPTY_INTERVAL
 from memtax.suffix import BLOCK_ROWS, _SCAN_ROWS
 
 import oracles
 from conftest import P, TOY_GENOMES, moved_separator, rewritten_index, rewritten_rows
+
+
+def _code(ix, symbol):
+    """The query code of one symbol."""
+    return int(ix.alphabet.query_codes([[symbol]])[0])
+
+
+def _step(ix, iv, code):
+    """The backward step of the walk (bwt.lf) with one lane, from and to
+    inclusive intervals."""
+    lo, end = ix.bwt.lf(code, np.array([iv.lo, iv.hi + 1])).tolist()
+    return SaInterval(lo, end - 1)
+
+
+def _shrink(ix, iv, length, code):
+    """The shrink of the walk with one lane, whose step by code from the
+    inclusive interval iv of a length-symbol match failed: (the kept
+    prefix's inclusive interval, kept)."""
+    codes, rows = np.array([code]), np.array([[iv.lo], [iv.hi + 1]])
+    rows, kept = ix.shrink(codes, rows, np.array([length]), ix.bwt.lf(codes, rows))
+    return SaInterval(int(rows[0, 0]), int(rows[1, 0]) - 1), int(kept[0])
 
 
 def test_empty_pattern_full_interval(toy_index):
@@ -37,9 +57,8 @@ def test_backward_steps_worked_example(toy_index):
     assert ix.first_last_positions(iv) == (11, 41)
     assert ix.genome_range(iv) == (1, 4)
     # no C precedes ATA anywhere
-    code_c = ix.alphabet.encode_query("C")
-    stepped = ix.backward_step(iv, code_c)
-    assert stepped.is_empty
+    assert _step(ix, iv, _code(ix, "C")).is_empty
+    assert ix.find_interval("CATA") == EMPTY_INTERVAL
 
     iv = ix.find_interval("ACAT")
     assert ix.first_last_positions(iv) == (4, 21)
@@ -48,10 +67,13 @@ def test_backward_steps_worked_example(toy_index):
 
 def test_backward_step_absent_and_illegal(toy_index):
     ix = toy_index
-    full = ix.full_interval()
-    # '$' and '#' are alphabet symbols but never legal queries
-    assert ix.backward_step(full, SEP_CODE) is None
-    assert ix.backward_step(full, 999) is None
+    # '$' and '#' are alphabet symbols but never legal queries, nor are the
+    # wildcard and symbols outside the alphabet: their code is -1, which
+    # precedes no row
+    assert ix.alphabet.query_codes(["$#NxÄ"]).tolist() == [-1] * 5
+    for illegal in ("$", "#", "N", "x", "Ä", "A$", "$A", "ATA#"):
+        assert ix.find_interval(illegal) == EMPTY_INTERVAL
+    assert _step(ix, ix.find_interval(""), -1).is_empty
     # G is present, so stepping is defined from any interval; a pattern that
     # does not occur gives an empty interval
     assert ix.find_interval("GG").is_empty
@@ -105,13 +127,13 @@ def test_interval_matches_naive_scan():
 def test_shrink_worked_example(toy_index):
     ix = toy_index
     iv = ix.find_interval("ATA")
-    code_c = ix.alphabet.encode_query("C")
-    new_iv, kept = ix.shrink_to_extendable(iv, 3, code_c)
+    code_c = _code(ix, "C")
+    new_iv, kept = _shrink(ix, iv, 3, code_c)
     assert kept == 2  # longest prefix of ATA preceded by C is AT
     expected = ix.find_interval("AT")
     assert (new_iv.lo, new_iv.hi) == (expected.lo, expected.hi)
     assert len(new_iv) == 10
-    stepped = ix.backward_step(new_iv, code_c)
+    stepped = _step(ix, new_iv, code_c)
     assert not stepped.is_empty
 
 
@@ -120,7 +142,7 @@ def test_shrink_widens_subinterval(toy_index):
     # widen to the pattern's whole interval
     ix = toy_index
     full_at = ix.find_interval("AT")
-    code_c = ix.alphabet.encode_query("C")
+    code_c = _code(ix, "C")
     # rows of "AT" whose BWT is not C: drop the C-preceded rows from the front
     sub = None
     for lo in range(full_at.lo, full_at.hi + 1):
@@ -128,7 +150,7 @@ def test_shrink_widens_subinterval(toy_index):
             sub = SaInterval(lo, full_at.hi)
             break
     assert sub is not None
-    new_iv, kept = ix.shrink_to_extendable(sub, 2, code_c)
+    new_iv, kept = _shrink(ix, sub, 2, code_c)
     assert kept == 2
     assert (new_iv.lo, new_iv.hi) == (full_at.lo, full_at.hi)
 
@@ -136,10 +158,8 @@ def test_shrink_widens_subinterval(toy_index):
 def test_shrink_absent_symbol():
     ix = build_index(separate(GenomeCollection(genomes=["AAAA"])))
     iv = ix.find_interval("AA")
-    with pytest.raises(AbsentSymbolError):
-        ix.shrink_to_extendable(iv, 2, ix.alphabet.encode_query("G"))
     # the lockstep kernel: an absent code keeps -1 symbols and gives all rows
-    codes, rows = np.array([ix.alphabet.encode_query("G")]), np.array([[iv.lo], [iv.hi + 1]])
+    codes, rows = np.array([_code(ix, "G")]), np.array([[iv.lo], [iv.hi + 1]])
     new_rows, kept = ix.shrink(codes, rows, np.array([2]), ix.bwt.lf(codes, rows))
     assert kept.tolist() == [-1]
     assert new_rows.tolist() == [[0], [ix.rows]]
@@ -159,9 +179,9 @@ def _check_shrinks(rng, ix, text, genomes, symbols, trials, query=str):
         for c in symbols:
             if c + pattern in text or c not in text:
                 continue
-            code = ix.alphabet.encode_query(query(c)[0])
+            code = _code(ix, query(c)[0])
             iv = ix.find_interval(query(pattern))
-            new_iv, kept = ix.shrink_to_extendable(iv, plen, code)
+            new_iv, kept = _shrink(ix, iv, plen, code)
             # brute force: longest prefix of pattern preceded by c
             want = 0
             for l in range(plen, -1, -1):
@@ -171,8 +191,8 @@ def _check_shrinks(rng, ix, text, genomes, symbols, trials, query=str):
             assert kept == want
             expected = ix.find_interval(query(pattern[:kept]))
             assert (new_iv.lo, new_iv.hi) == (expected.lo, expected.hi)
-            stepped = ix.backward_step(new_iv, code)
-            assert stepped is not None and not stepped.is_empty
+            stepped = _step(ix, new_iv, code)
+            assert not stepped.is_empty
             shrinks.append((iv, new_iv))
     return shrinks
 
@@ -219,8 +239,7 @@ def test_shrink_randomized_against_bruteforce():
         # LCP values only a hand-edited file holds (no row below p): the
         # scan still ends, at row 0 and at the last row
         ix.lcp[:] = ix.rows
-        new_iv, kept = ix.shrink_to_extendable(ix.find_interval("AAC"), 3,
-                                               ix.alphabet.encode_query("C"))
+        new_iv, kept = _shrink(ix, ix.find_interval("AAC"), 3, _code(ix, "C"))
         assert (new_iv.lo, new_iv.hi, kept) == (0, ix.rows - 1, 3)
 
     # a digest text of a few thousand symbols over the 64 3-mer values
@@ -425,7 +444,7 @@ def test_deserialize_errors(toy_index, golden_digest_index):
     assert deserialize(rewritten_rows(blob, "lcp", 21, lcp_bound)).n == 45  # at the bound
     # checksummed payloads whose BWT or separator bits disagree with the SA:
     # every single A -> C edit of the BWT, and the separator at 8 moved to 7
-    a, c = (toy_index.alphabet.encode_query(b) for b in "AC")
+    a, c = toy_index.alphabet.query_codes(["AC"]).tolist()
     a_rows = np.flatnonzero(toy_index.bwt.symbols == a)
     assert len(a_rows) == 17
     for row in a_rows:
@@ -512,9 +531,9 @@ def test_fuzz_index_header(kind, toy_index, golden_digest_index):
         except FormatError:
             return
         try:
-            symbols = ix.query_symbols(read)
-            if symbols:
-                compute_mem_table(ix, symbols)
+            codes = ix.encode_reads([(0, read)])[1]
+            if len(codes):
+                compute_mem_table(ix, ix.alphabet.symbols(codes))
         except MemtaxError:
             pass
 
@@ -543,7 +562,7 @@ def test_digest_k12_index_against_oracles():
         for i in range(len(read)):
             if rng.random() < 0.03:
                 read[i] = rng.choice("ACGT")
-        symbols = loaded.query_symbols("".join(read))
+        symbols = loaded.alphabet.symbols(loaded.encode_reads([(0, "".join(read))])[1])
         assert symbols == digest_sequence("".join(read), params)
         want = oracles.naive_mem_table(text, symbols)
         for index in (ix, loaded):

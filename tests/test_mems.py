@@ -85,6 +85,23 @@ def test_absent_digest_symbol_gives_empty_record(golden_digest_index):
     assert empties[0].genome_range is None
 
 
+def test_unqueryable_digest_symbols_act_as_absent_values(golden_digest_index):
+    # one symbol rule: find_interval and compute_mem_table both take only an
+    # integer in [0, 4^k) as a digest value; anything else is queried like
+    # 63, a value that never occurs, and raises nothing
+    ix = golden_digest_index
+    absent = 63
+    assert ix.find_interval([absent]).is_empty
+    for bad in ("A", None, 2.5, -1, 64, 10**30, -10**30):
+        assert ix.alphabet.query_codes([[bad]]).tolist() == [-1]
+        assert ix.find_interval([bad]).is_empty
+        assert ix.find_interval([24, bad]).is_empty and ix.find_interval([bad, 62]).is_empty
+        for read in ([24, bad, 62], [bad], [24, 62, 23, bad], [bad, bad, 62, 23]):
+            want = [absent if v is bad else v for v in read]
+            assert compute_mem_table(ix, read).records == compute_mem_table(ix, want).records
+    assert not ix.find_interval([24, 62, 23]).is_empty
+
+
 def test_min_mem_filter(golden_raw_index, golden_digest_index):
     table = compute_mem_table(golden_raw_index, P, min_length=5)
     lengths = [r.length for r in table]
