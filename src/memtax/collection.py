@@ -42,6 +42,8 @@ RESERVED = ("$", "#")  # read symbols never queried; a tuple, so digest values t
 CODE_OF_BYTE = np.full(256, -1, dtype=np.int32)  # A,C,G,T -> 3..6, N -> wildcard, else -1
 CODE_OF_BYTE[[ord(c) for c in BASES + WILDCARD]] = np.arange(FIRST_SYMBOL_CODE, WILDCARD_CODE + 1)
 _DROP_BASES = str.maketrans("", "", BASES)
+# a..z -> A..Z and nothing else: str.upper would turn "ß" into "SS"
+_FOLD = {c: c - 32 for c in range(ord("a"), ord("z") + 1)}
 _BASE_SYMBOL_OF_CODE = np.frombuffer(("\x00#$" + BASES + WILDCARD).encode(), dtype=np.uint8)
 _ASCII_RENDER_BASE = 37  # digest value v displays as chr(37 + v) when k == 3
 _FORMATS = ("fasta", "lines")  # genome and read file formats
@@ -82,16 +84,14 @@ class Alphabet:
         symbol that cannot be queried (separators, the wildcard and anything
         outside the declared symbol set): int8 for bases (a character
         outside ASCII encodes as one byte, '?'), int32 for digest values,
-        where only an integer v in [0, 4^k) is queryable, as v + 3 (a
-        string read holds no digest value)."""
+        where only an integer v in [0, 4^k) is queryable, as v + 3."""
         if self.kind == "bases":
             table = np.where(self.is_query_code(CODE_OF_BYTE), CODE_OF_BYTE, -1).astype(np.int8)
             text = "".join(r if isinstance(r, str) else "".join(r) for r in reads)
             return table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
         end = 4**self.k
-        values = chain.from_iterable([None] * len(r) if isinstance(r, str) else r for r in reads)
         return np.array([FIRST_SYMBOL_CODE + int(v) if isinstance(v, Integral) and 0 <= v < end
-                         else -1 for v in values], dtype=np.int32)
+                         else -1 for v in chain.from_iterable(reads)], dtype=np.int32)
 
     def symbols(self, codes):
         """The query symbols of query codes, the inverse of query_codes: a
@@ -191,8 +191,11 @@ class SeparatedText:
         return list(zip([0] + [end + 1 for end in ends[:-1]], ends))
 
     def text(self) -> str:
-        """Human-readable rendering, separators included."""
-        return "".join(self.alphabet.decode(int(c)) for c in self.codes)
+        """Human-readable rendering, separators included.  A digest of
+        k != 3 renders its values as numbers, so there every symbol is
+        delimited by '-'."""
+        numbers = self.alphabet.kind == "digest" and self.alphabet.k != 3
+        return ("-" if numbers else "").join(self.alphabet.decode(int(c)) for c in self.codes)
 
 
 def encode_bases(seq: str) -> np.ndarray:
@@ -210,7 +213,7 @@ def separate(collection: GenomeCollection) -> SeparatedText:
 
 
 def _clean_sequence(raw: str, name: str, allow_wildcard: bool) -> str:
-    seq = raw.upper()
+    seq = raw.translate(_FOLD)
     for ch in (*RESERVED, "\x00"):
         if ch in seq:
             raise ValidationError(f"reserved symbol {ch!r} in genome {name!r}")
@@ -226,7 +229,7 @@ def parse_collection(source, fmt: str = "fasta", allow_wildcard: bool = False) -
     file object; in-memory text is read through io.StringIO.
 
     fmt "fasta" expects '>'-headed records; fmt "lines" one genome per line.
-    Characters are case-folded; non-ACGT characters are rejected unless
+    ASCII letters are case-folded; non-ACGT characters are rejected unless
     allow_wildcard is set, in which case they become the N wildcard which
     participates in the text but never matches a query symbol.
     """
@@ -250,13 +253,17 @@ def parse_collection(source, fmt: str = "fasta", allow_wildcard: bool = False) -
 
 def iter_reads(source, fmt: str = "fasta") -> Iterable[tuple[str, str]]:
     """Yield (read_id, sequence) pairs from a path (str or os.PathLike) or a
-    text file object. Reads are case-folded but otherwise unvalidated;
-    unknown characters simply never match during queries.  A read without
-    a name is read<i>, i its record number (its line number in "lines")."""
+    text file object.  ASCII letters are case-folded, so a read keeps its
+    length; nothing else is validated here.  A symbol outside the query
+    alphabet (N, say) matches nowhere against a raw/kernel index, but a
+    read holding a reserved symbol, or against a digest index any non-ACGT
+    symbol, is unclassifiable (AugmentedFmIndex.encode_reads).  A read
+    without a name is read<i>, i its record number (its line number in
+    "lines")."""
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown reads format {fmt!r}")
     for name, seq, number in _records(source, fmt):
-        yield name or f"read{number}", seq.upper()
+        yield name or f"read{number}", seq.translate(_FOLD)
 
 
 @contextmanager

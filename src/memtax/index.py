@@ -123,32 +123,35 @@ class AugmentedFmIndex:
         return len(self.sa)
 
     def encode_reads(self, reads) -> tuple[list, np.ndarray, np.ndarray]:
-        """(ids, codes, offsets) of an iterable of (id, read string) pairs:
-        the reads' query codes laid end to end, read i's at
-        codes[offsets[i]:offsets[i + 1]].  Against digest indexes they are
-        the minimizer values of the reads digested with the index's stored
-        parameters (int32), against raw/kernel indexes the bases' codes
-        (int8, -1 for a symbol that cannot be queried).  A read holding a
-        reserved symbol, or against a digest index any non-ACGT symbol, has
-        no codes and is unclassifiable, like a read shorter than one digest
-        window.  The strings are encoded about BLOCK_SYMBOLS symbols at a
-        time and let go."""
+        """(ids, codes, offsets) of an iterable of (id, read) pairs: the
+        reads' query codes laid end to end, read i's at
+        codes[offsets[i]:offsets[i + 1]].  This is the one rule that turns a
+        read into query codes, by the read's kind alone.  A string against a
+        digest index is digested with the index's stored parameters (int32
+        codes of its minimizer values), against a raw/kernel index its bases
+        are coded (int8, -1 for a symbol that cannot be queried); any other
+        sequence holds query symbols, coded by Alphabet.query_codes.  A read
+        holding a reserved symbol, or a string holding any non-ACGT symbol
+        against a digest index, has no codes and is unclassifiable, like a
+        string shorter than one digest window.  The reads are encoded about
+        BLOCK_SYMBOLS symbols of one kind at a time and let go."""
         ids, parts, block, size = [], [], [], 0
-        for read_id, sequence in reads:
-            ids.append(read_id)
-            block.append(sequence)
-            size += len(sequence)
-            if size >= BLOCK_SYMBOLS:
+        for read_id, read in reads:
+            text = isinstance(read, str)
+            if block and (size >= BLOCK_SYMBOLS or text != isinstance(block[0], str)):
                 parts.append(self._encode(block))
                 block, size = [], 0
+            ids.append(read_id)
+            block.append(read)
+            size += len(read)
         parts.append(self._encode(block))
         codes, counts = (np.concatenate(arrays) for arrays in zip(*parts))
         return ids, codes, np.concatenate([[0], np.cumsum(counts)])
 
-    def _encode(self, reads: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The query codes of read strings laid end to end, and each read's
-        count of them."""
-        if self.digest_params is not None:
+    def _encode(self, reads: list) -> tuple[np.ndarray, np.ndarray]:
+        """The query codes of reads of one kind laid end to end, and each
+        read's count of them."""
+        if self.digest_params is not None and reads and isinstance(reads[0], str):
             return digest_reads(reads, self.digest_params)
         lengths = np.array([len(read) for read in reads], dtype=np.int64)
         codes = self.alphabet.query_codes(reads)

@@ -16,14 +16,12 @@ columns of one array, and a record is a lane's column as it is emitted;
 a batch's records get their first/last text positions and genomes
 together once it is walked.
 
-Reads stream through the engine CHUNK_READS at a time; a single read's
-table is a batch of one.  Read strings (read_mem_tables) become a
-chunk's query codes by the index, a block of strings at a time, and a
-chunk holds nothing per read but its id; sequences of query symbols
-(compute_mem_tables) are encoded by the alphabet.  Much of a round's
-cost is per numpy call, whatever its lane count, so wide chunks spread
-it over many reads; the records of a chunk are int32 to keep its memory
-small.
+Reads stream through the engine CHUNK_READS at a time (read_mem_tables);
+a single read's table is a batch of one.  A chunk becomes query codes by
+the index (AugmentedFmIndex.encode_reads), which alone decides a read's
+codes, and holds nothing per read but its id.  Much of a round's cost is
+per numpy call, whatever its lane count, so wide chunks spread it over
+many reads; the records of a chunk are int32 to keep its memory small.
 """
 from __future__ import annotations
 
@@ -32,7 +30,7 @@ from itertools import islice
 
 import numpy as np
 
-from .collection import RESERVED, Alphabet
+from .collection import Alphabet
 from .errors import ValidationError
 from .index import AugmentedFmIndex
 
@@ -68,57 +66,47 @@ class MemTable:
 
 
 def compute_mem_table(ix: AugmentedFmIndex, read, min_length: int = 1) -> MemTable:
-    """MEM table of one read (a base string for raw/kernel indexes, a
-    sequence of minimizer values for digest indexes; digest the read
-    first): compute_mem_tables with a batch of one."""
+    """MEM table of one read: compute_mem_tables with a batch of one."""
     if not len(read):
         raise ValidationError("read is empty")
     return next(compute_mem_tables(ix, [read], min_length))
 
 
 def compute_mem_tables(ix: AugmentedFmIndex, reads, min_length: int = 1):
-    """MEM table of every read of an iterable, in order, walked CHUNK_READS
-    reads at a time in lockstep; an empty read gets an empty table.
-
-    Against digest indexes, symbols absent from the indexed text produce
-    `empty` records; min_length drops every shorter record, those too.  A
-    read holding a reserved symbol raises ValidationError.
-    """
-    reads = iter(reads)
-    while chunk := list(islice(reads, CHUNK_READS)):
-        for read in chunk:
-            for s in RESERVED:
-                if s in read:
-                    raise ValidationError(f"read contains reserved symbol {s!r}")
-        offsets = np.cumsum([0] + [len(read) for read in chunk])
-        yield from _tables(ix, ix.alphabet.query_codes(chunk), offsets, min_length)
+    """MEM table of every read of an iterable, in order: read_mem_tables
+    of the reads numbered."""
+    return (table for _, _, table in read_mem_tables(ix, enumerate(reads), min_length))
 
 
 def read_mem_tables(ix: AugmentedFmIndex, reads, min_length: int = 1):
-    """(id, query codes, MEM table) of every (id, read string) pair of an
+    """(id, query codes, MEM table) of every (id, read) pair of an
     iterable, in order: CHUNK_READS reads at a time are encoded into query
-    codes (AugmentedFmIndex.encode_reads) and walked in lockstep.  An
-    unclassifiable read has no codes and an empty table."""
+    codes (AugmentedFmIndex.encode_reads) and walked in lockstep, and each
+    table is built from the chunk's columnar records as it is consumed.
+
+    A read is a string or a sequence of query symbols, encoded by the
+    index's rule; an empty or unclassifiable read (one holding a reserved
+    symbol, say) has no codes and an empty table.  Against digest indexes,
+    symbols absent from the indexed text produce `empty` records;
+    min_length, at least 1, drops every shorter record, those too.
+    """
+    if min_length < 1:
+        raise ValidationError(f"minimum MEM length must be at least 1, got {min_length}")
     reads = iter(reads)
     while True:
         ids, codes, offsets = ix.encode_reads(islice(reads, CHUNK_READS))
         if not ids:
             return
-        bounds = offsets.tolist()
-        for lane, table in enumerate(_tables(ix, codes, offsets, min_length)):
-            yield ids[lane], codes[bounds[lane]: bounds[lane + 1]], table
-
-
-def _tables(ix: AugmentedFmIndex, codes, offsets, min_length: int):
-    """The MEM tables of a chunk's reads, read i's query codes being
-    codes[offsets[i]:offsets[i + 1]], each built as it is consumed from the
-    chunk's columnar records."""
-    columns, bounds = _walk(ix, codes, offsets, min_length)
-    for lane in range(len(offsets) - 1):
-        rows = zip(*columns[:, bounds[lane]: bounds[lane + 1]].tolist())
-        yield MemTable([MemRecord(start, length, empty=True) if pmin < 0 else
-                        MemRecord(start, length, pmin, pmax, gmin, gmax)
-                        for start, length, pmin, pmax, gmin, gmax in rows])
+        columns, bounds = _walk(ix, codes, offsets, min_length)
+        at, bounds = offsets.tolist(), bounds.tolist()
+        for lane, read_id in enumerate(ids):
+            rows = zip(*columns[:, bounds[lane]: bounds[lane + 1]].tolist())
+            yield read_id, codes[at[lane]: at[lane + 1]], MemTable(
+                [MemRecord(start, length, empty=True) if pmin < 0 else
+                 MemRecord(start, length, pmin, pmax, gmin, gmax)
+                 for start, length, pmin, pmax, gmin, gmax in rows])
+        # let the chunk go before the next one is encoded
+        del ids, codes, offsets, columns, bounds, at, rows
 
 
 def _walk(ix: AugmentedFmIndex, codes, offsets, min_length: int):

@@ -37,6 +37,13 @@ def test_build_and_query_raw(tmp_path, toy_files, capsys):
         ("ACAT", "4", "21", "0", "2"),
         ("ATA", "11", "41", "1", "4"),
     ]
+    # only ASCII letters fold: "ß" stays one symbol, so GATT starts at 6
+    # (str.upper made it "SS" and reported 7)
+    reads.write_text(">r1\nacataßGATT\n")
+    assert main(["query", "--index", str(idx), "--reads", str(reads), "--min-mem", "4",
+                 "--output", str(out)]) == 0
+    rows = [l.split("\t") for l in out.read_text().splitlines()[1:]]
+    assert [(r[1], r[2], r[3]) for r in rows] == [("0", "4", "ACAT"), ("6", "4", "GATT")]
 
 
 def test_build_kernel_and_digest_kernel(tmp_path, golden_genomes, capsys):
@@ -383,3 +390,9 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "terminating ';'" in err[0]
+    # validation error: a minimum MEM length below 1 (it used to act as 1)
+    for command, min_mem in (("query", "0"), ("classify", "-4")):
+        argv = [command, "--index", str(idx), "--reads", str(reads), "--min-mem", min_mem]
+        assert main(argv + (["--tree", str(tree)] if command == "classify" else [])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: minimum MEM length must be at least 1, got {min_mem}"]

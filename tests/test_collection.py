@@ -158,6 +158,14 @@ def test_fuzz_text_readers():
     @given(_FUZZ_TEXT)
     def check(text):
         _readers_answer_or_raise(lambda: io.StringIO(text))
+        # case folding keeps every length, "ß" and "ﬀ" included
+        lengths = [len(line.strip()) for line in io.StringIO(text) if line.strip()]
+        assert [len(seq) for _, seq in iter_reads(io.StringIO(text), fmt="lines")] == lengths
+        try:
+            genomes = parse_collection(io.StringIO(text), fmt="lines", allow_wildcard=True).genomes
+            assert [len(genome) for genome in genomes] == lengths
+        except MemtaxError:
+            pass
         try:
             LcaStructure(parse_newick(text))
         except MemtaxError:

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memtax import (DigestParams, GenomeCollection, ValidationError,
+from memtax import (DigestParams, GenomeCollection, SeparatedText, ValidationError,
                     digest_collection, digest_sequence, hash_value,
                     kmer_value, render_ascii)
 from memtax import digest
-from memtax.collection import FIRST_SYMBOL_CODE, Alphabet
+from memtax.collection import FIRST_SYMBOL_CODE, HASH_CODE, SEP_CODE, Alphabet
 from memtax.digest import digest_reads, digest_with_positions
 from memtax.mems import render_symbols
 
@@ -256,6 +256,15 @@ def test_general_k_digest_queryable():
     from memtax import longest_mems
     top = longest_mems(table)
     assert all(r.first_genome <= 1 <= r.last_genome for r in top)
+    # the text reads back: every symbol is delimited by '-', separators and
+    # gap markers verbatim (the values used to run together)
+    tokens = d.text().split("-")
+    assert tokens.count("$") == 3
+    assert [SEP_CODE if t == "$" else FIRST_SYMBOL_CODE + int(t)
+            for t in tokens] == d.codes.tolist()
+    codes = [FIRST_SYMBOL_CODE + 313, FIRST_SYMBOL_CODE + 915, HASH_CODE,
+             FIRST_SYMBOL_CODE + 996, SEP_CODE]
+    assert SeparatedText(codes, d.alphabet).text() == "313-915-#-996-$"
 
 
 def test_digest_params_bounds():

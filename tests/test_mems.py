@@ -3,8 +3,8 @@ import tracemalloc
 
 import pytest
 
-from memtax import (GenomeCollection, ValidationError, build_index,
-                    compute_mem_table, deserialize, longest_mems, separate)
+from memtax import (DigestParams, GenomeCollection, ValidationError, build_index,
+                    compute_mem_table, deserialize, digest_sequence, longest_mems, separate)
 from memtax import mems
 from memtax.collection import SEP_CODE
 from memtax.mems import compute_mem_tables, render_symbols, tsv_rows
@@ -60,8 +60,9 @@ def test_read_equal_to_unique_genome():
 def test_empty_read_rejected(toy_index):
     with pytest.raises(ValidationError):
         compute_mem_table(toy_index, "")
-    with pytest.raises(ValidationError):
-        compute_mem_table(toy_index, "AC$AT")
+    # a read holding a reserved symbol is not empty: it is unclassifiable
+    for read in ("AC$AT", "AC#AT", list("AC$AT")):
+        assert compute_mem_table(toy_index, read).records == []
 
 
 def test_absent_symbol_resets_without_record(toy_index):
@@ -109,6 +110,12 @@ def test_min_mem_filter(golden_raw_index, golden_digest_index):
     # empty records are one symbol long, so min_length 2 drops them too
     table = compute_mem_table(golden_digest_index, [24, 63, 62], min_length=2)
     assert not any(r.empty for r in table)
+    # a minimum length below 1 is an error, not a minimum of 1
+    for min_length in (0, -4):
+        with pytest.raises(ValidationError, match="at least 1"):
+            compute_mem_table(golden_raw_index, P, min_length=min_length)
+        with pytest.raises(ValidationError, match="at least 1"):
+            list(compute_mem_tables(golden_raw_index, [], min_length))
 
 
 def test_longest_mems_examples(golden_raw_index, golden_kernel4_index):
@@ -254,10 +261,33 @@ def test_mem_tables_digest_empties(golden_digest, golden_digest_index, monkeypat
                for t in table)
 
 
-def test_mem_tables_empty_and_reserved_reads(toy_index):
+def test_mem_tables_empty_and_reserved_reads(toy_index, golden_collection,
+                                             golden_digest_index, monkeypatch):
+    # a read holding a reserved symbol gets an empty table and leaves its
+    # neighbours' tables as they are alone, also across chunk boundaries
     assert [len(t) for t in compute_mem_tables(toy_index, ["", "ACATA", ""])] == [0, 2, 0]
-    with pytest.raises(ValidationError):
-        list(compute_mem_tables(toy_index, ["ACATA", "AC#AT"]))
+    reads = ["ACATA", "AC#AT", "GAT", "$", "TACAT"]
+    alone = [record_tuples(compute_mem_table(toy_index, read)) for read in reads]
+    assert alone[1] == alone[3] == [] and all(alone[::2])
+    for chunk in (2, mems.CHUNK_READS):
+        assert _batch_tables(toy_index, reads, chunk, monkeypatch) == alone
+    # against a digest index a string read is digested with the index's
+    # parameters, a value list is queried as it is, and one holding a
+    # reserved symbol gets an empty table; a batch mixing the kinds gives
+    # every read the table it gets alone
+    ix = golden_digest_index
+    strings = [golden_collection.genomes[g][5:40] for g in (2, 7, 11)] + ["ACGTN" * 6]
+    for read in strings:
+        want = digest_sequence(read, DigestParams()) if "N" not in read else []
+        assert record_tuples(compute_mem_table(ix, read)) == \
+            (record_tuples(compute_mem_table(ix, want)) if want else [])
+    assert any(compute_mem_table(ix, read).records for read in strings)
+    for read in ([24, "$", 62], ["#"], ["$", 63]):
+        assert compute_mem_table(ix, read).records == []
+    reads = [strings[0], [24, 63, 62], strings[1], [24, "$"], [24, 62, 23], strings[3], strings[2]]
+    alone = [record_tuples(compute_mem_table(ix, read)) for read in reads]
+    for chunk in (1, 2, 3, mems.CHUNK_READS):
+        assert _batch_tables(ix, reads, chunk, monkeypatch) == alone
 
 
 def test_mem_tables_memory_is_one_chunk(monkeypatch):
