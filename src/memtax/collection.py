@@ -84,10 +84,14 @@ class Alphabet:
         symbol that cannot be queried (separators, the wildcard and anything
         outside the declared symbol set): int8 for bases (a character
         outside ASCII encodes as one byte, '?'), int32 for digest values,
-        where only an integer v in [0, 4^k) is queryable, as v + 3."""
+        where only an integer v in [0, 4^k) is queryable, as v + 3.  Each
+        item of a read that is not a string is one symbol; as a base, only
+        a one-character string can be queried."""
         if self.kind == "bases":
             table = np.where(self.is_query_code(CODE_OF_BYTE), CODE_OF_BYTE, -1).astype(np.int8)
-            text = "".join(r if isinstance(r, str) else "".join(r) for r in reads)
+            text = "".join(r if isinstance(r, str) else
+                           "".join(s if isinstance(s, str) and len(s) == 1 else "?" for s in r)
+                           for r in reads)
             return table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
         end = 4**self.k
         return np.array([FIRST_SYMBOL_CODE + int(v) if isinstance(v, Integral) and 0 <= v < end

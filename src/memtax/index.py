@@ -146,7 +146,7 @@ class AugmentedFmIndex:
             size += len(read)
         parts.append(self._encode(block))
         codes, counts = (np.concatenate(arrays) for arrays in zip(*parts))
-        return ids, codes, np.concatenate([[0], np.cumsum(counts)])
+        return ids, codes, np.concatenate([[0], np.add.accumulate(counts)])
 
     def _encode(self, reads: list) -> tuple[np.ndarray, np.ndarray]:
         """The query codes of reads of one kind laid end to end, and each
@@ -155,7 +155,8 @@ class AugmentedFmIndex:
             return digest_reads(reads, self.digest_params)
         lengths = np.array([len(read) for read in reads], dtype=np.int64)
         codes = self.alphabet.query_codes(reads)
-        keep = np.array([not any(symbol in read for symbol in RESERVED) for read in reads],
+        keep = np.array([not any(symbol in read for symbol in RESERVED) if isinstance(read, str)
+                         else all(symbol not in RESERVED for symbol in read) for read in reads],
                         dtype=bool)
         if not keep.all():
             codes = codes[np.repeat(keep, lengths)]

@@ -7,7 +7,11 @@ held as int32 (each ranked by one packed in-place sort of int64 keys,
 sort_keys) and held by the index in the file's fixed-width dtypes, and one
 sorted key array over the BWT in which a single search answers LF, rank
 and the C table.  A text's levels come from one lazily advanced pass
-(DoublingLevels), shared by its suffix array and its kernels.  Two
+(DoublingLevels), shared by its suffix array and its kernels.  The pass
+starts at a seed level, ranked by one sort of packed symbol words (8
+base symbols of 3 bits, 4 k = 3 digest symbols of 7 bits, in an int32
+word); the LCP takes its part below the seed's length from the XOR of two
+such words, and a level below the seed is sorted on demand.  Two
 scans over such an array answer many lanes at once: reduce_ranges (a min
 or max over each of many row ranges) and first_below (the first row past
 each origin whose value is below a bound, in windows of _SCAN_ROWS rows
@@ -47,29 +51,71 @@ def sort_keys(keys, bound: int):
     return order, keys
 
 
-def prefix_doubling_ranks(codes):
-    """Yield, for h = 1, 2, 4, ..., the rank of the length-h prefix of every
-    suffix of codes + EOF sentinel (dense, in the prefixes' sorted order):
-    ranks[i] == ranks[j] iff the two prefixes are equal.  A prefix that
-    reaches the unique sentinel is itself unique.  Stops after the first
-    all-distinct level, which is then the inverse suffix array.  The levels
-    are int32 below 2**31 rows (every rank is below the row count), else
-    int64; the sort keys are int64.
+def symbol_bits(codes) -> int:
+    """Bits of one packed symbol: ceil(log2 sigma) for codes in [0, max]."""
+    return max(int(np.max(codes, initial=EOF_CODE)).bit_length(), 1)
 
-    Manber & Myers prefix doubling.  Each level sorts its keys with
-    sort_keys (level 0 the codes, then rank * d + next_rank over the d
-    ranks of the level before), and the dense ranks are the running count
-    of key changes along the sorted keys, scattered back by the order.
-    Between levels the pass holds only the level it last yielded.
-    """
-    key = np.append(np.asarray(codes, dtype=np.int64), EOF_CODE)
-    if key.size == 1:
+
+def seed_level(bits: int, rows: int) -> int:
+    """The level a doubling pass starts at, its seed: the largest j such
+    that 2**j symbols of bits bits each fit 31 bits (an int32 word) and,
+    with the bits of a row index below rows, 63 bits (sort_keys' packed
+    sort); 0 when no two symbols fit."""
+    room = min(31, 63 - (rows - 1).bit_length())
+    return max((room // bits).bit_length() - 1, 0)
+
+
+def _text(codes, dtype=np.int64) -> np.ndarray:
+    """codes + EOF sentinel, checked."""
+    text = np.append(np.asarray(codes, dtype=dtype), EOF_CODE)
+    if text.size == 1:
         raise ValueError("text must be non-empty")
-    if key[:-1].min() <= EOF_CODE:
+    if text[:-1].min() <= EOF_CODE:
         raise ValueError("text codes must be greater than the EOF code")
-    n = len(key)
+    return text
+
+
+def _packed_words(text, j: int, bits: int) -> np.ndarray:
+    """The 2**j symbols from every row of text as one word of the text's
+    dtype, bits bits per symbol, the first in the high bits; past the
+    sentinel the symbols are code 0, so a word's order is its prefix's.
+    At j = 0 the words are text itself."""
+    for m in (1 << i for i in range(j)):
+        shifted = text << (bits * m)
+        shifted[:-m] |= text[m:]
+        text = shifted
+    return text
+
+
+def prefix_doubling_ranks(codes):
+    """Yield, for h = 2**s, 2**(s+1), ..., the rank of the length-h prefix
+    of every suffix of codes + EOF sentinel (dense, in the prefixes' sorted
+    order): ranks[i] == ranks[j] iff the two prefixes are equal.  s is the
+    seed_level of the codes' symbol_bits.  A prefix that reaches the unique
+    sentinel is itself unique.  Stops after the first all-distinct level,
+    which is then the inverse suffix array.  The levels are int32 below
+    2**31 rows (every rank is below the row count), else int64; the sort
+    keys are int64.
+    """
+    text = _text(codes)
+    bits = symbol_bits(text)
+    return _doubling(text, seed_level(bits, len(text)), bits)
+
+
+def _doubling(text, j: int, bits: int):
+    """Levels j, j+1, ... of text (codes + sentinel, int64, overwritten).
+
+    Manber & Myers prefix doubling, seeded by packed words.  Each level
+    sorts its keys with sort_keys (level j the words of 2**j symbols, then
+    rank * d + next_rank over the d ranks of the level before), and the
+    dense ranks are the running count of key changes along the sorted keys,
+    scattered back by the order.  Between levels the pass holds only the
+    level it last yielded.
+    """
+    n = len(text)
     dtype = np.int32 if n < 1 << 31 else np.int64
-    bound, h = int(key.max()) + 1, 1
+    key, bound = _packed_words(text, j, bits), 1 << (bits << j)
+    del text
     while True:
         order, key = sort_keys(key, bound)
         change = np.empty(n, dtype=bool)
@@ -86,11 +132,12 @@ def prefix_doubling_ranks(codes):
             return
         # a suffix starting in the last h rows reaches the sentinel, so its
         # rank is unique already and needs no second half
+        h = 1 << j
         key = rank.astype(np.int64)
         key *= distinct
         key[: n - h] += rank[h:]
         bound = distinct * distinct
-        h *= 2
+        j += 1
 
 
 # every level number a text can reach: its rows are below 2**63
@@ -100,8 +147,10 @@ ALL_LEVELS = range(64)
 class DoublingLevels:
     """The prefix-doubling levels of one text, from one lazily advanced
     prefix_doubling_ranks pass shared by everything built from the text:
-    its suffix array takes every level, a kernel of order k the level of
-    length 2**floor(log2 k).
+    its suffix array takes every level from the pass's seed, a kernel of
+    order k the level of length 2**floor(log2 k).  A level below the seed
+    (only a kernel of order below 2**seed asks for one) comes from its own
+    sort of packed words, outside the pass.
 
     A level outlives the pass moving on, and trim, only while its number is
     in keep (a container of level numbers, ALL_LEVELS for every one; empty
@@ -111,10 +160,12 @@ class DoublingLevels:
 
     def __init__(self, codes):
         self.codes = codes
+        self.bits = symbol_bits(codes)
+        self.seed = seed_level(self.bits, len(codes) + 1)
         self.keep = ()
         self.last: int | None = None  # the all-distinct level, once reached
         self._pass = None
-        self._computed = 0  # levels the current pass has yielded
+        self._next = self.seed  # the level the current pass yields next
         self._held: dict[int, np.ndarray] = {}
 
     def __getitem__(self, j: int) -> np.ndarray:
@@ -124,11 +175,16 @@ class DoublingLevels:
             j = min(j, self.last)
         if j in self._held:
             return self._held[j]
-        if self._pass is None or j < self._computed:
-            self._pass, self._computed = prefix_doubling_ranks(self.codes), 0
+        if j < self.seed:
+            rank = next(_doubling(_text(self.codes), j, self.bits))
+            if self._keeps(j):
+                self._held[j] = rank
+            return rank
+        if self._pass is None or j < self._next:
+            self._pass, self._next = prefix_doubling_ranks(self.codes), self.seed
         while True:
-            i, rank = self._computed, next(self._pass)
-            self._computed += 1
+            i, rank = self._next, next(self._pass)
+            self._next += 1
             if not self._keeps(i - 1):
                 self._held.pop(i - 1, None)
             self._held[i] = rank
@@ -137,18 +193,18 @@ class DoublingLevels:
             if i == j or i == self.last:
                 return rank
 
-    def all(self) -> list[np.ndarray]:
-        """Every level, 0 to the last."""
-        out = [self[0]]
-        while self.last is None or len(out) <= self.last:
-            out.append(self[len(out)])
+    def from_seed(self) -> list[np.ndarray]:
+        """Every level of the pass: the seed to the last."""
+        out = [self[self.seed]]
+        while self.last is None or self.seed + len(out) <= self.last:
+            out.append(self[self.seed + len(out)])
         return out
 
     def trim(self) -> None:
         """Let go of every level not in keep, and of the pass once keep
         wants no level it has yet to yield."""
         self._held = {i: rank for i, rank in self._held.items() if self._keeps(i)}
-        if max(self.keep, default=-1) < self._computed:
+        if max(self.keep, default=-1) < self._next:
             self._pass = None
 
     def _keeps(self, i: int) -> bool:
@@ -162,13 +218,15 @@ def build_suffix_array(codes) -> tuple[np.ndarray, np.ndarray]:
     DoublingLevels of the text, whose levels are then taken and shared.
 
     sa[0] is always the sentinel position len(codes); lcp[0] = 0 and lcp[i]
-    is the longest common prefix of the suffixes at rows i-1 and i, found by
-    binary lifting over the prefix-doubling levels, from the longest down,
-    a block of rows at a time; each level is let go once lifted (unless the
-    DoublingLevels keeps it).
+    is the longest common prefix of the suffixes at rows i-1 and i.  Its
+    multiple of W = 2**seed comes from binary lifting over the levels from
+    the longest down to the seed, a block of rows at a time, each level let
+    go once lifted (unless the DoublingLevels keeps it).  Its rest, below
+    W, is the count of equal leading symbols of the two suffixes' next
+    packed words, which the bit length of their XOR gives.
     """
     levels = codes if isinstance(codes, DoublingLevels) else DoublingLevels(codes)
-    ranks = levels.all()
+    ranks = levels.from_seed()
     levels.trim()
     inverse = ranks.pop()
     n = len(inverse)
@@ -179,13 +237,26 @@ def build_suffix_array(codes) -> tuple[np.ndarray, np.ndarray]:
     lcp = np.zeros(n, dtype=np.int64)
     # the last level is all-distinct, so every lcp is below its length
     while ranks:
-        j, rank = len(ranks) - 1, ranks.pop()
-        for start in range(1, n, BLOCK_ROWS):
-            cur = sa[start: start + BLOCK_ROWS]
-            h = lcp[start: start + len(cur)]
-            prev = sa[start - 1: start - 1 + len(cur)]
+        j, rank = levels.seed + len(ranks) - 1, ranks.pop()
+        for prev, cur, h in _adjacent_rows(sa, lcp):
             h += (rank[prev + h] == rank[cur + h]) << j
+        del rank
+    if levels.seed:
+        # the levels are gone, so the int32 words add no peak; two suffixes
+        # differ within W symbols of their lifted lcp, at or before the sentinel
+        words = _packed_words(_text(levels.codes, np.int32), levels.seed, levels.bits)
+        width = levels.bits << levels.seed
+        for prev, cur, h in _adjacent_rows(sa, lcp):
+            h += (width - np.frexp(words[prev + h] ^ words[cur + h])[1]) // levels.bits
     return sa, lcp
+
+
+def _adjacent_rows(sa, lcp):
+    """(sa[i-1], sa[i], lcp[i]) for rows i >= 1, as views a block of rows at
+    a time."""
+    for start in range(1, len(sa), BLOCK_ROWS):
+        cur = sa[start: start + BLOCK_ROWS]
+        yield sa[start - 1: start - 1 + len(cur)], cur, lcp[start: start + len(cur)]
 
 
 def derive_bwt(codes, sa: np.ndarray) -> np.ndarray:
@@ -273,7 +344,7 @@ def reduce_ranges(ufunc, values, starts, stops):
         return np.empty(0, dtype=values.dtype)
     lengths = stops - starts
     if 64 * (total := int(lengths.sum())) <= len(values):
-        offsets = np.cumsum(lengths) - lengths
+        offsets = np.add.accumulate(lengths) - lengths
         rows = np.repeat(starts - offsets, lengths)
         rows += np.arange(total)
         return ufunc.reduceat(values[rows], offsets)
@@ -301,8 +372,11 @@ def first_below(values, origins, bounds):
     todo, width = np.flatnonzero(start < n), _SCAN_ROWS
     while todo.size:
         w = min(width, n)
-        windows = np.lib.stride_tricks.as_strided(values, (n - w + 1, w), values.strides * 2,
-                                                  writeable=False)
+        # only read, yet not made read-only: that flag's setter, like
+        # np.cumsum, calls a method by a name string made afresh per call,
+        # which Python's type cache may keep, so a walk's traced peak would
+        # vary from run to run (np.add.accumulate calls none)
+        windows = np.lib.stride_tricks.as_strided(values, (n - w + 1, w), values.strides * 2)
         per_gather = max(1, _GATHER_ROWS // w)
         for k in range(0, len(todo), per_gather):
             group = todo[k: k + per_gather]

@@ -290,6 +290,24 @@ def test_mem_tables_empty_and_reserved_reads(toy_index, golden_collection,
         assert _batch_tables(ix, reads, chunk, monkeypatch) == alone
 
 
+def test_non_string_base_reads_take_one_symbol_per_item(monkeypatch):
+    # each item of a non-string read is one symbol, whatever its neighbours;
+    # one that is not a one-character base matches nowhere, like N
+    ix = build_index(separate(GenomeCollection(genomes=["GATTACAT", "AGATACAT", "GATACAT"])))
+    gatta = record_tuples(compute_mem_table(ix, "GATTA"))
+    assert [r[:2] for r in gatta] == [(0, 5)]
+    for chunk in (1, mems.CHUNK_READS):
+        assert _batch_tables(ix, [["AC", "A"], "GATTA"], chunk, monkeypatch) == \
+            [record_tuples(compute_mem_table(ix, "NA")), gatta]
+    for read, same in (([3, 4], "NN"), (b"ACA", "NNN"), (["A", None, "ß", "a"], "ANNN"),
+                       (list("ACA"), "ACA"), (tuple("GATTA"), "GATTA")):
+        assert record_tuples(compute_mem_table(ix, read)) == \
+            record_tuples(compute_mem_table(ix, same))
+    assert ix.find_interval([3]).is_empty and ix.find_interval(["AC"]).is_empty
+    assert ix.find_interval(["A", "T"]) == ix.find_interval("AT")
+    assert not ix.find_interval("AT").is_empty
+
+
 def test_mem_tables_memory_is_one_chunk(monkeypatch):
     # reads stream through in chunks: four chunks peak no higher than one,
     # and a chunk copies no row-sized array (the index is loaded from a file

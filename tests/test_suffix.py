@@ -3,10 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from memtax import DigestParams, GenomeCollection, digest_collection, suffix
+from memtax import (DigestParams, GenomeCollection, KernelParams, build_katka_kernel,
+                    digest_collection, kernel, separate, suffix)
 from memtax.collection import encode_bases
+from memtax.kernel import doubling_level
 from memtax.suffix import (ALL_LEVELS, DoublingLevels, IndexedSequence, RangeExtremes,
-                           build_suffix_array, derive_bwt, prefix_doubling_ranks, sort_keys)
+                           build_suffix_array, derive_bwt, prefix_doubling_ranks, seed_level,
+                           sort_keys, symbol_bits)
 
 import oracles
 
@@ -71,27 +74,68 @@ def test_sa_lcp_unary_and_periodic_texts():
         _check_sa_lcp_bwt(encode_bases("AAC" * (n // 3 + 1)))
 
 
+def _digest_codes(rng, k, w):
+    genomes = ["".join(rng.choice("ACGT") for _ in range(rng.randint(5, 150)))
+               for _ in range(6)]
+    genomes.append(genomes[0] * 2)  # long repeats across genomes
+    return digest_collection(GenomeCollection(genomes=genomes), DigestParams(k=k, w=w)).codes
+
+
+def _seed(codes):
+    return seed_level(symbol_bits(codes), len(codes) + 1)
+
+
 def test_sa_lcp_digest_alphabet_text():
+    # 4**3 values + 3 codes take 7 bits (4 per 31-bit word), 4**5 take 11
+    # (2 per word); 4**8 take 17, so no two fit and the pass starts at level 0
     rng = random.Random(13)
-    for k, w in ((3, 2), (5, 1)):
-        genomes = ["".join(rng.choice("ACGT") for _ in range(rng.randint(5, 150)))
-                   for _ in range(6)]
-        genomes.append(genomes[0] * 2)  # long repeats across genomes
-        codes = digest_collection(GenomeCollection(genomes=genomes),
-                                  DigestParams(k=k, w=w)).codes
+    for k, w, seed in ((3, 2, 2), (3, 10, 2), (5, 1, 1), (8, 2, 0)):
+        codes = _digest_codes(rng, k, w)
         assert codes.max() > 8  # beyond the base alphabet
+        assert _seed(codes) == seed
         _check_sa_lcp_bwt(codes)
 
 
-def _check_doubling_levels(codes):
+def test_sa_lcp_short_texts_and_sentinel_in_first_word():
+    # 8 base symbols share a word; the sentinel falls inside the first word
+    # of the last 7 suffixes, and of every suffix of a text below 8 symbols
+    rng = random.Random(31)
+    lengths = list(range(1, 10)) + [8 * m + d for m in (2, 3, 4, 9) for d in (-1, 0, 1)]
+    for n in lengths:
+        for alpha in ("A", "AC", "ACGT"):
+            codes = encode_bases("".join(rng.choice(alpha) for _ in range(n)))
+            _check_sa_lcp_bwt(codes)
+            _check_doubling_levels(codes, 3)
+
+
+def test_lcp_every_residue_of_the_word():
+    # the low bits come from one XOR of packed words: every residue mod
+    # 2**seed, 0 included, must occur and match the naive LCP
+    rng = random.Random(37)
+    codes = encode_bases("".join(rng.choice("AC") for _ in range(400)))
+    digest = _digest_codes(rng, 3, 2)
+    for codes, width in ((codes, 8), (digest, 4)):
+        assert 1 << _seed(codes) == width
+        sa, lcp = build_suffix_array(codes)
+        assert list(lcp) == oracles.naive_lcp(codes, sa)
+        assert set((lcp[1:] % width).tolist()) == set(range(width))
+
+
+def _check_doubling_levels(codes, seed):
+    assert _seed(codes) == seed
     levels = list(prefix_doubling_ranks(codes))
     assert all(rank.dtype == np.int32 for rank in levels)  # fewer than 2**31 rows
     levels = [rank.tolist() for rank in levels]
-    for j, rank in enumerate(levels):
+    for j, rank in enumerate(levels, start=seed):
         assert rank == oracles.naive_prefix_ranks(codes, 1 << j)
-    # the generator stops at the first all-distinct level, and only there
+    # the pass starts at the seed and stops at the first all-distinct level
+    # at or past it, and only there
     assert [len(set(rank)) == len(rank) for rank in levels] == \
         [False] * (len(levels) - 1) + [True]
+    # a level below the seed comes from its own packed sort
+    on_demand = DoublingLevels(codes)
+    for j in range(seed):
+        assert on_demand[j].tolist() == oracles.naive_prefix_ranks(codes, 1 << j)
 
 
 def test_doubling_levels_against_oracle():
@@ -99,51 +143,89 @@ def test_doubling_levels_against_oracle():
     for _ in range(60):
         n = rng.randint(1, 200)
         alpha = rng.choice(["AC", "ACGT"])
-        _check_doubling_levels(encode_bases("".join(rng.choice(alpha) for _ in range(n))))
+        _check_doubling_levels(encode_bases("".join(rng.choice(alpha) for _ in range(n))), 3)
     for n in (1, 2, 3, 31, 32, 33, 100):
-        _check_doubling_levels(encode_bases("A" * n))
-        _check_doubling_levels(encode_bases("ACG" * n))
+        _check_doubling_levels(encode_bases("A" * n), 3)
+        _check_doubling_levels(encode_bases("ACG" * n), 3)
     genomes = ["".join(rng.choice("ACGT") for _ in range(rng.randint(20, 120)))
                for _ in range(4)]
     genomes.append(genomes[0] * 2)
-    codes = digest_collection(GenomeCollection(genomes=genomes), DigestParams(k=3, w=2)).codes
-    assert codes.max() > 8
-    _check_doubling_levels(codes)
+    for k, seed in ((3, 2), (8, 0)):
+        codes = digest_collection(GenomeCollection(genomes=genomes), DigestParams(k=k, w=2)).codes
+        assert codes.max() > 8
+        _check_doubling_levels(codes, seed)
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_doubling_levels_shared_kept_and_restarted(monkeypatch):
-    passes = []
-
-    def counted(codes):
-        passes.append(len(codes))
-        yield from prefix_doubling_ranks(codes)
-
-    monkeypatch.setattr(suffix, "prefix_doubling_ranks", counted)
     rng = random.Random(23)
     codes = encode_bases("".join(rng.choice("ACGT") for _ in range(300)) * 2)
-    want = list(prefix_doubling_ranks(codes))
+    want = [np.array(oracles.naive_prefix_ranks(codes, 1 << j)) for j in range(3)]
+    want += list(prefix_doubling_ranks(codes))
     last = len(want) - 1
+    passes = _counted(monkeypatch, suffix, "prefix_doubling_ranks")
+    sorts = _counted(monkeypatch, suffix, "sort_keys")
 
     levels = DoublingLevels(codes)
-    assert np.array_equal(levels[3], want[3]) and levels.last is None
+    assert levels.seed == 3
+    assert np.array_equal(levels[4], want[4]) and levels.last is None
     assert np.array_equal(levels[63], want[last]) and levels.last == last
-    assert passes == [len(codes)]  # one pass served both, and all levels below
-    assert np.array_equal(levels[1], want[1]) and len(passes) == 2  # let go: again
+    assert passes == [len(codes)]  # one pass served both, and all levels between
+    assert len(sorts) == last - 2  # one sort per level from the seed
+    assert np.array_equal(levels[3], want[3]) and len(passes) == 2  # let go: again
+    # below the seed: one packed sort of its own, no pass
+    assert np.array_equal(levels[1], want[1]) and len(passes) == 2
+    assert len(sorts) == last - 2 + 2
 
     # kept levels serve later consumers; the rest are let go by trim
     levels = DoublingLevels(codes)
     levels.keep = ALL_LEVELS
     assert np.array_equal(levels[2], want[2])
     sa, lcp = build_suffix_array(levels)
-    assert [r.tolist() for r in levels.all()] == [r.tolist() for r in want]
+    assert [r.tolist() for r in levels.from_seed()] == [r.tolist() for r in want[3:]]
     assert len(passes) == 3
     expected = build_suffix_array(codes)
     assert np.array_equal(sa, expected[0]) and np.array_equal(lcp, expected[1])
-    levels.keep = {2, 40}  # 40 is past the last level, which serves it
+    levels.keep = {2, 5, 40}  # 40 is past the last level, which serves it
     levels.trim()
+    sorts.clear()
     assert np.array_equal(levels[40], want[last]) and np.array_equal(levels[2], want[2])
+    assert np.array_equal(levels[5], want[5]) and not sorts  # all three kept
     assert len(passes) == 4  # build_suffix_array(codes) made its own
-    assert np.array_equal(levels[1], want[1]) and len(passes) == 5  # trimmed away
+    assert np.array_equal(levels[4], want[4]) and len(passes) == 5  # trimmed away
+    assert np.array_equal(levels[1], want[1]) and len(passes) == 5
+
+
+def test_seeded_pass_sort_count(monkeypatch):
+    # levels 0-2 of a base text take no sort of their own: its suffix array
+    # takes one sort per level from the seed, level 3, to the last
+    sorts = _counted(monkeypatch, suffix, "sort_keys")
+    window_sorts = _counted(monkeypatch, kernel, "sort_keys")
+    rng = random.Random(41)
+    genomes = ["".join(rng.choice("ACGT") for _ in range(200)) * 3 for _ in range(4)]
+    st = separate(GenomeCollection(genomes=genomes))
+    levels = st.levels
+    assert levels.seed == 3
+    levels.keep = {doubling_level(8)}
+    build_suffix_array(levels)
+    assert len(sorts) == levels.last - levels.seed + 1 and levels.last > 8
+    # a kernel of order 8 or more shares the kept level: its window ids only
+    build_katka_kernel(st, KernelParams(8))
+    assert len(sorts) == levels.last - levels.seed + 1 and len(window_sorts) == 1
+    # below 2**seed a kernel's level takes one packed sort of its own
+    build_katka_kernel(st, KernelParams(5))
+    assert len(sorts) == levels.last - levels.seed + 2 and len(window_sorts) == 2
 
 
 @pytest.mark.parametrize("bound", [1, 7, 1 << 20, (1 << 62) - 3])
