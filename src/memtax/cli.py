@@ -1,8 +1,9 @@
-"""Command-line interface: build, query, classify, eval."""
+"""Command-line interface: build, query, classify, eval, inspect."""
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import sys
 
 from .collection import iter_reads, open_text, parse_collection
@@ -105,6 +106,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def cmd_inspect(args) -> int:
+    print(json.dumps(deserialize(args.index).summary(), sort_keys=True))
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="memtax",
@@ -166,6 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--per-read", help="verbose per-read TSV")
     e.add_argument("--output", help="JSON report (default stdout)")
     e.set_defaults(func=cmd_eval)
+
+    i = sub.add_parser("inspect", help="load an index and print its header, array "
+                                       "sizes and resident bytes as one JSON line")
+    i.add_argument("index", help="index file")
+    i.set_defaults(func=cmd_inspect)
     return p
 
 

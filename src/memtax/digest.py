@@ -167,12 +167,13 @@ def digest_reads(reads: list[str], params: DigestParams) -> tuple[np.ndarray, np
     bad = np.flatnonzero(digits < 0)
     if bad.size:
         keep = np.ones(len(reads), dtype=bool)
-        keep[np.cumsum(lengths).searchsorted(bad, side="right")] = False
+        keep[np.add.accumulate(lengths).searchsorted(bad, side="right")] = False
         digits = digits[np.repeat(keep, lengths)]
         lengths *= keep
     values, starts = _minimize(digits, lengths, params)
     values += FIRST_SYMBOL_CODE
-    return values.astype(np.int32), np.diff(starts.searchsorted(np.cumsum(lengths)), prepend=0)
+    ends = starts.searchsorted(np.add.accumulate(lengths))
+    return values.astype(np.int32), np.diff(ends, prepend=0)
 
 
 class Digest(SeparatedText):

@@ -5,9 +5,12 @@ The index keeps the BWT (with rank/select), the suffix array, the LCP array
 and the separator bit sequence of the underlying text; the text itself is
 not retained.  The arrays are held as the `KTK2` file stores them: a loaded
 index keeps views into the file's payload, read into a buffer that aligns
-the arrays after the BWT, and a built one holds the same dtypes.  The only
-structure derived on load is the BWT's sorted key array, searched for
-every backward step and for the shrink's nearest rows preceded by a symbol.
+the arrays after the BWT, and a built one holds the same dtypes.  The LCP
+is stored at the narrowest unsigned width that holds its maximum (the
+byte-LCP of enhanced suffix arrays, without an exception table), and the
+walk's kernels scan it at that width.  The only structure derived on load
+is the BWT's sorted key array, searched for every backward step and for
+the shrink's nearest rows preceded by a symbol.
 
 The MEM walk's kernels take arrays with one entry per lane (one read's
 walk) and answer every lane with a few whole-array operations: a backward
@@ -41,7 +44,10 @@ from .suffix import (BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt
 # what a checksummed header that no writer produced raises on decoding
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ValidationError)
 MAGIC = b"KTK2"
-VERSION = 2
+VERSION = 3
+# the LCP's widths, narrowest first: a file stores the narrowest whose range
+# holds its maximum
+LCP_DTYPES = ("u1", "<u2", "<u4", "<u8")
 
 
 @dataclass(frozen=True)
@@ -62,13 +68,19 @@ class SaInterval:
 EMPTY_INTERVAL = SaInterval(0, -1)
 
 
-def _layout(text_length: int, alphabet: Alphabet) -> list[list]:
-    """[name, dtype, count] of each payload array, in file order."""
+def _lcp_dtype(maximum: int) -> str:
+    """The narrowest of LCP_DTYPES whose range holds maximum."""
+    return next(name for name in LCP_DTYPES if maximum < 1 << 8 * np.dtype(name).itemsize)
+
+
+def _layout(text_length: int, alphabet: Alphabet, lcp: str) -> list[list]:
+    """[name, dtype, count] of each payload array, in file order, for an
+    LCP of dtype lcp."""
     rows = text_length + 1
     row_dtype = "<u4" if rows < 2**32 else "<u8"
     bwt_dtype = "u1" if alphabet.size <= 256 else "<u4"
     return [["bwt", bwt_dtype, rows], ["sa", row_dtype, rows],
-            ["lcp", row_dtype, rows], ["sep_bits", "u1", (text_length + 7) // 8]]
+            ["lcp", lcp, rows], ["sep_bits", "u1", (text_length + 7) // 8]]
 
 
 def _sizes(layout: list[list]) -> list[int]:
@@ -111,7 +123,8 @@ class AugmentedFmIndex:
         if int(codes.max()) >= st.alphabet.size:
             raise ValidationError("text symbol exceeds the declared alphabet width")
         sa, lcp = build_suffix_array(st.levels)
-        dtype = {name: dt for name, dt, _ in _layout(len(codes), st.alphabet)}
+        layout = _layout(len(codes), st.alphabet, _lcp_dtype(int(lcp.max())))
+        dtype = {name: dt for name, dt, _ in layout}
         bwt = IndexedSequence(derive_bwt(codes, sa).astype(dtype["bwt"]), st.alphabet.size)
         return cls(bwt, sa.astype(dtype["sa"]), lcp.astype(dtype["lcp"]),
                    st.sep_positions, st.alphabet, st.provenance)
@@ -121,6 +134,11 @@ class AugmentedFmIndex:
     def rows(self) -> int:
         """Number of suffix-array rows (text length + 1 for the sentinel)."""
         return len(self.sa)
+
+    def layout(self) -> list[list]:
+        """[name, dtype, count] of each array the file stores, the LCP at
+        the width this index holds it in."""
+        return _layout(self.n, self.alphabet, _lcp_dtype(np.iinfo(self.lcp.dtype).max))
 
     def encode_reads(self, reads) -> tuple[list, np.ndarray, np.ndarray]:
         """(ids, codes, offsets) of an iterable of (id, read) pairs: the
@@ -244,6 +262,19 @@ class AugmentedFmIndex:
         return (reduce_ranges(np.minimum, self.sa, *rows),
                 reduce_ranges(np.maximum, self.sa, *rows))
 
+    def summary(self) -> dict:
+        """The file's header fields, each payload array's dtype, count and
+        bytes, the LCP maximum, the bytes of the BWT's key array K (held
+        beside the arrays, not stored) and the bytes of the file."""
+        layout = self.layout()
+        return {"version": VERSION, "text_length": self.n,
+                "genome_count": len(self.sep_positions), "alphabet": self.alphabet.to_dict(),
+                "provenance": self.provenance,
+                "arrays": [{"name": name, "dtype": dtype, "count": count, "bytes": size}
+                           for (name, dtype, count), size in zip(layout, _sizes(layout))],
+                "lcp_max": int(self.lcp.max()), "key_bytes": self.bwt.keys.nbytes,
+                "file_bytes": self.size_bytes()}
+
     # ------------------------------------------------------------------
     def serialize(self, sink) -> int:
         """Write the index; returns the number of bytes written."""
@@ -264,14 +295,14 @@ class AugmentedFmIndex:
 
     def size_bytes(self) -> int:
         """Bytes serialize() writes, counted without building the payload."""
-        return len(self._head()) + 4 + sum(_sizes(_layout(self.n, self.alphabet)))
+        return len(self._head()) + 4 + sum(_sizes(self.layout()))
 
     def _head(self) -> bytes:
         """Every byte of the file before the checksum: magic, version,
         header length and the JSON header."""
         meta = {
             "alphabet": self.alphabet.to_dict(),
-            "arrays": _layout(self.n, self.alphabet),
+            "arrays": self.layout(),
             "genome_count": len(self.sep_positions),
             "provenance": self.provenance,
             "text_length": self.n,
@@ -284,7 +315,7 @@ class AugmentedFmIndex:
         sep_bits[self.sep_positions] = 1
         arrays = (self.bwt.symbols, self.sa, self.lcp, np.packbits(sep_bits, bitorder="little"))
         return b"".join(np.asarray(a, dtype=dtype).tobytes()
-                        for a, (_, dtype, _) in zip(arrays, _layout(self.n, self.alphabet)))
+                        for a, (_, dtype, _) in zip(arrays, self.layout()))
 
 
 def deserialize(source) -> AugmentedFmIndex:
@@ -292,9 +323,10 @@ def deserialize(source) -> AugmentedFmIndex:
     FormatError on bad magic/version, truncation, a checksum mismatch over
     header and payload, a header missing a key, holding a wrong type or
     invalid digest parameters, arrays other than the layout that
-    text_length and the alphabet determine, a suffix array that is not a
-    permutation of 0..text_length, an LCP entry longer than either of its
-    two suffixes, a BWT whose LF mapping does not step every suffix-array
+    text_length and the alphabet determine (the LCP at one of LCP_DTYPES),
+    a suffix array that is not a permutation of 0..text_length, an LCP
+    entry longer than either of its two suffixes, an LCP wider than its
+    maximum needs, a BWT whose LF mapping does not step every suffix-array
     row one text position back, or separator bits other than the text
     positions of the BWT's separators."""
     if isinstance(source, str):
@@ -332,7 +364,7 @@ def _payload_pad(meta_bytes: bytes) -> int:
         n, alphabet = meta["text_length"], Alphabet.from_dict(meta["alphabet"])
     except _MALFORMED:
         return 0
-    return -_sizes(_layout(n, alphabet))[0] % 8 if type(n) is int else 0
+    return -_sizes(_layout(n, alphabet, LCP_DTYPES[0]))[0] % 8 if type(n) is int else 0
 
 
 def _read_payload(source, pad: int) -> memoryview:
@@ -356,13 +388,14 @@ def _read_payload(source, pad: int) -> memoryview:
 
 def _decode(meta: dict, payload) -> AugmentedFmIndex:
     """The index over views into payload, which must hold exactly the
-    arrays of _layout, with a valid suffix array, bounded LCP values and a
+    arrays of _layout at one LCP width, with a valid suffix array, bounded
+    LCP values stored at the width _lcp_dtype gives their maximum, and a
     BWT and separator bits that agree with the suffix array."""
     n = meta["text_length"]
     alphabet = Alphabet.from_dict(meta["alphabet"])
-    layout = _layout(n, alphabet)
-    sizes = _sizes(layout)
-    if meta["arrays"] != layout or sum(sizes) != len(payload):
+    layout = meta["arrays"]
+    if layout not in [_layout(n, alphabet, width) for width in LCP_DTYPES] \
+            or sum(sizes := _sizes(layout)) != len(payload):
         raise FormatError("index arrays disagree with the header's text length and alphabet")
     offsets = accumulate(sizes, initial=0)
     bwt, sa, lcp, sep_bits = (np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
@@ -379,6 +412,8 @@ def _decode(meta: dict, payload) -> AugmentedFmIndex:
     del seen
     if not _lcp_in_bounds(sa, lcp):
         raise FormatError("LCP array exceeds the suffix lengths")
+    if _lcp_dtype(int(lcp.max())) != layout[2][1]:
+        raise FormatError("LCP array is stored wider than its maximum needs")
     bwt = IndexedSequence(bwt, alphabet.size)
     if not _lf_agrees(sa, bwt.keys):
         raise FormatError("BWT disagrees with the suffix array")

@@ -362,13 +362,17 @@ def reduce_ranges(ufunc, values, starts, stops):
 
 def first_below(values, origins, bounds):
     """Per lane, the first row x >= origins[k] with values[x] < bounds[k],
-    else len(values).  Each lane scans a window of _SCAN_ROWS rows, then
-    windows 8 times wider up to _GATHER_ROWS, so the cost follows the
-    distance scanned; one gather copies at most _GATHER_ROWS rows."""
+    else len(values), for unsigned integer values and bounds >= 1.  Each
+    lane scans a window of _SCAN_ROWS rows, then windows 8 times wider up
+    to _GATHER_ROWS, so the cost follows the distance scanned; one gather
+    copies at most _GATHER_ROWS rows."""
     n = len(values)
     found = np.full(len(origins), n, dtype=np.int64)
     start = np.array(origins, dtype=np.int64)
-    bounds = np.asarray(bounds).astype(values.dtype)  # no upcast of the windows
+    # values < bound is values <= bound - 1, and a bound past the dtype's
+    # range holds every value: in the values' dtype, the windows need no upcast
+    limits = np.minimum(np.asarray(bounds, dtype=np.uint64) - 1,
+                        np.iinfo(values.dtype).max).astype(values.dtype)
     todo, width = np.flatnonzero(start < n), _SCAN_ROWS
     while todo.size:
         w = min(width, n)
@@ -382,7 +386,7 @@ def first_below(values, origins, bounds):
             group = todo[k: k + per_gather]
             # a window past the last row moves back and skips the rows before start
             first = np.minimum(start[group], n - w)
-            hit = windows[first] < bounds[group, None]
+            hit = windows[first] <= limits[group, None]
             if (back := first < start[group]).any():
                 hit[back] &= np.arange(w) >= (start[group] - first)[back, None]
             col = hit.argmax(axis=1)

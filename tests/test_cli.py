@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from memtax import deserialize
 from memtax.cli import main
 
 from conftest import P, TOY_GENOMES, moved_separator, rewritten_index, rewritten_rows
@@ -269,11 +270,16 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     junk.write_bytes(b"garbage")
     rc = main(["query", "--index", str(junk), "--reads", str(reads)])
     assert rc == 4
-    # format error: a hand-edited header key
     idx = tmp_path / "toy.ktk2"
     assert main(["build", "--input", str(genomes), "--format", "lines",
                  "--mode", "raw", "--output", str(idx)]) == 0
     blob = idx.read_bytes()
+    # format error: a file of version 2, whose LCP was <u4 whatever its maximum
+    idx.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    capsys.readouterr()
+    assert main(["query", "--index", str(idx), "--reads", str(reads)]) == 4
+    assert capsys.readouterr().err.splitlines() == ["error: unsupported index version 2"]
+    # format error: a hand-edited header key
     idx.write_bytes(blob.replace(b'"text_length"', b'"text_lengtX"'))
     rc = main(["query", "--index", str(idx), "--reads", str(reads)])
     assert rc == 4
@@ -340,11 +346,13 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: malformed index header")
     # format error: a checksummed raw index whose LCP rows exceed the
-    # suffix lengths (it used to load and report a 5-long MEM for ACATA)
+    # suffix lengths, each at the one-byte LCP's maximum of 255 (it used to
+    # load and report a 5-long MEM for ACATA)
     assert main(["build", "--input", str(genomes), "--format", "lines",
                  "--mode", "raw", "--output", str(idx)]) == 0
     raw_blob = idx.read_bytes()
-    idx.write_bytes(rewritten_rows(raw_blob, "lcp", slice(1, None), 4_000_000_000))
+    assert b'["lcp","u1",46]' in raw_blob
+    idx.write_bytes(rewritten_rows(raw_blob, "lcp", slice(1, None), 255))
     rc = main(["query", "--index", str(idx), "--reads", str(reads)])
     assert rc == 4
     # format error: a checksummed raw index with one BWT A edited to C (it
@@ -396,3 +404,38 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
         assert main(argv + (["--tree", str(tree)] if command == "classify" else [])) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: minimum MEM length must be at least 1, got {min_mem}"]
+
+
+def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
+    genomes, _ = toy_files
+    golden = tmp_path / "golden.txt"
+    golden.write_text("\n".join(golden_genomes) + "\n")
+    for source, mode in ((genomes, ["raw"]), (golden, ["digest", "--k", "3", "--w", "10"])):
+        idx = tmp_path / f"{mode[0]}.ktk2"
+        assert main(["build", "--input", str(source), "--format", "lines", "--mode", *mode,
+                     "--output", str(idx)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(idx)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        got = json.loads(out[0])
+        ix = deserialize(str(idx))
+        assert got["version"] == 3 and got["text_length"] == ix.n
+        assert got["genome_count"] == len(ix.sep_positions)
+        assert got["alphabet"] == ix.alphabet.to_dict() and got["provenance"] == ix.provenance
+        # the held arrays have the file's dtypes; the separator bits are packed
+        sep_bytes = (ix.n + 7) // 8
+        assert got["arrays"] == [
+            {"name": name, "dtype": dtype, "count": len(held), "bytes": held.nbytes}
+            for (name, dtype, _), held in zip(ix.layout(), (ix.bwt.symbols, ix.sa, ix.lcp))] + \
+            [{"name": "sep_bits", "dtype": "u1", "count": sep_bytes, "bytes": sep_bytes}]
+        assert got["lcp_max"] == int(ix.lcp.max()) and got["arrays"][2]["dtype"] == "u1"
+        assert got["key_bytes"] == 8 * ix.rows
+        assert got["file_bytes"] == idx.stat().st_size
+    # a bad file exits 4 with one line, a missing one 3
+    idx.write_bytes(idx.read_bytes()[:-1])
+    for path, code in ((idx, 4), (tmp_path / "missing.ktk2", 3)):
+        assert main(["inspect", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")

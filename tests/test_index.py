@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from memtax import (DigestParams, EmptyIntervalError,
+from memtax import (AugmentedFmIndex, DigestParams, EmptyIntervalError,
                     FormatError, GenomeCollection, MemtaxError, SaInterval,
                     ValidationError, build_index, compute_mem_table,
-                    deserialize, digest_collection, digest_sequence, separate)
+                    compute_mem_tables, deserialize, digest_collection,
+                    digest_sequence, separate)
 from memtax.index import EMPTY_INTERVAL
 from memtax.suffix import BLOCK_ROWS, _SCAN_ROWS
 
@@ -236,9 +237,10 @@ def test_shrink_randomized_against_bruteforce():
         assert any(up > scan for up, _, _ in shrinks)
         assert any(down > scan and not last for _, down, last in shrinks)
         assert any(last for _, _, last in shrinks)
-        # LCP values only a hand-edited file holds (no row below p): the
-        # scan still ends, at row 0 and at the last row
-        ix.lcp[:] = ix.rows
+        # LCP values only a hand-edited file holds (no row below p, every
+        # row at the LCP dtype's maximum): the scan still ends, at row 0 and
+        # at the last row
+        ix.lcp[:] = np.iinfo(ix.lcp.dtype).max
         new_iv, kept = _shrink(ix, ix.find_interval("AAC"), 3, _code(ix, "C"))
         assert (new_iv.lo, new_iv.hi, kept) == (0, ix.rows - 1, 3)
 
@@ -366,9 +368,10 @@ def test_deserialize_errors(toy_index, golden_digest_index):
     with pytest.raises(FormatError, match="magic"):
         deserialize(b"NOPE" + bytes(blob[4:]))
     bad_version = bytearray(blob)
-    bad_version[4] = 99
-    with pytest.raises(FormatError, match="version"):
-        deserialize(bytes(bad_version))
+    for version in (99, 2):  # version 2 stored the LCP as <u4 whatever its maximum
+        bad_version[4] = version
+        with pytest.raises(FormatError, match=f"unsupported index version {version}"):
+            deserialize(bytes(bad_version))
     corrupt = bytearray(blob)
     corrupt[-1] ^= 0xFF
     with pytest.raises(FormatError, match="checksum"):
@@ -430,13 +433,16 @@ def test_deserialize_errors(toy_index, golden_digest_index):
     moved = deserialize(rewritten_index(digest_blob, _setter("provenance", "w", 12)))
     assert moved.digest_params == DigestParams(k=3, w=12)
     # checksummed payloads whose SA is no permutation of 0..n or whose LCP
-    # exceeds the suffix lengths: every SA or LCP row but the first set to
-    # 4 000 000 000, an SA row repeated, and an LCP one past its bound
+    # exceeds the suffix lengths: every SA row but the first set to
+    # 4 000 000 000 and every LCP row but the first to the one-byte LCP's
+    # maximum, 255 (both far past the 46 rows), an SA row repeated, and an
+    # LCP one past its bound
     sa = toy_index.sa
+    assert toy_index.lcp.dtype == np.uint8
     lcp_bound = 45 - max(int(sa[20]), int(sa[21]))
     for array, rows, value, match in (("sa", slice(1, None), 4_000_000_000, "permutation"),
                                       ("sa", 5, int(sa[6]), "permutation"),
-                                      ("lcp", slice(1, None), 4_000_000_000, "LCP"),
+                                      ("lcp", slice(1, None), 255, "LCP"),
                                       ("lcp", 0, 1, "LCP"),
                                       ("lcp", 21, lcp_bound + 1, "LCP")):
         with pytest.raises(FormatError, match=match):
@@ -453,6 +459,70 @@ def test_deserialize_errors(toy_index, golden_digest_index):
     assert toy_index.sep_positions[0] == 8
     with pytest.raises(FormatError, match="separator bits"):
         deserialize(rewritten_rows(blob, "sep_bits", slice(None), moved_separator(toy_index)))
+
+
+def _with_lcp(ix, dtype):
+    """ix with its LCP cast to dtype, every other array shared."""
+    return AugmentedFmIndex(ix.bwt, ix.sa, ix.lcp.astype(dtype), ix.sep_positions,
+                            ix.alphabet, ix.provenance)
+
+
+@pytest.mark.parametrize("length, maximum, dtype", [(256, 255, "u1"), (257, 256, "<u2"),
+                                                    (65_536, 65_535, "<u2"),
+                                                    (65_537, 65_536, "<u4")])
+def test_lcp_stored_at_its_measured_width(length, maximum, dtype):
+    # a genome of one repeated base: its two longest suffixes share all but
+    # one base, so the LCP maximum is length - 1
+    ix = build_index(separate(GenomeCollection(genomes=["A" * length])))
+    assert int(ix.lcp.max()) == maximum and ix.lcp.dtype == np.dtype(dtype)
+    assert ["lcp", dtype, ix.rows] in ix.layout()
+    blob = ix.to_bytes()
+    assert len(blob) == ix.size_bytes()
+    loaded = deserialize(blob)
+    assert loaded.lcp.dtype == np.dtype(dtype) and loaded.to_bytes() == blob
+    assert np.array_equal(loaded.lcp, ix.lcp)
+
+
+def test_lcp_wider_than_its_maximum_rejected(toy_index):
+    # the writer stores the LCP it holds: a toy index cast wider writes a
+    # checksummed file that the loader refuses, one index having one file
+    assert toy_index.lcp.dtype == np.uint8
+    for dtype in ("<u2", "<u4", "<u8"):
+        blob = _with_lcp(toy_index, dtype).to_bytes()
+        assert f'["lcp","{dtype}",46]'.encode() in blob
+        with pytest.raises(FormatError, match="wider than its maximum"):
+            deserialize(blob)
+    # a dtype that is none of the widths is a layout mismatch
+    with pytest.raises(FormatError, match="text length"):
+        deserialize(_with_header(toy_index.to_bytes(), b'["lcp","u1",46]', b'["lcp","i1",46]',
+                                 True))
+
+
+def test_narrow_lcp_mem_tables_equal_four_byte_lcp(golden_genomes, golden_raw_index,
+                                                   golden_digest_index):
+    # one-byte LCPs (raw and digest) and a two-byte one (genomes sharing a
+    # 300-base block) give the walk the records that the same index with a
+    # <u4 LCP gives
+    rng = random.Random(19)
+    block = "".join(rng.choice("ACGT") for _ in range(300))
+    genomes = ["".join(rng.choice("ACGT") for _ in range(500)) + block for _ in range(4)]
+    repeats = build_index(separate(GenomeCollection(genomes=genomes)))
+    assert repeats.lcp.dtype == np.dtype("<u2")
+    for ix, source in ((golden_raw_index, golden_genomes), (repeats, genomes),
+                       (golden_digest_index, golden_genomes)):
+        reads = []
+        for _ in range(300):
+            genome = rng.choice(source)
+            start = rng.randrange(len(genome))
+            read = list(genome[start: start + rng.randint(1, 120)])
+            for i in range(len(read)):
+                if rng.random() < 0.05:
+                    read[i] = rng.choice("ACGT")
+            reads.append("".join(read))
+        wide = _with_lcp(ix, "<u4")
+        assert ix.lcp.itemsize < 4
+        assert [t.records for t in compute_mem_tables(ix, reads)] == \
+            [t.records for t in compute_mem_tables(wide, reads)]
 
 
 def test_reported_size_equals_file_bytes(tmp_path, toy_index, golden_raw_index,

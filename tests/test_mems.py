@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from memtax import (DigestParams, GenomeCollection, ValidationError, build_index,
-                    compute_mem_table, deserialize, digest_sequence, longest_mems, separate)
+                    compute_mem_table, deserialize, digest_collection, digest_sequence,
+                    longest_mems, separate)
 from memtax import mems
 from memtax.collection import SEP_CODE
 from memtax.mems import compute_mem_tables, render_symbols, tsv_rows
@@ -308,17 +309,18 @@ def test_non_string_base_reads_take_one_symbol_per_item(monkeypatch):
     assert not ix.find_interval("AT").is_empty
 
 
-def test_mem_tables_memory_is_one_chunk(monkeypatch):
-    # reads stream through in chunks: four chunks peak no higher than one,
-    # and a chunk copies no row-sized array (the index is loaded from a file
-    # whose one-byte BWT leaves the arrays after it off a 4-byte boundary;
-    # numpy copies unaligned arrays whole for reduceat)
+def _assert_memory_is_one_chunk(monkeypatch, text_of):
+    """Reads stream through in chunks: four chunks peak no higher than one,
+    and a chunk copies no row-sized array.  The index over text_of(the
+    genomes) is loaded from a file whose one-byte BWT leaves the arrays
+    after it off a 4-byte boundary (numpy copies unaligned arrays whole
+    for reduceat)."""
     rng = random.Random(10)
     genomes = ["".join(rng.choice("ACGT") for _ in range(20_000)) for _ in range(5)]
-    ix = deserialize(build_index(separate(GenomeCollection(genomes=genomes))).to_bytes())
+    ix = deserialize(build_index(text_of(GenomeCollection(genomes=genomes))).to_bytes())
     assert ix.rows % 4
     chunk = [_random_read(rng, genomes) for _ in range(32)]
-    assert ix.rows > 100 * sum(len(read) for read in chunk)
+    assert ix.rows > 100 * len(ix.encode_reads(enumerate(chunk))[1])
     monkeypatch.setattr(mems, "CHUNK_READS", len(chunk))
 
     def peak(reads):
@@ -334,3 +336,12 @@ def test_mem_tables_memory_is_one_chunk(monkeypatch):
     one = peak(chunk)
     assert one < ix.sa.nbytes
     assert peak(chunk * 4) <= 1.25 * one
+
+
+def test_mem_tables_memory_is_one_chunk(monkeypatch):
+    _assert_memory_is_one_chunk(monkeypatch, separate)
+
+
+def test_digest_mem_tables_memory_is_one_chunk(monkeypatch):
+    # the digest walk digests each chunk's reads as well
+    _assert_memory_is_one_chunk(monkeypatch, lambda c: digest_collection(c, DigestParams()))

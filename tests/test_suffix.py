@@ -8,8 +8,8 @@ from memtax import (DigestParams, GenomeCollection, KernelParams, build_katka_ke
 from memtax.collection import encode_bases
 from memtax.kernel import doubling_level
 from memtax.suffix import (ALL_LEVELS, DoublingLevels, IndexedSequence, RangeExtremes,
-                           build_suffix_array, derive_bwt, prefix_doubling_ranks, seed_level,
-                           sort_keys, symbol_bits)
+                           build_suffix_array, derive_bwt, first_below, prefix_doubling_ranks,
+                           seed_level, sort_keys, symbol_bits)
 
 import oracles
 
@@ -238,6 +238,29 @@ def test_sort_keys_orders_keys(bound):
     assert np.array_equal(ordered, np.sort(keys))
     assert np.array_equal(keys[order], ordered)
     assert sorted(order) == list(range(len(keys)))
+
+
+@pytest.mark.parametrize("dtype", ["u1", "<u2"])
+def test_first_below_narrow_values(dtype):
+    # bounds past the dtype's maximum hold every value, as on a <u4 copy of
+    # the values: the first row at or past the origin; the rows reversed
+    # (the upward scan of a widening) too
+    rng = np.random.default_rng(7)
+    top = np.iinfo(dtype).max
+    values = rng.integers(top - 40, top, size=3000, endpoint=True).astype(dtype)
+    values[rng.integers(0, len(values), size=8)] = 0
+    origins = rng.integers(0, len(values) + 1, size=400)
+    bounds = np.concatenate([rng.integers(1, top + 1, size=200),
+                             rng.choice([top + 1, top + 2, 70_000, 2**40], size=200)])
+    rng.shuffle(bounds)
+    for rows in (values, values[::-1]):
+        got = first_below(rows, origins, bounds)
+        assert np.array_equal(got, first_below(rows.astype("<u4"), origins, bounds))
+        want = [next((x for x in range(o, len(rows)) if rows[x] < b), len(rows))
+                for o, b in zip(origins.tolist(), bounds.tolist())]
+        assert got.tolist() == want
+    past = bounds > top
+    assert np.array_equal(got[past], np.minimum(origins[past], len(values)))
 
 
 def test_rank_select_inverse_laws():
