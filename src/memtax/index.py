@@ -1,16 +1,18 @@
 """The augmented FM-index: backward search, suffix-array interval arithmetic,
 first/last occurrence extraction and genome ranges.
 
-The index keeps the BWT (with rank/select), the suffix array, the LCP array
-and the separator bit sequence of the underlying text; the text itself is
-not retained.  The arrays are held as the `KTK2` file stores them: a loaded
-index keeps views into the file's payload, read into a buffer that aligns
-the arrays after the BWT, and a built one holds the same dtypes.  The LCP
-is stored at the narrowest unsigned width that holds its maximum (the
-byte-LCP of enhanced suffix arrays, without an exception table), and the
-walk's kernels scan it at that width.  The only structure derived on load
-is the BWT's sorted key array, searched for every backward step and for
-the shrink's nearest rows preceded by a symbol.
+The index keeps the BWT (with rank/select), the suffix array and the LCP
+array of the underlying text; the text itself is not retained.  The arrays
+are held as the `KTK2` file stores them: a loaded index keeps views into
+the file's payload, read into a buffer that aligns the arrays after the
+BWT, and a built one holds the same dtypes.  The LCP is stored at the
+narrowest unsigned width that holds its maximum (the byte-LCP of enhanced
+suffix arrays, without an exception table), and the walk's kernels scan it
+at that width.  Two structures are derived, for a built and a loaded index
+alike: the BWT's sorted key array, searched for every backward step and
+for the shrink's nearest rows preceded by a symbol, and the separator
+positions, the suffix-array rows of the key array's `$` run, which give
+each text position its genome.
 
 The MEM walk's kernels take arrays with one entry per lane (one read's
 walk) and answer every lane with a few whole-array operations: a backward
@@ -44,7 +46,7 @@ from .suffix import (BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt
 # what a checksummed header that no writer produced raises on decoding
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ValidationError)
 MAGIC = b"KTK2"
-VERSION = 3
+VERSION = 4
 # the LCP's widths, narrowest first: a file stores the narrowest whose range
 # holds its maximum
 LCP_DTYPES = ("u1", "<u2", "<u4", "<u8")
@@ -79,8 +81,7 @@ def _layout(text_length: int, alphabet: Alphabet, lcp: str) -> list[list]:
     rows = text_length + 1
     row_dtype = "<u4" if rows < 2**32 else "<u8"
     bwt_dtype = "u1" if alphabet.size <= 256 else "<u4"
-    return [["bwt", bwt_dtype, rows], ["sa", row_dtype, rows],
-            ["lcp", lcp, rows], ["sep_bits", "u1", (text_length + 7) // 8]]
+    return [["bwt", bwt_dtype, rows], ["sa", row_dtype, rows], ["lcp", lcp, rows]]
 
 
 def _sizes(layout: list[list]) -> list[int]:
@@ -104,11 +105,12 @@ def _digest_params(provenance: dict, alphabet: Alphabet) -> DigestParams | None:
 
 class AugmentedFmIndex:
     def __init__(self, bwt: IndexedSequence, sa: np.ndarray, lcp: np.ndarray,
-                 sep_positions: np.ndarray, alphabet: Alphabet, provenance: dict):
+                 alphabet: Alphabet, provenance: dict):
         self.bwt = bwt
         self.sa = sa
         self.lcp = lcp
-        self.sep_positions = np.asarray(sep_positions, dtype=np.int64)
+        # the suffixes that start with a separator: the SA rows of K's `$` run
+        self.sep_positions = np.sort(sa[bwt.lf(SEP_CODE, 0): bwt.lf(SEP_CODE + 1, 0)])
         self.alphabet = alphabet
         self.provenance = dict(provenance)
         self.digest_params = _digest_params(self.provenance, alphabet)
@@ -127,7 +129,7 @@ class AugmentedFmIndex:
         dtype = {name: dt for name, dt, _ in layout}
         bwt = IndexedSequence(derive_bwt(codes, sa).astype(dtype["bwt"]), st.alphabet.size)
         return cls(bwt, sa.astype(dtype["sa"]), lcp.astype(dtype["lcp"]),
-                   st.sep_positions, st.alphabet, st.provenance)
+                   st.alphabet, st.provenance)
 
     # ------------------------------------------------------------------
     @property
@@ -311,9 +313,7 @@ class AugmentedFmIndex:
         return MAGIC + struct.pack("<II", VERSION, len(meta_bytes)) + meta_bytes
 
     def _payload(self) -> bytes:
-        sep_bits = np.zeros(self.n, dtype=np.uint8)
-        sep_bits[self.sep_positions] = 1
-        arrays = (self.bwt.symbols, self.sa, self.lcp, np.packbits(sep_bits, bitorder="little"))
+        arrays = (self.bwt.symbols, self.sa, self.lcp)
         return b"".join(np.asarray(a, dtype=dtype).tobytes()
                         for a, (_, dtype, _) in zip(arrays, self.layout()))
 
@@ -327,8 +327,8 @@ def deserialize(source) -> AugmentedFmIndex:
     a suffix array that is not a permutation of 0..text_length, an LCP
     entry longer than either of its two suffixes, an LCP wider than its
     maximum needs, a BWT whose LF mapping does not step every suffix-array
-    row one text position back, or separator bits other than the text
-    positions of the BWT's separators."""
+    row one text position back, or a genome count other than the number of
+    the BWT's separators."""
     if isinstance(source, str):
         with open(source, "rb") as f:
             return deserialize(f)
@@ -389,8 +389,8 @@ def _read_payload(source, pad: int) -> memoryview:
 def _decode(meta: dict, payload) -> AugmentedFmIndex:
     """The index over views into payload, which must hold exactly the
     arrays of _layout at one LCP width, with a valid suffix array, bounded
-    LCP values stored at the width _lcp_dtype gives their maximum, and a
-    BWT and separator bits that agree with the suffix array."""
+    LCP values stored at the width _lcp_dtype gives their maximum, a BWT
+    that agrees with the suffix array and the header's genome count."""
     n = meta["text_length"]
     alphabet = Alphabet.from_dict(meta["alphabet"])
     layout = meta["arrays"]
@@ -398,11 +398,8 @@ def _decode(meta: dict, payload) -> AugmentedFmIndex:
             or sum(sizes := _sizes(layout)) != len(payload):
         raise FormatError("index arrays disagree with the header's text length and alphabet")
     offsets = accumulate(sizes, initial=0)
-    bwt, sa, lcp, sep_bits = (np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-                              for (_, dtype, count), offset in zip(layout, offsets))
-    sep_positions = np.flatnonzero(np.unpackbits(sep_bits, bitorder="little")[:n])
-    if len(sep_positions) != meta["genome_count"]:
-        raise FormatError("separator bit count disagrees with header")
+    bwt, sa, lcp = (np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+                    for (_, dtype, count), offset in zip(layout, offsets))
     # the SA first, so that n - SA cannot wrap below
     seen = np.zeros(n + 1, dtype=bool)
     if sa.max() <= n:
@@ -418,10 +415,10 @@ def _decode(meta: dict, payload) -> AugmentedFmIndex:
     if not _lf_agrees(sa, bwt.keys):
         raise FormatError("BWT disagrees with the suffix array")
     # with LF intact, the SA rows of K's `$` run are the separator positions
-    seps = sa[bwt.lf(SEP_CODE, 0): bwt.lf(SEP_CODE + 1, 0)]
-    if not np.array_equal(np.sort(seps), sep_positions):
-        raise FormatError("separator bits disagree with the BWT")
-    return AugmentedFmIndex(bwt, sa, lcp, sep_positions, alphabet, meta["provenance"])
+    index = AugmentedFmIndex(bwt, sa, lcp, alphabet, meta["provenance"])
+    if len(index.sep_positions) != meta["genome_count"]:
+        raise FormatError("genome count disagrees with the BWT's separators")
+    return index
 
 
 # The load's blocked checks: a block's temporaries are one buffer of the

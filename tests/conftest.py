@@ -43,16 +43,6 @@ def rewritten_rows(blob: bytes, array: str, rows, value: int) -> bytes:
     return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + bytes(payload)
 
 
-def moved_separator(ix) -> np.ndarray:
-    """The packed separator bits of ix with its first separator moved one
-    position earlier."""
-    bits = np.zeros(ix.n, dtype=np.uint8)
-    bits[ix.sep_positions] = 1
-    first = int(ix.sep_positions[0])
-    bits[[first - 1, first]] = 1, 0
-    return np.packbits(bits, bitorder="little")
-
-
 @pytest.fixture(scope="session")
 def golden_genomes() -> list[str]:
     return DATA.joinpath("golden_genomes.txt").read_text().split()

@@ -1,14 +1,18 @@
 import json
+import random
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from memtax import deserialize
+from memtax import (DigestParams, ReadSimConfig, classify_read, compute_mem_table,
+                    deserialize, digest_sequence, longest_mems, parse_collection,
+                    simulate_reads)
 from memtax.cli import main
+from memtax.evaluate import build_variant_index, expand_variant_specs
 
-from conftest import P, TOY_GENOMES, moved_separator, rewritten_index, rewritten_rows
+from conftest import P, TOY_GENOMES, rewritten_index, rewritten_rows
 
 
 @pytest.fixture()
@@ -210,7 +214,30 @@ def test_classify(tmp_path, toy_files):
     assert rows[0][3:6] == ["4", "4", "g4"]  # unique to the last genome
 
 
-def test_classify_tree_mismatch(tmp_path, toy_files):
+def test_classify_digest_empty_records(tmp_path):
+    # genomes over A and C, a read over G and T: none of the read's
+    # minimizer values occurs in the digest, so each is a one-symbol empty
+    # record, and every one of them is a longest MEM with no genome range
+    rng = random.Random(3)
+    genomes, tree, reads = tmp_path / "ac.txt", tmp_path / "ac.nwk", tmp_path / "gt.fa"
+    genomes.write_text("".join("".join(rng.choice("AC") for _ in range(40)) + "\n"
+                               for _ in range(3)))
+    tree.write_text("(g0,(g1,g2));")
+    read = "".join(rng.choice("GT") for _ in range(60))
+    reads.write_text(f">r0\n{read}\n")
+    idx, out = tmp_path / "ac.ktk2", tmp_path / "cls.tsv"
+    assert main(["build", "--input", str(genomes), "--format", "lines", "--mode", "digest",
+                 "--k", "3", "--w", "10", "--output", str(idx)]) == 0
+    assert main(["classify", "--index", str(idx), "--tree", str(tree),
+                 "--reads", str(reads), "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    symbols = len(digest_sequence(read, DigestParams(k=3, w=10)))
+    assert symbols > 1
+    assert lines == ["read_id\tread_start\tlength\tfirst_genome\tlast_genome\tnode_label"] + \
+        [f"r0\t{i}\t1\t-\t-\t-" for i in range(symbols)]
+
+
+def test_classify_tree_mismatch(tmp_path, toy_files, capsys):
     genomes, reads = toy_files
     idx = tmp_path / "toy.ktk2"
     main(["build", "--input", str(genomes), "--format", "lines",
@@ -220,6 +247,17 @@ def test_classify_tree_mismatch(tmp_path, toy_files):
     rc = main(["classify", "--index", str(idx), "--tree", str(tree),
                "--reads", str(reads)])
     assert rc == 2
+    # eval validates a parseable tree against the collection: a leaf count
+    # or a leaf order that disagrees with it exits 2 with one line
+    capsys.readouterr()
+    for newick, message in (("((g0,g1),(g2,g3));",
+                             "tree has 4 leaves but the collection has 5 genomes"),
+                            ("((g1,g0),(g2,(g3,g4)));",
+                             "leaf order mismatch: leaf 0 is 'g1', expected 'g0'")):
+        tree.write_text(newick)
+        assert main(["eval", "--input", str(genomes), "--format", "lines", "--tree", str(tree),
+                     "--reads-per-genome", "1", "--read-len", "5"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_eval_json(tmp_path, toy_files):
@@ -233,6 +271,43 @@ def test_eval_json(tmp_path, toy_files):
     payload = json.loads(out.read_text())
     assert [v["variant"] for v in payload["variants"]] == ["raw", "kernel(k_max=8)"]
     assert payload["config"]["seed"] == 5
+
+
+def test_eval_per_read(tmp_path, golden_genomes):
+    # one row per (variant, read), variants in the order given and reads in
+    # simulation order, each holding the genome ranges of the read's longest
+    # MEMs; an 11-base read is shorter than one digest:3:10 window, so it
+    # has no records against the digest and its row holds "-"
+    genomes = tmp_path / "fig.txt"
+    genomes.write_text("\n".join(golden_genomes) + "\n")
+    specs = ["raw", "kernel:4", "digest:3:10"]
+    argv = ["eval", "--input", str(genomes), "--format", "lines", "--variants", ",".join(specs),
+            "--reads-per-genome", "2", "--read-len", "11", "--mut-rate", "0.1", "--seed", "5"]
+    plain, verbose, per_read = (tmp_path / name for name in ("plain.json", "verbose.json",
+                                                             "per_read.tsv"))
+    assert main(argv + ["--output", str(plain)]) == 0
+    assert main(argv + ["--output", str(verbose), "--per-read", str(per_read)]) == 0
+    collection = parse_collection(str(genomes), fmt="lines")
+    sims = simulate_reads(collection, ReadSimConfig(read_length=11, mutation_rate=0.1,
+                                                    reads_per_genome=2, seed=5))
+    expected, without_records = ["variant\tsource_genome\ttrue_positive\tlongest_mem_ranges"], 0
+    for variant in expand_variant_specs(specs):
+        ix = build_variant_index(collection, variant)
+        for sim in sims:
+            table = compute_mem_table(ix, sim.sequence)
+            without_records += not table.records
+            ranges = ";".join("-" if rec.genome_range is None
+                              else f"{rec.first_genome},{rec.last_genome}"
+                              for rec in longest_mems(table)) if table.records else "-"
+            expected.append(f"{variant.label}\t{sim.source}\t"
+                            f"{int(classify_read(table, sim.source))}\t{ranges}")
+    assert per_read.read_text().splitlines() == expected
+    assert without_records == len(sims)  # the digest's rows
+    reports = [json.loads(path.read_text()) for path in (plain, verbose)]
+    for report in reports:
+        for variant in report["variants"]:
+            del variant["mean_query_us"]
+    assert reports[0] == reports[1]
 
 
 def test_missing_reads_leave_output(tmp_path, toy_files, capsys):
@@ -274,11 +349,14 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     assert main(["build", "--input", str(genomes), "--format", "lines",
                  "--mode", "raw", "--output", str(idx)]) == 0
     blob = idx.read_bytes()
-    # format error: a file of version 2, whose LCP was <u4 whatever its maximum
-    idx.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    # format error: a file of version 2, whose LCP was <u4 whatever its
+    # maximum, or of version 3, which stored the separators as a bitvector
     capsys.readouterr()
-    assert main(["query", "--index", str(idx), "--reads", str(reads)]) == 4
-    assert capsys.readouterr().err.splitlines() == ["error: unsupported index version 2"]
+    for version in (2, 3):
+        idx.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        assert main(["query", "--index", str(idx), "--reads", str(reads)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: unsupported index version {version}"]
     # format error: a hand-edited header key
     idx.write_bytes(blob.replace(b'"text_length"', b'"text_lengtX"'))
     rc = main(["query", "--index", str(idx), "--reads", str(reads)])
@@ -357,12 +435,12 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
     assert rc == 4
     # format error: a checksummed raw index with one BWT A edited to C (it
     # used to load and report GATTAGATA over genomes 0-3), and one whose
-    # first separator bit moved one position earlier
+    # genome count is one more than the BWT's separators
     a, c = toy_index.alphabet.query_codes(["AC"]).tolist()
     a_row = int(np.flatnonzero(toy_index.bwt.symbols == a)[0])
     capsys.readouterr()
     for bad in (rewritten_rows(raw_blob, "bwt", a_row, c),
-                rewritten_rows(raw_blob, "sep_bits", slice(None), moved_separator(toy_index))):
+                rewritten_index(raw_blob, lambda meta: meta.update(genome_count=6))):
         idx.write_bytes(bad)
         assert main(["query", "--index", str(idx), "--reads", str(reads)]) == 4
         err = capsys.readouterr().err.splitlines()
@@ -420,15 +498,15 @@ def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
         assert len(out) == 1
         got = json.loads(out[0])
         ix = deserialize(str(idx))
-        assert got["version"] == 3 and got["text_length"] == ix.n
+        assert got["version"] == 4 and got["text_length"] == ix.n
         assert got["genome_count"] == len(ix.sep_positions)
         assert got["alphabet"] == ix.alphabet.to_dict() and got["provenance"] == ix.provenance
-        # the held arrays have the file's dtypes; the separator bits are packed
-        sep_bytes = (ix.n + 7) // 8
+        # the file stores three arrays, at the dtypes the index holds them in
+        held = (ix.bwt.symbols, ix.sa, ix.lcp)
         assert got["arrays"] == [
-            {"name": name, "dtype": dtype, "count": len(held), "bytes": held.nbytes}
-            for (name, dtype, _), held in zip(ix.layout(), (ix.bwt.symbols, ix.sa, ix.lcp))] + \
-            [{"name": "sep_bits", "dtype": "u1", "count": sep_bytes, "bytes": sep_bytes}]
+            {"name": name, "dtype": dtype, "count": len(array), "bytes": array.nbytes}
+            for (name, dtype, _), array in zip(ix.layout(), held, strict=True)]
+        assert [a["name"] for a in got["arrays"]] == ["bwt", "sa", "lcp"]
         assert got["lcp_max"] == int(ix.lcp.max()) and got["arrays"][2]["dtype"] == "u1"
         assert got["key_bytes"] == 8 * ix.rows
         assert got["file_bytes"] == idx.stat().st_size

@@ -93,6 +93,9 @@ def test_variant_specs():
     assert sum(v.mode == "kernel" for v in grid) == 11
     assert sum(v.mode == "digest" for v in grid) == 10
     assert sum(v.mode == "digest-kernel" for v in grid) == 100
+    # "grid" expands in place among other specs
+    assert len(grid) == 122
+    assert expand_variant_specs(["raw", "grid"]) == [IndexVariant("raw")] + grid
 
 
 def test_run_experiment_exact_reads_unique_genomes():

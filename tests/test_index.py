@@ -20,7 +20,7 @@ from memtax.index import EMPTY_INTERVAL
 from memtax.suffix import BLOCK_ROWS, _SCAN_ROWS
 
 import oracles
-from conftest import P, TOY_GENOMES, moved_separator, rewritten_index, rewritten_rows
+from conftest import P, TOY_GENOMES, rewritten_index, rewritten_rows
 
 
 def _code(ix, symbol):
@@ -368,7 +368,9 @@ def test_deserialize_errors(toy_index, golden_digest_index):
     with pytest.raises(FormatError, match="magic"):
         deserialize(b"NOPE" + bytes(blob[4:]))
     bad_version = bytearray(blob)
-    for version in (99, 2):  # version 2 stored the LCP as <u4 whatever its maximum
+    # version 2 stored the LCP as <u4 whatever its maximum, version 3 the
+    # separator positions as a bitvector
+    for version in (99, 2, 3):
         bad_version[4] = version
         with pytest.raises(FormatError, match=f"unsupported index version {version}"):
             deserialize(bytes(bad_version))
@@ -378,6 +380,11 @@ def test_deserialize_errors(toy_index, golden_digest_index):
         deserialize(bytes(corrupt))
     with pytest.raises(FormatError):
         deserialize(bytes(blob[:len(blob) // 2]))  # truncation
+    # a file cut inside its JSON header or its checksum
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    for cut in (13, 12 + meta_len, 12 + meta_len + 3):
+        with pytest.raises(FormatError, match="truncated index header"):
+            deserialize(bytes(blob[:cut]))
     # the checksum covers the header: a renamed key or an edited digest
     # parameter no longer loads
     blob = bytes(blob)
@@ -448,23 +455,24 @@ def test_deserialize_errors(toy_index, golden_digest_index):
         with pytest.raises(FormatError, match=match):
             deserialize(rewritten_rows(blob, array, rows, value))
     assert deserialize(rewritten_rows(blob, "lcp", 21, lcp_bound)).n == 45  # at the bound
-    # checksummed payloads whose BWT or separator bits disagree with the SA:
-    # every single A -> C edit of the BWT, and the separator at 8 moved to 7
+    # checksummed payloads whose BWT disagrees with the SA: every single
+    # A -> C edit of the BWT
     a, c = toy_index.alphabet.query_codes(["AC"]).tolist()
     a_rows = np.flatnonzero(toy_index.bwt.symbols == a)
     assert len(a_rows) == 17
     for row in a_rows:
         with pytest.raises(FormatError, match="BWT disagrees"):
             deserialize(rewritten_rows(blob, "bwt", int(row), c))
-    assert toy_index.sep_positions[0] == 8
-    with pytest.raises(FormatError, match="separator bits"):
-        deserialize(rewritten_rows(blob, "sep_bits", slice(None), moved_separator(toy_index)))
+    # a checksummed genome count one off the separators of the BWT
+    assert list(toy_index.sep_positions) == [8, 17, 25, 34, 44]
+    for count in (4, 6):
+        with pytest.raises(FormatError, match="genome count"):
+            deserialize(rewritten_index(blob, lambda meta: meta.update(genome_count=count)))
 
 
 def _with_lcp(ix, dtype):
     """ix with its LCP cast to dtype, every other array shared."""
-    return AugmentedFmIndex(ix.bwt, ix.sa, ix.lcp.astype(dtype), ix.sep_positions,
-                            ix.alphabet, ix.provenance)
+    return AugmentedFmIndex(ix.bwt, ix.sa, ix.lcp.astype(dtype), ix.alphabet, ix.provenance)
 
 
 @pytest.mark.parametrize("length, maximum, dtype", [(256, 255, "u1"), (257, 256, "<u2"),
@@ -542,6 +550,9 @@ def test_alphabet_overflow_rejected():
                        Alphabet(kind="digest", k=3), {"mode": "digest"})
     with pytest.raises(ValidationError, match="alphabet"):
         build_index(st)
+    empty = SeparatedText(np.array([], dtype=np.int32), Alphabet(kind="bases"))
+    with pytest.raises(ValidationError, match="empty text"):
+        AugmentedFmIndex.build(empty)
 
 
 def test_digest_index_round_trip_keeps_params(golden_digest_index):
