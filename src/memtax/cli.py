@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import json
 import sys
+import warnings
 
 from .collection import iter_reads, open_text, parse_collection
 from .digest import DEFAULT_HASH
@@ -28,8 +29,7 @@ def _open_out(path):
 
 def _read_tree(path):
     with open_text(path) as f:
-        text = f.read()
-    return parse_newick(text)
+        return parse_newick(f.read())
 
 
 def _variant_from_args(args) -> IndexVariant:
@@ -54,14 +54,15 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     index = deserialize(args.index)
-    # the reads open first: a reads file that does not open leaves the output as it was
-    with open_text(args.reads) as source, _open_out(args.output) as out:
-        out.write("\t".join(TSV_HEADER) + "\n")
-        reads = iter_reads(source, fmt=args.format)
-        for read_id, codes, table in read_mem_tables(index, reads, args.min_mem):
-            symbols = index.alphabet.symbols(codes)
-            for row in tsv_rows(read_id, symbols, table, index.alphabet):
-                out.write("\t".join(str(x) for x in row) + "\n")
+    # a reads file that does not open or a bad --min-mem leaves the output as it was
+    with open_text(args.reads) as source:
+        tables = read_mem_tables(index, iter_reads(source, fmt=args.format), args.min_mem)
+        with _open_out(args.output) as out:
+            out.write("\t".join(TSV_HEADER) + "\n")
+            for read_id, codes, table in tables:
+                symbols = index.alphabet.symbols(codes)
+                for row in tsv_rows(read_id, symbols, table, index.alphabet):
+                    out.write("\t".join(str(x) for x in row) + "\n")
     return 0
 
 
@@ -73,34 +74,35 @@ def cmd_classify(args) -> int:
             f"tree has {tree.leaf_count} leaves but the index holds "
             f"{len(index.sep_positions)} genomes")
     lca = LcaStructure(tree)
-    with open_text(args.reads) as source, _open_out(args.output) as out:
-        out.write("read_id\tread_start\tlength\tfirst_genome\tlast_genome\tnode_label\n")
-        reads = iter_reads(source, fmt=args.format)
-        for read_id, _, table in read_mem_tables(index, reads, args.min_mem):
-            if not table.records:
-                out.write(f"{read_id}\t-\t-\t-\t-\t-\n")
-                continue
-            for rec in longest_mems(table):
-                if rec.genome_range is None:
-                    out.write(f"{read_id}\t{rec.read_start}\t{rec.length}\t-\t-\t-\n")
+    with open_text(args.reads) as source:
+        tables = read_mem_tables(index, iter_reads(source, fmt=args.format), args.min_mem)
+        with _open_out(args.output) as out:
+            out.write("read_id\tread_start\tlength\tfirst_genome\tlast_genome\tnode_label\n")
+            for read_id, _, table in tables:
+                if not table.records:
+                    out.write(f"{read_id}\t-\t-\t-\t-\t-\n")
                     continue
-                node = lca.subtree_for_range(rec.first_genome, rec.last_genome)
-                out.write(f"{read_id}\t{rec.read_start}\t{rec.length}\t"
-                          f"{rec.first_genome}\t{rec.last_genome}\t{tree.label_of(node)}\n")
+                for rec in longest_mems(table):
+                    if rec.genome_range is None:
+                        out.write(f"{read_id}\t{rec.read_start}\t{rec.length}\t-\t-\t-\n")
+                        continue
+                    node = lca.subtree_for_range(rec.first_genome, rec.last_genome)
+                    out.write(f"{read_id}\t{rec.read_start}\t{rec.length}\t{rec.first_genome}"
+                              f"\t{rec.last_genome}\t{tree.label_of(node)}\n")
     return 0
 
 
 def cmd_eval(args) -> int:
     collection = parse_collection(args.input, fmt=args.format, allow_wildcard=args.allow_n)
-    tree = _read_tree(args.tree) if args.tree else None
+    if args.tree:
+        _read_tree(args.tree).validate_leaf_names(collection.names)
     variants = expand_variant_specs(args.variants.split(","))
     cfg = ReadSimConfig(read_length=args.read_len, mutation_rate=args.mut_rate,
                         reads_per_genome=args.reads_per_genome, seed=args.seed)
     with open(args.per_read, "w") if args.per_read else contextlib.nullcontext() as per_read:
         if per_read is not None:
             per_read.write("variant\tsource_genome\ttrue_positive\tlongest_mem_ranges\n")
-        report = run_experiment(collection, variants, cfg, tree=tree,
-                                per_read_sink=per_read)
+        report = run_experiment(collection, variants, cfg, per_read_sink=per_read)
     with _open_out(args.output) as out:
         out.write(report.to_json() + "\n")
     return 0
@@ -182,13 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (MemtaxError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, FormatError):
-            return EXIT_FORMAT
-        return EXIT_VALIDATION if isinstance(e, MemtaxError) else EXIT_IO
+    # a warning is one line on stderr, as an error is
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (MemtaxError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            if isinstance(e, FormatError):
+                return EXIT_FORMAT
+            return EXIT_VALIDATION if isinstance(e, MemtaxError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from .index import AugmentedFmIndex
 from .kernel import KernelParams, build_katka_kernel, doubling_level
 from .mems import MemTable, longest_mems, read_mem_tables
 from .suffix import ALL_LEVELS
-from .taxonomy import PhyloTree
 
 # The mutation RNG is Python's random.Random (Mersenne Twister, MT19937),
 # whose sequence for a given seed is stable across platforms and versions.
@@ -58,7 +57,8 @@ def simulate_reads(collection: GenomeCollection, cfg: ReadSimConfig) -> list[Sim
     """reads_per_genome substrings of each genome at uniform random starts,
     each base substituted with probability mutation_rate by a uniformly
     chosen different base.  Deterministic for a fixed seed; genomes shorter
-    than the read length are skipped with a warning."""
+    than the read length are skipped with a warning, unless every genome
+    is, which raises."""
     rng = random.Random(cfg.seed)
     reads: list[SimulatedRead] = []
     skipped = []
@@ -74,10 +74,10 @@ def simulate_reads(collection: GenomeCollection, cfg: ReadSimConfig) -> list[Sim
                     alt = _OTHER_BASES.get(c)
                     chars[i] = rng.choice(alt) if alt else c
             reads.append(SimulatedRead("".join(chars), g))
-    if skipped:
-        warnings.warn(f"skipped genomes shorter than the read length: {skipped}")
     if not reads:
         raise ValidationError("every genome is shorter than the read length")
+    if skipped:
+        warnings.warn(f"skipped genomes shorter than the read length: {skipped}")
     return reads
 
 
@@ -294,8 +294,7 @@ def _levels_wanted(variants: list[IndexVariant]):
 
 
 def run_experiment(collection: GenomeCollection, variants: list[IndexVariant],
-                   cfg: ReadSimConfig, tree: PhyloTree | None = None,
-                   per_read_sink=None) -> EvalReport:
+                   cfg: ReadSimConfig, per_read_sink=None) -> EvalReport:
     """Build every variant once, in the order given, stream all simulated
     reads through each and accumulate sizes, true-positive rates and mean
     per-read query times.  Variants on one base text (the separated genomes,
@@ -305,8 +304,6 @@ def run_experiment(collection: GenomeCollection, variants: list[IndexVariant],
     variant of the text takes it; the text itself after its last variant.
     Build or query failures, a base's included, are reported per variant
     without aborting the rest."""
-    if tree is not None:
-        tree.validate_leaf_names(collection.names)
     reads = simulate_reads(collection, cfg)
     report = EvalReport(config=cfg)
     keys = [_base_key(v) for v in variants]

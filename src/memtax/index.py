@@ -4,15 +4,15 @@ first/last occurrence extraction and genome ranges.
 The index keeps the BWT (with rank/select), the suffix array and the LCP
 array of the underlying text; the text itself is not retained.  The arrays
 are held as the `KTK2` file stores them: a loaded index keeps views into
-the file's payload, read into a buffer that aligns the arrays after the
-BWT, and a built one holds the same dtypes.  The LCP is stored at the
-narrowest unsigned width that holds its maximum (the byte-LCP of enhanced
-suffix arrays, without an exception table), and the walk's kernels scan it
-at that width.  Two structures are derived, for a built and a loaded index
-alike: the BWT's sorted key array, searched for every backward step and
-for the shrink's nearest rows preceded by a symbol, and the separator
-positions, the suffix-array rows of the key array's `$` run, which give
-each text position its genome.
+the file's payload, whose arrays are stored widest first and so each start
+at a multiple of its item size, and a built one holds the same dtypes.
+The LCP is stored at the narrowest unsigned width that holds its maximum
+(the byte-LCP of enhanced suffix arrays, without an exception table), and
+the walk's kernels scan it at that width.  Two structures are derived,
+for a built and a loaded index alike: the BWT's sorted key array, searched
+for every backward step and for the shrink's nearest rows preceded by a
+symbol, and the separator positions, the suffix-array rows of the key
+array's `$` run, which give each text position its genome.
 
 The MEM walk's kernels take arrays with one entry per lane (one read's
 walk) and answer every lane with a few whole-array operations: a backward
@@ -46,7 +46,7 @@ from .suffix import (BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt
 # what a checksummed header that no writer produced raises on decoding
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ValidationError)
 MAGIC = b"KTK2"
-VERSION = 4
+VERSION = 5
 # the LCP's widths, narrowest first: a file stores the narrowest whose range
 # holds its maximum
 LCP_DTYPES = ("u1", "<u2", "<u4", "<u8")
@@ -77,11 +77,14 @@ def _lcp_dtype(maximum: int) -> str:
 
 def _layout(text_length: int, alphabet: Alphabet, lcp: str) -> list[list]:
     """[name, dtype, count] of each payload array, in file order, for an
-    LCP of dtype lcp."""
+    LCP of dtype lcp.  The order is by descending item size, ties in the
+    order bwt, sa, lcp: item sizes being powers of two, every array then
+    starts at a multiple of its item size in an 8-aligned buffer."""
     rows = text_length + 1
     row_dtype = "<u4" if rows < 2**32 else "<u8"
     bwt_dtype = "u1" if alphabet.size <= 256 else "<u4"
-    return [["bwt", bwt_dtype, rows], ["sa", row_dtype, rows], ["lcp", lcp, rows]]
+    arrays = [["bwt", bwt_dtype, rows], ["sa", row_dtype, rows], ["lcp", lcp, rows]]
+    return sorted(arrays, key=lambda array: -np.dtype(array[1]).itemsize)
 
 
 def _sizes(layout: list[list]) -> list[int]:
@@ -279,16 +282,20 @@ class AugmentedFmIndex:
 
     # ------------------------------------------------------------------
     def serialize(self, sink) -> int:
-        """Write the index; returns the number of bytes written."""
+        """Write the index, each array straight from the index in the
+        layout's order; returns the number of bytes written."""
         if isinstance(sink, str):
             with open(sink, "wb") as f:
                 return self.serialize(f)
         head = self._head()
-        payload = self._payload()
-        head += struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
-        sink.write(head)
-        sink.write(payload)
-        return len(head) + len(payload)
+        held = {"bwt": self.bwt.symbols, "sa": self.sa, "lcp": self.lcp}
+        arrays = [np.asarray(held[name], dtype=dtype) for name, dtype, _ in self.layout()]
+        crc = zlib.crc32(head)
+        for array in arrays:
+            crc = zlib.crc32(array, crc)
+        for part in (head + struct.pack("<I", crc), *arrays):
+            sink.write(part)
+        return len(head) + 4 + sum(array.nbytes for array in arrays)
 
     def to_bytes(self) -> bytes:
         buf = io.BytesIO()
@@ -312,18 +319,16 @@ class AugmentedFmIndex:
         meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
         return MAGIC + struct.pack("<II", VERSION, len(meta_bytes)) + meta_bytes
 
-    def _payload(self) -> bytes:
-        arrays = (self.bwt.symbols, self.sa, self.lcp)
-        return b"".join(np.asarray(a, dtype=dtype).tobytes()
-                        for a, (_, dtype, _) in zip(arrays, self.layout()))
-
 
 def deserialize(source) -> AugmentedFmIndex:
-    """Read an index written by AugmentedFmIndex.serialize(); raises
-    FormatError on bad magic/version, truncation, a checksum mismatch over
-    header and payload, a header missing a key, holding a wrong type or
-    invalid digest parameters, arrays other than the layout that
-    text_length and the alphabet determine (the LCP at one of LCP_DTYPES),
+    """Read an index written by AugmentedFmIndex.serialize() from a path,
+    bytes or a binary file; the payload is read into one buffer, that of a
+    non-seekable source after reading it whole, and the arrays are views
+    into it.  Raises FormatError on bad magic/version, truncation, a
+    checksum mismatch over header and payload, a header missing a key,
+    holding a wrong type or invalid digest parameters, arrays other than
+    the layout that text_length and the alphabet determine (widest first,
+    the LCP at one of LCP_DTYPES),
     a suffix array that is not a permutation of 0..text_length, an LCP
     entry longer than either of its two suffixes, an LCP wider than its
     maximum needs, a BWT whose LF mapping does not step every suffix-array
@@ -346,7 +351,7 @@ def deserialize(source) -> AugmentedFmIndex:
     if len(meta_bytes) < meta_len or len(crc_bytes) < 4:
         raise FormatError("truncated index header")
     (crc,) = struct.unpack("<I", crc_bytes)
-    payload = _read_payload(source, _payload_pad(meta_bytes))
+    payload = _read_payload(source)
     if zlib.crc32(payload, zlib.crc32(head + meta_bytes)) != crc:
         raise FormatError("index checksum mismatch")
     try:
@@ -355,31 +360,15 @@ def deserialize(source) -> AugmentedFmIndex:
         raise FormatError(f"malformed index header: {type(e).__name__}: {e}") from None
 
 
-def _payload_pad(meta_bytes: bytes) -> int:
-    """Bytes before the payload in its buffer that align the arrays after
-    the BWT; 0 for a header that does not parse, which the checks after
-    the checksum then reject."""
-    try:
-        meta = json.loads(meta_bytes)
-        n, alphabet = meta["text_length"], Alphabet.from_dict(meta["alphabet"])
-    except _MALFORMED:
-        return 0
-    return -_sizes(_layout(n, alphabet, LCP_DTYPES[0]))[0] % 8 if type(n) is int else 0
-
-
-def _read_payload(source, pad: int) -> memoryview:
-    """The rest of source, read into one buffer from byte pad on.  A
-    seekable source is read in place; another is read whole, then copied."""
-    seekable = getattr(source, "seekable", None)
-    if seekable is None or not seekable():
-        data = source.read()
-        buf = bytearray(pad + len(data))
-        buf[pad:] = data
-        return memoryview(buf)[pad:]
+def _read_payload(source) -> memoryview:
+    """The rest of source, read into one buffer.  A non-seekable source is
+    read whole, then copied into the buffer."""
+    if not getattr(source, "seekable", lambda: False)():
+        source = io.BytesIO(source.read())
     here = source.tell()
     size = source.seek(0, io.SEEK_END) - here
     source.seek(here)
-    buf = memoryview(bytearray(pad + size))[pad:]
+    buf = memoryview(bytearray(size))
     filled = 0
     while filled < size and (got := source.readinto(buf[filled:])):
         filled += got
@@ -398,8 +387,9 @@ def _decode(meta: dict, payload) -> AugmentedFmIndex:
             or sum(sizes := _sizes(layout)) != len(payload):
         raise FormatError("index arrays disagree with the header's text length and alphabet")
     offsets = accumulate(sizes, initial=0)
-    bwt, sa, lcp = (np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-                    for (_, dtype, count), offset in zip(layout, offsets))
+    arrays = {name: np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+              for (name, dtype, count), offset in zip(layout, offsets)}
+    bwt, sa, lcp = arrays["bwt"], arrays["sa"], arrays["lcp"]
     # the SA first, so that n - SA cannot wrap below
     seen = np.zeros(n + 1, dtype=bool)
     if sa.max() <= n:
@@ -409,7 +399,7 @@ def _decode(meta: dict, payload) -> AugmentedFmIndex:
     del seen
     if not _lcp_in_bounds(sa, lcp):
         raise FormatError("LCP array exceeds the suffix lengths")
-    if _lcp_dtype(int(lcp.max())) != layout[2][1]:
+    if np.dtype(_lcp_dtype(int(lcp.max()))) != lcp.dtype:
         raise FormatError("LCP array is stored wider than its maximum needs")
     bwt = IndexedSequence(bwt, alphabet.size)
     if not _lf_agrees(sa, bwt.keys):

@@ -88,11 +88,16 @@ def read_mem_tables(ix: AugmentedFmIndex, reads, min_length: int = 1):
     index's rule; an empty or unclassifiable read (one holding a reserved
     symbol, say) has no codes and an empty table.  Against digest indexes,
     symbols absent from the indexed text produce `empty` records;
-    min_length, at least 1, drops every shorter record, those too.
+    min_length, at least 1, drops every shorter record, those too.  A
+    min_length below 1 raises on the call, before a table is drawn.
     """
     if min_length < 1:
         raise ValidationError(f"minimum MEM length must be at least 1, got {min_length}")
-    reads = iter(reads)
+    return _read_mem_tables(ix, iter(reads), min_length)
+
+
+def _read_mem_tables(ix: AugmentedFmIndex, reads, min_length: int):
+    """The tables of read_mem_tables, drawn from an iterator of reads."""
     while True:
         ids, codes, offsets = ix.encode_reads(islice(reads, CHUNK_READS))
         if not ids:

@@ -68,17 +68,17 @@ class PhyloTree:
         return lo, hi
 
     def validate_leaf_names(self, names: list[str]) -> None:
-        """Tree leaves must match the collection: same count, and when the
-        leaf labels are the collection's names they must appear in the same
-        left-to-right order."""
+        """Tree leaves must match the collection: same count, and when any
+        leaf label is one of the collection's names every leaf must carry
+        the name at its left-to-right position; otherwise leaves map to
+        genomes by position."""
         if self.leaf_count != len(names):
             raise ValidationError(
                 f"tree has {self.leaf_count} leaves but the collection has {len(names)} genomes")
         leaf_labels = [self.labels[leaf] for leaf in self.leaves]
-        name_set = set(names)
-        if all(lbl in name_set for lbl in leaf_labels if lbl):
+        if not set(leaf_labels).isdisjoint(names):
             for i, lbl in enumerate(leaf_labels):
-                if lbl and lbl != names[i]:
+                if lbl != names[i]:
                     raise ValidationError(
                         f"leaf order mismatch: leaf {i} is {lbl!r}, expected {names[i]!r}")
 

@@ -1,6 +1,7 @@
 import json
 import random
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from memtax import (DigestParams, ReadSimConfig, classify_read, compute_mem_table,
                     deserialize, digest_sequence, longest_mems, parse_collection,
                     simulate_reads)
+from memtax import cli
 from memtax.cli import main
 from memtax.evaluate import build_variant_index, expand_variant_specs
 
@@ -247,17 +249,48 @@ def test_classify_tree_mismatch(tmp_path, toy_files, capsys):
     rc = main(["classify", "--index", str(idx), "--tree", str(tree),
                "--reads", str(reads)])
     assert rc == 2
-    # eval validates a parseable tree against the collection: a leaf count
-    # or a leaf order that disagrees with it exits 2 with one line
+    # build and eval validate a parseable tree against the collection: a
+    # leaf count, a leaf order or leaf labels only some of which are genome
+    # names that disagree with it exit 2 with one line
     capsys.readouterr()
     for newick, message in (("((g0,g1),(g2,g3));",
                              "tree has 4 leaves but the collection has 5 genomes"),
                             ("((g1,g0),(g2,(g3,g4)));",
-                             "leaf order mismatch: leaf 0 is 'g1', expected 'g0'")):
+                             "leaf order mismatch: leaf 0 is 'g1', expected 'g0'"),
+                            ("((g0,g1),(g2,(x,g4)));",
+                             "leaf order mismatch: leaf 3 is 'x', expected 'g3'")):
         tree.write_text(newick)
-        assert main(["eval", "--input", str(genomes), "--format", "lines", "--tree", str(tree),
-                     "--reads-per-genome", "1", "--read-len", "5"]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        for argv in (["build", "--mode", "raw", "--output", str(tmp_path / "t.ktk2")],
+                     ["eval", "--reads-per-genome", "1", "--read-len", "5"]):
+            assert main(argv + ["--input", str(genomes), "--format", "lines",
+                                "--tree", str(tree)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_eval_short_genomes(tmp_path, capsys):
+    # genomes shorter than the read length are skipped with one warning
+    # line; when every genome is, eval exits 2 with one error line
+    genomes = tmp_path / "short.txt"
+    genomes.write_text("ACGTACGTAC\nAC\n")
+    argv = ["eval", "--input", str(genomes), "--format", "lines", "--reads-per-genome", "2"]
+    for read_len, code, err in (
+            ("5", 0, "warning: skipped genomes shorter than the read length: ['g1']"),
+            ("11", 2, "error: every genome is shorter than the read length")):
+        assert main(argv + ["--read-len", read_len]) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [err]
+        assert bool(captured.out) == (code == 0)
+
+
+def test_deprecation_in_a_command_still_fails(monkeypatch):
+    # main reformats warnings but keeps their filters: pytest's error filter
+    # for a DeprecationWarning raised in memtax still applies inside main
+    def deprecated(args):
+        warnings.warn("old", DeprecationWarning, stacklevel=2)  # attributed to memtax.cli
+        return 0
+    monkeypatch.setattr(cli, "cmd_inspect", deprecated)
+    with pytest.raises(DeprecationWarning, match="old"):
+        main(["inspect", "unused.ktk2"])
 
 
 def test_eval_json(tmp_path, toy_files):
@@ -350,9 +383,10 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
                  "--mode", "raw", "--output", str(idx)]) == 0
     blob = idx.read_bytes()
     # format error: a file of version 2, whose LCP was <u4 whatever its
-    # maximum, or of version 3, which stored the separators as a bitvector
+    # maximum, of version 3, which stored the separators as a bitvector, or
+    # of version 4, which stored the BWT first
     capsys.readouterr()
-    for version in (2, 3):
+    for version in (2, 3, 4):
         idx.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         assert main(["query", "--index", str(idx), "--reads", str(reads)]) == 4
         err = capsys.readouterr().err.splitlines()
@@ -476,12 +510,21 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "terminating ';'" in err[0]
-    # validation error: a minimum MEM length below 1 (it used to act as 1)
+    # validation error: a minimum MEM length below 1 (it used to act as 1);
+    # it is checked before the output opens, so an existing output file is
+    # left as it was and nothing goes to stdout
+    keep = tmp_path / "keep.tsv"
+    keep.write_text("keep\n")
     for command, min_mem in (("query", "0"), ("classify", "-4")):
         argv = [command, "--index", str(idx), "--reads", str(reads), "--min-mem", min_mem]
-        assert main(argv + (["--tree", str(tree)] if command == "classify" else [])) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: minimum MEM length must be at least 1, got {min_mem}"]
+        argv += ["--tree", str(tree)] if command == "classify" else []
+        for output in ([], ["--output", str(keep)]):
+            assert main(argv + output) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: minimum MEM length must be at least 1, got {min_mem}"]
+            assert keep.read_bytes() == b"keep\n"
 
 
 def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
@@ -498,16 +541,18 @@ def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
         assert len(out) == 1
         got = json.loads(out[0])
         ix = deserialize(str(idx))
-        assert got["version"] == 4 and got["text_length"] == ix.n
+        assert got["version"] == 5 and got["text_length"] == ix.n
         assert got["genome_count"] == len(ix.sep_positions)
         assert got["alphabet"] == ix.alphabet.to_dict() and got["provenance"] == ix.provenance
         # the file stores three arrays, at the dtypes the index holds them in
-        held = (ix.bwt.symbols, ix.sa, ix.lcp)
-        assert got["arrays"] == [
-            {"name": name, "dtype": dtype, "count": len(array), "bytes": array.nbytes}
-            for (name, dtype, _), array in zip(ix.layout(), held, strict=True)]
-        assert [a["name"] for a in got["arrays"]] == ["bwt", "sa", "lcp"]
-        assert got["lcp_max"] == int(ix.lcp.max()) and got["arrays"][2]["dtype"] == "u1"
+        held = {"bwt": ix.bwt.symbols, "sa": ix.sa, "lcp": ix.lcp}
+        arrays = {a["name"]: a for a in got["arrays"]}
+        assert len(got["arrays"]) == len(arrays) and arrays.keys() == held.keys()
+        for name, array in held.items():
+            a = arrays[name]
+            assert (np.dtype(a["dtype"]), a["count"], a["bytes"]) == \
+                (array.dtype, len(array), array.nbytes)
+        assert got["lcp_max"] == int(ix.lcp.max()) and arrays["lcp"]["dtype"] == "u1"
         assert got["key_bytes"] == 8 * ix.rows
         assert got["file_bytes"] == idx.stat().st_size
     # a bad file exits 4 with one line, a missing one 3

@@ -277,9 +277,9 @@ def test_serialize_deterministic(toy_index):
 
 
 def test_loaded_arrays_aligned(tmp_path):
-    # the payload is read into a buffer offset so that the arrays after the
-    # BWT are aligned for every row count mod 4 (a one-byte BWT) and for a
-    # four-byte BWT (k = 4 digest), loaded from bytes, a file and a pipe
+    # the arrays, stored widest first, are aligned by their order for every
+    # row count mod 4 (a one-byte BWT) and for a four-byte BWT (k = 4
+    # digest), loaded from bytes, a file and a pipe
     indexes = [build_index(separate(GenomeCollection(genomes=["GATTACAGAT"[:length]])))
                for length in range(6, 10)]
     assert sorted(ix.rows % 4 for ix in indexes) == [0, 1, 2, 3]
@@ -369,8 +369,8 @@ def test_deserialize_errors(toy_index, golden_digest_index):
         deserialize(b"NOPE" + bytes(blob[4:]))
     bad_version = bytearray(blob)
     # version 2 stored the LCP as <u4 whatever its maximum, version 3 the
-    # separator positions as a bitvector
-    for version in (99, 2, 3):
+    # separator positions as a bitvector, version 4 the BWT first
+    for version in (99, 2, 3, 4):
         bad_version[4] = version
         with pytest.raises(FormatError, match=f"unsupported index version {version}"):
             deserialize(bytes(bad_version))
@@ -535,10 +535,16 @@ def test_narrow_lcp_mem_tables_equal_four_byte_lcp(golden_genomes, golden_raw_in
 
 def test_reported_size_equals_file_bytes(tmp_path, toy_index, golden_raw_index,
                                          golden_kernel4_index, golden_digest_index):
+    # the arrays are written one by one, straight from the index, into a file and a pipe
     path = tmp_path / "toy.ktk2"
-    with open(path, "wb") as f:
-        written = toy_index.serialize(f)
-    assert written == path.stat().st_size == len(toy_index.to_bytes()) == toy_index.size_bytes()
+    read_end, write_end = os.pipe()
+    for sink_path, source_path in ((path, path), (write_end, read_end)):
+        with open(sink_path, "wb") as sink:
+            written = toy_index.serialize(sink)
+        with open(source_path, "rb") as source:
+            got = source.read()
+        assert written == len(got) == toy_index.size_bytes()
+        assert got == toy_index.to_bytes()
     for ix in (golden_raw_index, golden_kernel4_index, golden_digest_index):
         assert ix.size_bytes() == len(ix.to_bytes())
 

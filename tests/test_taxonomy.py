@@ -52,6 +52,9 @@ def test_leaf_name_validation():
         tree.validate_leaf_names(["g1", "g0", "g2", "g3"])  # order mismatch
     # non-matching labels fall back to positional mapping
     tree.validate_leaf_names(["x", "y", "z", "w"])
+    # labels only some of which are genome names do not
+    with pytest.raises(ValidationError, match="leaf 2 is 'g3', expected 'g2'"):
+        parse_newick("((g0,g1),g3);").validate_leaf_names(["g0", "g1", "g2"])
 
 
 def test_lca_examples():
