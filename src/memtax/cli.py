@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import warnings
 
@@ -25,6 +26,25 @@ EXIT_FORMAT = 4
 def _open_out(path):
     """Context manager of the output: stdout for None or '-', else the file."""
     return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
+
+
+def _check_outputs(args) -> None:
+    """ValidationError when an output file is one of the command's input
+    files or its other output, which opening it would truncate."""
+    paths = [(f"--{name.replace('_', '-')}", getattr(args, name, None))
+             for name in ("index", "reads", "tree", "input", "per_read", "output")]
+    paths = [(flag, path) for flag, path in paths if path not in (None, "-")]
+    for k, (flag, path) in enumerate(paths):
+        for other, earlier in paths[:k]:
+            if flag in ("--per-read", "--output") and _same_file(path, earlier):
+                raise ValidationError(f"{flag} {path} names the same file as {other} {earlier}")
+
+
+def _same_file(a: str, b: str) -> bool:
+    """os.path.samefile where both paths exist, else equal resolved paths."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _read_tree(path):
@@ -188,6 +208,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            _check_outputs(args)
             return args.func(args)
         except (MemtaxError, OSError) as e:
             print(f"error: {e}", file=sys.stderr)

@@ -172,24 +172,15 @@ class IndexVariant:
 def full_grid() -> list[IndexVariant]:
     """The reference parameter grid: kernels at k_max 5,10,...,50 and 100;
     3-mer digests at w 5,10,...,50; digest-kernels over the product."""
-    variants = [IndexVariant("raw")]
-    kmaxes = list(range(5, 55, 5)) + [100]
-    ws = list(range(5, 55, 5))
-    variants += [IndexVariant("kernel", k_max=km) for km in kmaxes]
-    variants += [IndexVariant("digest", k=3, w=w) for w in ws]
-    variants += [IndexVariant("digest-kernel", k=3, w=w, k_max=km)
-                 for w in ws for km in range(5, 55, 5)]
-    return variants
+    steps = range(5, 55, 5)
+    return [IndexVariant("raw"), *(IndexVariant("kernel", k_max=km) for km in [*steps, 100]),
+            *(IndexVariant("digest", k=3, w=w) for w in steps),
+            *(IndexVariant("digest-kernel", k=3, w=w, k_max=km) for w in steps for km in steps)]
 
 
 def expand_variant_specs(specs: list[str]) -> list[IndexVariant]:
-    out: list[IndexVariant] = []
-    for spec in specs:
-        if spec.strip() == "grid":
-            out.extend(full_grid())
-        else:
-            out.append(IndexVariant.parse(spec))
-    return out
+    return [variant for spec in specs
+            for variant in (full_grid() if spec.strip() == "grid" else [IndexVariant.parse(spec)])]
 
 
 def build_base_text(collection: GenomeCollection, variant: IndexVariant) -> SeparatedText:

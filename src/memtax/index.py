@@ -9,10 +9,11 @@ at a multiple of its item size, and a built one holds the same dtypes.
 The LCP is stored at the narrowest unsigned width that holds its maximum
 (the byte-LCP of enhanced suffix arrays, without an exception table), and
 the walk's kernels scan it at that width.  Two structures are derived,
-for a built and a loaded index alike: the BWT's sorted key array, searched
-for every backward step and for the shrink's nearest rows preceded by a
-symbol, and the separator positions, the suffix-array rows of the key
-array's `$` run, which give each text position its genome.
+for a built and a loaded index alike: the BWT's sorted key array (uint32
+below sigma * R < 2**32, from one in-place sort), searched for every
+backward step and for the shrink's nearest rows preceded by a symbol, and
+the separator positions, the suffix-array rows of the key array's `$` run,
+which give each text position its genome.
 
 The MEM walk's kernels take arrays with one entry per lane (one read's
 walk) and answer every lane with a few whole-array operations: a backward

@@ -20,6 +20,8 @@ positions, serves the LCA over a tree's Euler tour.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .collection import EOF_CODE
@@ -269,11 +271,12 @@ def derive_bwt(codes, sa: np.ndarray) -> np.ndarray:
 
 class IndexedSequence:
     """A symbol sequence with per-symbol rank and select, held as one sorted
-    key array: keys = symbols[order] * R + order for R rows and the stable
-    sort order, so a search for c*R + i counts the rows holding a smaller
-    symbol plus the occurrences of c before i, the FM-index's LF(c, i) =
-    C[c] + rank(c, i).  Each symbol's run of keys, less c*R, is its
-    increasing position list; nothing is sized by the alphabet.
+    key array: keys = sort(symbols * R + row) for R rows, so a search for
+    c*R + i counts the rows holding a smaller symbol plus the occurrences of
+    c before i, the FM-index's LF(c, i) = C[c] + rank(c, i).  Each symbol's
+    run of keys, less c*R, is its increasing position list; nothing is
+    sized by the alphabet.  The keys are uint32 when every key and the one
+    past the last (sigma * R) fit 32 bits, else int64.
     """
 
     def __init__(self, symbols: np.ndarray, alphabet_size: int):
@@ -282,39 +285,33 @@ class IndexedSequence:
             raise ValueError("symbol out of declared alphabet range")
         self.symbols = symbols
         self.rows = len(symbols)
-        # in place, a block at a time: no second row-sized int64 array, and
-        # no int64 block either, as a block's rows wait in their narrowest
-        # dtype while the block is overwritten by its symbols times R
-        self.keys = np.argsort(symbols, kind="stable").astype(np.int64, copy=False)
-        order = np.empty(min(BLOCK_ROWS, self.rows), dtype=np.min_scalar_type(self.rows))
+        # symbols times R, each block then plus its rows (no row-sized
+        # temporary), sorted in place: distinct keys need no stable sort
+        dtype = np.uint32 if alphabet_size * self.rows < 1 << 32 else np.int64
+        self.keys = np.multiply(symbols, self.rows, dtype=dtype, casting="unsafe")
         for start in range(0, self.rows, BLOCK_ROWS):
             block = self.keys[start: start + BLOCK_ROWS]
-            rows = order[:len(block)]
-            np.copyto(rows, block, casting="unsafe")
-            np.multiply(symbols[block], np.int64(self.rows), out=block)
-            block += rows
-
-    def __len__(self) -> int:
-        return self.rows
+            block += np.arange(start, start + len(block), dtype=dtype)
+        self.keys.sort()
 
     def access(self, i: int) -> int:
         return int(self.symbols[i])
 
     def lf(self, c, i):
         """C[c] + rank(c, i): rows holding a smaller symbol, plus the
-        occurrences of c in symbols[0..i).  Elementwise over int64 arrays
-        of c and i, with one search for them all; many keys are searched
-        in sorted order (by sort_keys), which keeps the search near the rows
-        it last read."""
-        keys = c * self.rows + i
-        if np.size(keys) < 64:
-            return self.keys.searchsorted(keys)
+        occurrences of c in symbols[0..i).  Elementwise over int64 arrays or
+        Python ints c and i, with one search for them all; many keys are
+        searched in sorted order (by sort_keys), near the rows last read."""
         # a key below or past every key of K finds what K's bounds find, so
-        # clamped to them the keys fit sort_keys; a -1 code's keys become 0
-        top = int(self.keys[-1]) + 1
-        order, ordered = sort_keys(np.clip(keys.ravel(), 0, top), top + 1)
+        # clamped to them (two ufuncs cost less than np.clip) the keys fit
+        # K's dtype, without which a search would cast all of K, and sort_keys
+        top = int(self.keys[-1]) + 1 if self.rows else 0
+        keys = np.minimum(np.maximum(c * self.rows + i, 0), top)
+        if keys.size < 64:
+            return self.keys.searchsorted(keys.astype(self.keys.dtype))
+        order, ordered = sort_keys(keys.ravel(), top + 1)
         out = np.empty_like(order)
-        out[order] = self.keys.searchsorted(ordered)
+        out[order] = self.keys.searchsorted(ordered.astype(self.keys.dtype))
         return out.reshape(keys.shape)
 
     def count(self, c: int) -> int:
@@ -402,27 +399,21 @@ class RangeExtremes:
     """Sparse-table RMQ giving the leftmost position of the minimum and/or
     maximum over any inclusive range of a fixed array."""
 
+    # a position replaces an earlier one only where its value is strictly better
+    _BETTER = {"min": operator.lt, "max": operator.gt}
+
     def __init__(self, values, kinds=("min", "max")):
         self.values = np.asarray(values)
         n = len(self.values)
         if n == 0:
             raise ValueError("cannot index an empty array")
+        # level j holds the position of each range of 2**j rows' extreme
         self._tables: dict[str, list[np.ndarray]] = {}
         for kind in kinds:
-            base = np.arange(n, dtype=np.int64)
-            levels = [base]
-            j = 1
-            while (1 << j) <= n:
-                half = 1 << (j - 1)
-                prev = levels[-1]
-                a = prev[: n - (1 << j) + 1]
-                b = prev[half: half + len(a)]
-                if kind == "min":
-                    take_b = self.values[b] < self.values[a]
-                else:
-                    take_b = self.values[b] > self.values[a]
-                levels.append(np.where(take_b, b, a))
-                j += 1
+            levels = [np.arange(n, dtype=np.int64)]
+            while (half := 1 << (len(levels) - 1)) * 2 <= n:
+                a, b = levels[-1][: n - 2 * half + 1], levels[-1][half: n - half + 1]
+                levels.append(np.where(self._BETTER[kind](self.values[b], self.values[a]), b, a))
             self._tables[kind] = levels
 
     def position(self, lo: int, hi: int, kind: str = "min") -> int:
@@ -433,12 +424,8 @@ class RangeExtremes:
             raise ValueError(f"range [{lo}, {hi}] out of bounds")
         levels = self._tables[kind]
         j = (hi - lo + 1).bit_length() - 1
-        a = int(levels[j][lo])
-        b = int(levels[j][hi - (1 << j) + 1])
-        va, vb = self.values[a], self.values[b]
-        if kind == "min":
-            return b if vb < va else a
-        return b if vb > va else a
+        a, b = int(levels[j][lo]), int(levels[j][hi - (1 << j) + 1])
+        return b if self._BETTER[kind](self.values[b], self.values[a]) else a
 
     def argmin(self, lo: int, hi: int) -> int:
         return self.position(lo, hi, "min")

@@ -525,6 +525,43 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
             assert captured.err.splitlines() == [
                 f"error: minimum MEM length must be at least 1, got {min_mem}"]
             assert keep.read_bytes() == b"keep\n"
+    # validation error: an output that names one of the command's inputs or
+    # its other output, by another spelling or a link too (classify --output
+    # on its reads file used to exit 0 and leave only the TSV header in it);
+    # it is checked before any output opens, so every file is left as it was
+    link = tmp_path / "reads.link"
+    link.symlink_to(reads)
+    report = tmp_path / "report.json"
+    evaluate = ["eval", "--input", str(genomes), "--format", "lines",
+                "--reads-per-genome", "1", "--read-len", "5"]
+    for argv, flag, other in (
+            (["query", "--index", str(idx), "--reads", str(reads), "--output", str(reads)],
+             "--output", "--reads"),
+            (["query", "--index", str(idx), "--reads", str(reads),
+              "--output", str(tmp_path / "." / reads.name)], "--output", "--reads"),
+            (["query", "--index", str(idx), "--reads", str(reads), "--output", str(idx)],
+             "--output", "--index"),
+            (["classify", "--index", str(idx), "--tree", str(tree), "--reads", str(reads),
+              "--output", str(link)], "--output", "--reads"),
+            (["classify", "--index", str(idx), "--tree", str(tree), "--reads", str(reads),
+              "--output", str(tree)], "--output", "--tree"),
+            (evaluate + ["--output", str(genomes)], "--output", "--input"),
+            (evaluate + ["--per-read", str(genomes)], "--per-read", "--input"),
+            (evaluate + ["--tree", str(tree), "--per-read", str(tree)], "--per-read", "--tree"),
+            (evaluate + ["--per-read", str(report), "--output", str(report)],
+             "--output", "--per-read"),
+            (evaluate + ["--per-read", str(keep), "--output", str(keep)],
+             "--output", "--per-read")):
+        before = {path: path.read_bytes() for path in (idx, reads, genomes, tree, keep)}
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} ") and \
+            f"names the same file as {other} " in err[0]
+        assert {path: path.read_bytes() for path in before} == before
+        assert not report.exists()
 
 
 def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
@@ -553,7 +590,8 @@ def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
             assert (np.dtype(a["dtype"]), a["count"], a["bytes"]) == \
                 (array.dtype, len(array), array.nbytes)
         assert got["lcp_max"] == int(ix.lcp.max()) and arrays["lcp"]["dtype"] == "u1"
-        assert got["key_bytes"] == 8 * ix.rows
+        # K is uint32 below sigma * R < 2**32
+        assert got["key_bytes"] == ix.bwt.keys.nbytes == 4 * ix.rows
         assert got["file_bytes"] == idx.stat().st_size
     # a bad file exits 4 with one line, a missing one 3
     idx.write_bytes(idx.read_bytes()[:-1])

@@ -285,28 +285,47 @@ def test_rank_select_inverse_laws():
                 assert seq.rank(c, p + 1) == k + 1
 
 
-@pytest.mark.parametrize("sigma", [5, 70, 1 << 52])
+# sigma: rows.  At 256 rows K is uint32 up to sigma = 2**24 - 1; at 2**24,
+# sigma * R = 2**32, and the key one past K's last would wrap in uint32
+_LF_ROWS = {5: 300, 70: 300, 1 << 52: 300, (1 << 24) - 1: 256, 1 << 24: 256}
+
+
+@pytest.mark.parametrize("sigma", _LF_ROWS)
 def test_lf_batched_against_per_key(sigma):
     # a batch of 64 or more keys is searched in packed-sorted order; codes
     # -1 (no query symbol) and sigma (one past the alphabet) fall outside
     # K and find its bounds; at sigma = 2**52, (sigma + 1) * R leaves no
     # room for the row bits and the keys take the argsort
     rng = np.random.default_rng(sigma % 1000)
-    rows = 300
+    rows = _LF_ROWS[sigma]
     symbols = rng.integers(0, min(sigma, 4), rows)
     symbols[::5] = rng.integers(0, sigma, len(symbols[::5]))  # the top of the alphabet too
+    symbols[-1] = sigma - 1  # K's last key is sigma * R - 1
+    values, symbols = symbols, symbols.astype(np.min_scalar_type(sigma - 1))
     seq = IndexedSequence(symbols, sigma)
+    assert seq.keys.dtype == (np.uint32 if sigma * rows < 1 << 32 else np.int64)
+
+    def lf(c, i):
+        return int(np.count_nonzero(values < c) + np.count_nonzero(values[:i] == c))
+
     for count in (64, 200, 2048):
         c = rng.choice([-1, 0, 1, 2, int(symbols.max()), sigma - 1, sigma], count)
         i = rng.integers(0, rows + 1, count)
         c[:2], i[:2] = -1, (0, rows)
         c[2:4], i[2:4] = sigma, (0, rows)
-        want = [int(seq.lf(int(cc), int(ii))) for cc, ii in zip(c, i)]
+        want = [lf(cc, ii) for cc, ii in zip(c.tolist(), i.tolist())]
+        assert [int(seq.lf(int(cc), int(ii))) for cc, ii in zip(c, i)] == want
         assert seq.lf(c, i).tolist() == want
         assert seq.lf(np.array([c, c]), np.array([i, i])).tolist() == [want, want]
         assert want[:4] == [0, 0, rows, rows]
         stepped = seq.lf(c, np.array([i, np.minimum(i + 7, rows)]))
         assert np.all(stepped[0][c == -1] == stepped[1][c == -1])  # an empty step
+    for c in {-1, *values.tolist(), sigma}:
+        where = np.flatnonzero(values == c)
+        assert seq.count(c) == len(where)
+        assert [seq.rank(c, i) for i in (0, 1, rows // 2, rows)] == \
+            [lf(c, i) - lf(c, 0) for i in (0, 1, rows // 2, rows)]
+        assert [seq.select(c, j) for j in range(len(where))] == where.tolist()
 
 
 def test_rmq_examples():
