@@ -30,10 +30,14 @@ def _open_out(path):
 
 def _check_outputs(args) -> None:
     """ValidationError when an output file is one of the command's input
-    files or its other output, which opening it would truncate."""
+    files or its other output, which opening it would truncate.  '-' is a
+    file name like any other, except as the --output of a command that
+    writes that to stdout (_open_out): every one but build."""
+    stdout = args.command != "build" and getattr(args, "output", None) == "-"
     paths = [(f"--{name.replace('_', '-')}", getattr(args, name, None))
              for name in ("index", "reads", "tree", "input", "per_read", "output")]
-    paths = [(flag, path) for flag, path in paths if path not in (None, "-")]
+    paths = [(flag, path) for flag, path in paths
+             if path is not None and not (stdout and flag == "--output")]
     for k, (flag, path) in enumerate(paths):
         for other, earlier in paths[:k]:
             if flag in ("--per-read", "--output") and _same_file(path, earlier):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -283,9 +284,10 @@ class AugmentedFmIndex:
 
     # ------------------------------------------------------------------
     def serialize(self, sink) -> int:
-        """Write the index, each array straight from the index in the
-        layout's order; returns the number of bytes written."""
-        if isinstance(sink, str):
+        """Write the index to a path (str or os.PathLike) or a binary file,
+        each array straight from the index in the layout's order; returns
+        the number of bytes written."""
+        if isinstance(sink, (str, os.PathLike)):
             with open(sink, "wb") as f:
                 return self.serialize(f)
         head = self._head()
@@ -322,20 +324,20 @@ class AugmentedFmIndex:
 
 
 def deserialize(source) -> AugmentedFmIndex:
-    """Read an index written by AugmentedFmIndex.serialize() from a path,
-    bytes or a binary file; the payload is read into one buffer, that of a
-    non-seekable source after reading it whole, and the arrays are views
-    into it.  Raises FormatError on bad magic/version, truncation, a
-    checksum mismatch over header and payload, a header missing a key,
-    holding a wrong type or invalid digest parameters, arrays other than
-    the layout that text_length and the alphabet determine (widest first,
-    the LCP at one of LCP_DTYPES),
+    """Read an index written by AugmentedFmIndex.serialize() from a path
+    (str or os.PathLike), bytes or a binary file; the payload is read into
+    one buffer, that of a non-seekable source after reading it whole, and
+    the arrays are views into it.  Raises FormatError on bad magic/version,
+    truncation, a checksum mismatch over header and payload, a header
+    missing a key, holding a wrong type or invalid digest parameters, arrays
+    other than the layout that text_length and the alphabet determine
+    (widest first, the LCP at one of LCP_DTYPES),
     a suffix array that is not a permutation of 0..text_length, an LCP
     entry longer than either of its two suffixes, an LCP wider than its
     maximum needs, a BWT whose LF mapping does not step every suffix-array
     row one text position back, or a genome count other than the number of
     the BWT's separators."""
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as f:
             return deserialize(f)
     if isinstance(source, (bytes, bytearray)):

@@ -16,7 +16,7 @@ scans over such an array answer many lanes at once: reduce_ranges (a min
 or max over each of many row ranges) and first_below (the first row past
 each origin whose value is below a bound, in windows of _SCAN_ROWS rows
 and wider).  RangeExtremes, a sparse table for range-min / range-max
-positions, serves the LCA over a tree's Euler tour.
+positions, serves the LCA over a tree's nodes in preorder.
 """
 from __future__ import annotations
 
@@ -266,7 +266,7 @@ def derive_bwt(codes, sa: np.ndarray) -> np.ndarray:
     s = np.empty(len(sa), dtype=np.int32)
     s[:-1] = np.asarray(codes, dtype=np.int32)
     s[-1] = EOF_CODE
-    return s[(np.asarray(sa) - 1) % len(s)]
+    return s[np.asarray(sa, dtype=np.int64) - 1]  # index -1 (sa[i] = 0) is the sentinel
 
 
 class IndexedSequence:

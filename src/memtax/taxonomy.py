@@ -2,8 +2,8 @@
 
 Leaves in left-to-right order correspond to genome indices 0..G-1, so the
 lowest common ancestor of leaf(first) and leaf(last) roots the smallest
-subtree covering every genome in [first, last].  LCA is answered with an
-Euler tour plus a range-minimum table over tour depths.
+subtree covering every genome in [first, last].  LCA is answered with a
+range-minimum table over the depths of the nodes in preorder.
 """
 from __future__ import annotations
 
@@ -51,21 +51,14 @@ class PhyloTree:
         return lbl if lbl else f"node{node}"
 
     def leaf_span(self, node: int) -> tuple[int, int]:
-        """(first, last) genome index under a node."""
-        order = {leaf: i for i, leaf in enumerate(self.leaves)}
-        stack = [node]
-        lo, hi = None, None
-        while stack:
-            u = stack.pop()
-            if not self.children[u]:
-                i = order[u]
-                lo = i if lo is None else min(lo, i)
-                hi = i if hi is None else max(hi, i)
-            else:
-                stack.extend(self.children[u])
-        if lo is None:
-            raise ValidationError("node has no leaves")
-        return lo, hi
+        """(first, last) genome index under a node: those of the leaves that
+        its first and last children lead down to."""
+        lo = hi = node
+        while self.children[lo]:
+            lo = self.children[lo][0]
+        while self.children[hi]:
+            hi = self.children[hi][-1]
+        return self.leaves.index(lo), self.leaves.index(hi)
 
     def validate_leaf_names(self, names: list[str]) -> None:
         """Tree leaves must match the collection: same count, and when any
@@ -137,32 +130,31 @@ def parse_newick(text: str) -> PhyloTree:
 
 
 class LcaStructure:
-    """Euler tour + depth RMQ over a PhyloTree."""
+    """Depth RMQ over a PhyloTree's nodes in preorder (children in any
+    order).  A node's subtree is the run of positions from its own, so for
+    nodes at positions i < j the shallowest node in (i, j] is a child of
+    their LCA."""
 
     def __init__(self, tree: PhyloTree):
         self.tree = tree
-        euler: list[int] = []
+        self.pos = pos = [0] * tree.node_count
+        self.up = up = []  # the parent of each node in preorder
         depths: list[int] = []
-        first_occ = [-1] * tree.node_count
-        stack: list[tuple[int, int, int]] = [(tree.root, 0, 0)]  # node, depth, child idx
+        stack = [(tree.root, 0)]
         while stack:
-            node, depth, ci = stack.pop()
-            if ci == 0:
-                first_occ[node] = len(euler)
-            euler.append(node)
+            node, depth = stack.pop()
+            pos[node] = len(up)
+            up.append(tree.parent[node])
             depths.append(depth)
-            if ci < len(tree.children[node]):
-                stack.append((node, depth, ci + 1))
-                stack.append((tree.children[node][ci], depth + 1, 0))
-        self.euler = euler
-        self.first_occ = first_occ
+            for child in tree.children[node]:
+                stack.append((child, depth + 1))
         self.rmq = RangeExtremes(depths, kinds=("min",))
 
     def lca(self, a: int, b: int) -> int:
-        i, j = self.first_occ[a], self.first_occ[b]
+        i, j = self.pos[a], self.pos[b]
         if i > j:
             i, j = j, i
-        return self.euler[self.rmq.argmin(i, j)]
+        return a if i == j else self.up[self.rmq.argmin(i + 1, j)]
 
     def subtree_for_range(self, first: int, last: int) -> int:
         if first > last:

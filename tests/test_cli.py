@@ -13,6 +13,7 @@ from memtax import (DigestParams, ReadSimConfig, classify_read, compute_mem_tabl
 from memtax import cli
 from memtax.cli import main
 from memtax.evaluate import build_variant_index, expand_variant_specs
+from memtax.mems import TSV_HEADER
 
 from conftest import P, TOY_GENOMES, rewritten_index, rewritten_rows
 
@@ -361,7 +362,7 @@ def test_missing_reads_leave_output(tmp_path, toy_files, capsys):
         assert keep.read_text() == "earlier results\n"
 
 
-def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
+def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
     genomes, reads = toy_files
     # validation error: reserved symbol in input
     bad = tmp_path / "bad.txt"
@@ -562,6 +563,25 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys):
             f"names the same file as {other} " in err[0]
         assert {path: path.read_bytes() for path in before} == before
         assert not report.exists()
+    # '-' names a file for every flag but the --output of query, classify
+    # and eval, which is stdout (build --input - --output - used to exit 0
+    # and overwrite a genome file named '-' with the index)
+    monkeypatch.chdir(tmp_path)
+    dash = tmp_path / "-"
+    dash.write_bytes(genomes.read_bytes())
+    for argv, flag, other in (
+            (["build", "--input", "-", "--format", "lines", "--mode", "raw", "--output", "-"],
+             "--output", "--input"),
+            (["eval", "--input", "-", "--format", "lines", "--reads-per-genome", "1",
+              "--read-len", "5", "--per-read", "-"], "--per-read", "--input")):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {flag} - names the same file as {other} -"]
+        assert dash.read_bytes() == genomes.read_bytes()
+    assert main(["query", "--index", str(idx), "--reads", str(reads), "--output", "-"]) == 0
+    assert capsys.readouterr().out.startswith("\t".join(TSV_HEADER) + "\n")
+    assert dash.read_bytes() == genomes.read_bytes()
 
 
 def test_inspect(tmp_path, toy_files, golden_genomes, capsys):

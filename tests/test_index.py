@@ -270,6 +270,16 @@ def test_serialize_round_trip_random_queries(toy_index):
             assert toy_index.genome_range(a) == ix2.genome_range(b)
 
 
+def test_serialize_round_trip_pathlike(toy_index, tmp_path):
+    # a pathlib.Path used to end in AttributeError ('PosixPath' object has no
+    # attribute 'write' / 'read')
+    path = tmp_path / "x.ktk2"
+    blob = toy_index.to_bytes()
+    assert toy_index.serialize(path) == len(blob) == path.stat().st_size
+    assert path.read_bytes() == blob
+    assert deserialize(path).to_bytes() == blob
+
+
 def test_serialize_deterministic(toy_index):
     assert toy_index.to_bytes() == toy_index.to_bytes()
     rebuilt = build_index(separate(GenomeCollection(genomes=list(TOY_GENOMES))))

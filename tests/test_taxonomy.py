@@ -141,3 +141,57 @@ def test_subtree_leaf_span_contains_range_random():
             node = s.subtree_for_range(first, last)
             lo, hi = tree.leaf_span(node)
             assert lo <= first and last <= hi
+
+
+def _spans_by_parent_walks(tree):
+    """(first, last) genome index under every node: each leaf, left to right
+    for first and right to left for last, walks up until it meets a node
+    that an earlier leaf reached."""
+    spans = []
+    for order in (range(tree.leaf_count), reversed(range(tree.leaf_count))):
+        span = [None] * tree.node_count
+        for g in order:
+            u = tree.leaves[g]
+            while u != -1 and span[u] is None:
+                span[u] = g
+                u = tree.parent[u]
+        spans.append(span)
+    return spans
+
+
+def _caterpillar(leaves, right=True):
+    """Newick of a caterpillar: each internal node holds one leaf and the
+    rest, down the right (or left) side; a loop, as _newick would recurse
+    once per level."""
+    if right:
+        return "".join(f"(g{i}," for i in range(leaves - 1)) + \
+            f"g{leaves - 1}" + ")" * (leaves - 1) + ";"
+    return "(" * (leaves - 1) + "g0" + "".join(f",g{i})" for i in range(1, leaves)) + ";"
+
+
+@pytest.mark.parametrize("newick", ["((((a))),(b,c));", _caterpillar(3000),
+                                    _caterpillar(3000, right=False)],
+                         ids=["unary-chain", "caterpillar-right", "caterpillar-left"])
+def test_lca_and_spans_on_chains_and_caterpillars(newick):
+    # _random_tree gives every internal node 2-3 children and at most 64
+    # leaves; these trees have unary nodes, or a depth of 2 999
+    tree = parse_newick(newick)
+    s = LcaStructure(tree)
+    assert len(s.rmq.values) == tree.node_count
+    rng = random.Random(606)
+    n, G = tree.node_count, tree.leaf_count
+    for _ in range(300):
+        a, b = rng.randrange(n), rng.randrange(n)
+        assert s.lca(a, b) == s.lca(b, a) == oracles.naive_lca(tree.parent, a, b)
+    first_of, last_of = _spans_by_parent_walks(tree)
+    for u in rng.sample(range(n), min(n, 300)):
+        assert tree.leaf_span(u) == (first_of[u], last_of[u])
+    for _ in range(300):
+        first = rng.randrange(G)
+        last = rng.randrange(first, G)
+        node = s.subtree_for_range(first, last)
+        # the deepest node whose span covers [first, last]: it does, and no
+        # child of it does
+        assert first_of[node] <= first and last <= last_of[node]
+        assert not any(first_of[c] <= first and last <= last_of[c]
+                       for c in tree.children[node])
