@@ -24,13 +24,36 @@ EXIT_FORMAT = 4
 
 
 def _open_out(path):
-    """Context manager of the output: stdout for None or '-', else the file."""
-    return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
+    """Context manager of the output: stdout for None or '-', else the file
+    as _replace writes it."""
+    return contextlib.nullcontext(sys.stdout) if path in (None, "-") else _replace(path)
+
+
+@contextlib.contextmanager
+def _replace(path):
+    """A new text file beside path (of the file a link names), moved over
+    it once the block ends without error and removed if it does not, so a
+    failed command leaves path as it was.  A path that exists but is no
+    regular file (a device, a pipe) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as out:
+            yield out
+        return
+    final = os.path.realpath(path)
+    part = f"{final}.{os.getpid()}.part"
+    out = open(part, "x")
+    try:
+        with out:
+            yield out
+        os.replace(part, final)
+    except BaseException:
+        os.remove(part)
+        raise
 
 
 def _check_outputs(args) -> None:
     """ValidationError when an output file is one of the command's input
-    files or its other output, which opening it would truncate.  '-' is a
+    files or its other output, which writing it would replace.  '-' is a
     file name like any other, except as the --output of a command that
     writes that to stdout (_open_out): every one but build."""
     stdout = args.command != "build" and getattr(args, "output", None) == "-"
@@ -78,7 +101,8 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     index = deserialize(args.index)
-    # a reads file that does not open or a bad --min-mem leaves the output as it was
+    # a reads file that does not open or a bad --min-mem fails before the
+    # output opens, so nothing reaches stdout
     with open_text(args.reads) as source:
         tables = read_mem_tables(index, iter_reads(source, fmt=args.format), args.min_mem)
         with _open_out(args.output) as out:
@@ -123,7 +147,7 @@ def cmd_eval(args) -> int:
     variants = expand_variant_specs(args.variants.split(","))
     cfg = ReadSimConfig(read_length=args.read_len, mutation_rate=args.mut_rate,
                         reads_per_genome=args.reads_per_genome, seed=args.seed)
-    with open(args.per_read, "w") if args.per_read else contextlib.nullcontext() as per_read:
+    with _replace(args.per_read) if args.per_read else contextlib.nullcontext() as per_read:
         if per_read is not None:
             per_read.write("variant\tsource_genome\ttrue_positive\tlongest_mem_ranges\n")
         report = run_experiment(collection, variants, cfg, per_read_sink=per_read)

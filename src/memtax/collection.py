@@ -11,8 +11,8 @@ Ordinary symbols start at code 3: A,C,G,T(,N wildcard) for base texts, and
 the 4^k minimizer values for digest texts.  Using one shared layout lets the
 kernelizer and the FM-index treat base texts and digests identically.
 
-This module alone states the layout's rules: the byte -> code table, the
-query codes, the reserved read symbols and how symbols are displayed.
+This module alone states the layout's rules: the one byte <-> code table,
+the query codes, the reserved read symbols and how symbols are displayed.
 """
 from __future__ import annotations
 
@@ -39,12 +39,12 @@ BASES = "ACGT"
 WILDCARD = "N"
 WILDCARD_CODE = FIRST_SYMBOL_CODE + len(BASES)
 RESERVED = ("$", "#")  # read symbols never queried; a tuple, so digest values test too
-CODE_OF_BYTE = np.full(256, -1, dtype=np.int32)  # A,C,G,T -> 3..6, N -> wildcard, else -1
-CODE_OF_BYTE[[ord(c) for c in BASES + WILDCARD]] = np.arange(FIRST_SYMBOL_CODE, WILDCARD_CODE + 1)
+_BASE_SYMBOL_OF_CODE = np.frombuffer(("\x00#$" + BASES + WILDCARD).encode(), dtype=np.uint8)
+CODE_OF_BYTE = np.full(256, -1, dtype=np.int32)  # its inverse; NUL and unlisted bytes -> -1
+CODE_OF_BYTE[_BASE_SYMBOL_OF_CODE[HASH_CODE:]] = np.arange(HASH_CODE, WILDCARD_CODE + 1)
 _DROP_BASES = str.maketrans("", "", BASES)
 # a..z -> A..Z and nothing else: str.upper would turn "ß" into "SS"
 _FOLD = {c: c - 32 for c in range(ord("a"), ord("z") + 1)}
-_BASE_SYMBOL_OF_CODE = np.frombuffer(("\x00#$" + BASES + WILDCARD).encode(), dtype=np.uint8)
 _ASCII_RENDER_BASE = 37  # digest value v displays as chr(37 + v) when k == 3
 _FORMATS = ("fasta", "lines")  # genome and read file formats
 
@@ -115,11 +115,11 @@ class Alphabet:
         return "-".join(str(int(v)) for v in symbols)
 
     def decode(self, code: int) -> str:
-        """Display form of one code (separators render verbatim)."""
-        if code < FIRST_SYMBOL_CODE:
-            return "\x00#$"[code]  # EOF, HASH_CODE, SEP_CODE
-        v = code - FIRST_SYMBOL_CODE
-        return self.render((BASES + WILDCARD)[v] if self.kind == "bases" else [v])
+        """Display form of one code: the base-text byte of a reserved or a
+        base code (separators render verbatim), else its digest value's."""
+        if code < FIRST_SYMBOL_CODE or self.kind == "bases":
+            return chr(_BASE_SYMBOL_OF_CODE[code])
+        return self.render([code - FIRST_SYMBOL_CODE])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "k": self.k}
@@ -203,17 +203,14 @@ class SeparatedText:
 
 
 def encode_bases(seq: str) -> np.ndarray:
-    """Encode an ACGT(N) string to codes. Assumes the string was validated."""
+    """Codes of an ASCII string by CODE_OF_BYTE ('$' and '#' too; -1 for any other byte)."""
     return CODE_OF_BYTE[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
 
 
 def separate(collection: GenomeCollection) -> SeparatedText:
-    """Concatenate the genomes with one '$' after each."""
-    parts = []
-    for g in collection.genomes:
-        parts.append(encode_bases(g))
-        parts.append(np.array([SEP_CODE], dtype=np.int32))
-    return SeparatedText(np.concatenate(parts), BASE_ALPHABET, {"mode": "raw"})
+    """Concatenate the genomes with one '$' after each, coded by CODE_OF_BYTE."""
+    codes = encode_bases("$".join(collection.genomes) + "$")
+    return SeparatedText(codes, BASE_ALPHABET, {"mode": "raw"})
 
 
 def _clean_sequence(raw: str, name: str, allow_wildcard: bool) -> str:

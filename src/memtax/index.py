@@ -188,13 +188,15 @@ class AugmentedFmIndex:
         return codes, lengths * keep
 
     def find_interval(self, symbols) -> SaInterval:
-        """Interval of a pattern given as a base string or digest values:
-        the walk's backward step with one lane, from all rows, right to left
-        over the pattern's query codes.  The empty pattern maps to the full
-        interval; a symbol outside the query alphabet, whose code of -1
-        precedes no row, makes the result empty."""
+        """Interval of a pattern, coded as encode_reads codes a read (a digest
+        index digests a string): the walk's backward step with one lane from
+        all rows, right to left over the codes.  The empty pattern gives the
+        full interval, a non-empty one without codes or with a -1 code none."""
+        _, codes, _ = self.encode_reads([(0, symbols)])
+        if len(symbols) and not codes.size:
+            return EMPTY_INTERVAL
         rows = np.array([0, self.rows])
-        for code in reversed(self.alphabet.query_codes([symbols]).tolist()):
+        for code in reversed(codes.tolist()):
             rows = self.bwt.lf(code, rows)
         lo, end = rows.tolist()
         return SaInterval(lo, end - 1) if lo < end else EMPTY_INTERVAL

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import struct
 import warnings
@@ -489,16 +490,35 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
 
     tree = tmp_path / "toy.nwk"
     tree.write_text("((g0,g1),(g2,(g3,g4)));")
+    # a command that fails leaves its existing outputs as they were and no
+    # new file behind (query and classify used to leave only the TSV header
+    # in --output, eval only the header in --per-read): each is written
+    # beside the output and moved over it once complete
+    keep, kept_report = tmp_path / "keep.tsv", tmp_path / "keep.json"
+    keep.write_text("keep\n")
+    kept_report.write_text("keep\n")
+    genomes_bin, reads_bin = (binary("genomes.bin", "\n".join(TOY_GENOMES)),
+                              binary("reads.bin", ">r0\nACATA\n"))
+    tree_bin = binary("tree.bin", tree.read_text())
     capsys.readouterr()
-    for argv in (["build", "--input", binary("genomes.bin", "\n".join(TOY_GENOMES)),
-                  "--format", "lines", "--mode", "raw", "--output", str(tmp_path / "y.ktk2")],
-                 ["classify", "--index", str(idx), "--tree", str(tree),
-                  "--reads", binary("reads.bin", ">r0\nACATA\n")],
-                 ["classify", "--index", str(idx), "--tree", binary("tree.bin", tree.read_text()),
-                  "--reads", str(reads)]):
-        assert main(argv) == 4
+    for argv, code, message in (
+            (["build", "--input", genomes_bin, "--format", "lines", "--mode", "raw",
+              "--output", str(tmp_path / "y.ktk2")], 4, "is not a text file"),
+            (["classify", "--index", str(idx), "--tree", str(tree), "--reads", reads_bin,
+              "--output", str(keep)], 4, "is not a text file"),
+            (["query", "--index", str(idx), "--reads", reads_bin, "--output", str(keep)],
+             4, "is not a text file"),
+            (["classify", "--index", str(idx), "--tree", tree_bin, "--reads", str(reads)],
+             4, "is not a text file"),
+            (["eval", "--input", str(genomes), "--format", "lines", "--variants", "raw",
+              "--read-len", "100", "--per-read", str(keep), "--output", str(kept_report)],
+             2, "every genome is shorter than the read length")):
+        files = sorted(tmp_path.iterdir())
+        assert main(argv) == code
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "is not a text file" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert keep.read_bytes() == kept_report.read_bytes() == b"keep\n"
+        assert sorted(tmp_path.iterdir()) == files
     # validation error: a tree file holding a second tree after the first
     # (it used to parse the first one and drop the rest)
     two = tmp_path / "two.nwk"
@@ -514,8 +534,6 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
     # validation error: a minimum MEM length below 1 (it used to act as 1);
     # it is checked before the output opens, so an existing output file is
     # left as it was and nothing goes to stdout
-    keep = tmp_path / "keep.tsv"
-    keep.write_text("keep\n")
     for command, min_mem in (("query", "0"), ("classify", "-4")):
         argv = [command, "--index", str(idx), "--reads", str(reads), "--min-mem", min_mem]
         argv += ["--tree", str(tree)] if command == "classify" else []
@@ -582,6 +600,11 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
     assert main(["query", "--index", str(idx), "--reads", str(reads), "--output", "-"]) == 0
     assert capsys.readouterr().out.startswith("\t".join(TSV_HEADER) + "\n")
     assert dash.read_bytes() == genomes.read_bytes()
+    # an output that is no regular file is written in place: no new file
+    # can be moved over a device
+    files = sorted(tmp_path.iterdir())
+    assert main(["query", "--index", str(idx), "--reads", str(reads), "--output", os.devnull]) == 0
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def test_inspect(tmp_path, toy_files, golden_genomes, capsys):

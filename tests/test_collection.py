@@ -8,7 +8,8 @@ from hypothesis import strategies as hs
 from memtax import (FormatError, GenomeCollection, MemtaxError, ValidationError,
                     parse_collection, separate)
 from memtax.cli import _read_tree
-from memtax.collection import SEP_CODE, iter_reads
+from memtax.collection import (_BASE_SYMBOL_OF_CODE, CODE_OF_BYTE, SEP_CODE, WILDCARD_CODE,
+                               Alphabet, iter_reads)
 from memtax.taxonomy import LcaStructure, parse_newick
 
 from conftest import TOY_GENOMES
@@ -53,6 +54,14 @@ def test_parse_errors():
         parse_collection(io.StringIO("ACGT\n>x\n"), fmt="fasta")  # malformed header placement
     with pytest.raises(ValidationError):
         parse_collection(io.StringIO(">\nACGT\n"), fmt="fasta")  # empty header name
+    with pytest.raises(ValidationError, match="unknown collection format 'xml'"):
+        parse_collection(io.StringIO("ACGT\n"), fmt="xml")
+    with pytest.raises(ValidationError, match="unknown reads format 'xml'"):
+        list(iter_reads(io.StringIO("ACGT\n"), fmt="xml"))
+    with pytest.raises(ValidationError, match="empty collection"):
+        GenomeCollection(genomes=[])
+    with pytest.raises(ValidationError, match="names/genomes length mismatch"):
+        GenomeCollection(genomes=["ACGT"], names=["a", "b"])
 
 
 def test_wildcard_mode():
@@ -94,6 +103,19 @@ def test_genome_of_position(toy_collection, toy_index):
             assert toy_index.rank_separators(pos) == g
             pos += 1
         pos += 1  # skip the separator
+
+
+def test_byte_table_is_the_inverse_of_the_display_table():
+    # one table each way: every code of a base text from '#' to the
+    # wildcard maps to its byte and back, and NUL and every other byte to -1
+    codes = range(1, WILDCARD_CODE + 1)
+    assert [CODE_OF_BYTE[_BASE_SYMBOL_OF_CODE[c]] for c in codes] == list(codes)
+    assert bytes(_BASE_SYMBOL_OF_CODE[1:]) == b"#$ACGTN"
+    listed = set(_BASE_SYMBOL_OF_CODE[1:].tolist())
+    assert all(CODE_OF_BYTE[b] == -1 for b in range(256) if b not in listed)
+    assert CODE_OF_BYTE[0] == -1
+    for c in range(WILDCARD_CODE + 1):
+        assert Alphabet("bases").decode(c) == chr(_BASE_SYMBOL_OF_CODE[c])
 
 
 def test_separate_injective():

@@ -86,6 +86,14 @@ def test_variant_specs():
                  "kernel:x", "protein:3"):
         with pytest.raises(ValidationError, match=f"cannot parse variant spec '{spec}'"):
             expand_variant_specs([spec])
+    with pytest.raises(ValidationError, match="unknown index mode 'foo'"):
+        IndexVariant("foo")
+    # a read configuration out of range
+    for bad, message in (({"read_length": 0}, "read_length must be at least 1"),
+                         ({"mutation_rate": -0.1}, r"mutation_rate must lie in \[0, 1\]"),
+                         ({"mutation_rate": 1.5}, r"mutation_rate must lie in \[0, 1\]")):
+        with pytest.raises(ValidationError, match=message):
+            ReadSimConfig(**bad)
     grid = full_grid()
     # every grid variant survives a spec round trip: same label, same params
     for variant in grid:
@@ -134,7 +142,7 @@ def test_run_experiment_unclassifiable_reads():
     assert report.variants[0].unclassifiable_reads == 4
 
 
-def test_run_experiment_error_isolation():
+def test_run_experiment_error_isolation(monkeypatch):
     rng = random.Random(14)
     clean = "".join(rng.choice("ACGT") for _ in range(100))
     wild = "".join(rng.choice("ACGT") for _ in range(50)) + "N" \
@@ -148,6 +156,23 @@ def test_run_experiment_error_isolation():
     assert digest_kernel.error == digest.error  # and so does their shared base
     for ran in (raw, kernel):  # the other variants still ran
         assert ran.error is None and ran.reads_evaluated == 4
+    # a variant whose index fails to build carries its error, on a base the
+    # variants after it share, and they still run
+    build = evaluate.build_variant_index
+
+    def failing(collection, variant, base=None):
+        if variant.label == "kernel(k_max=10)":
+            raise ValidationError("kernel build failed")
+        return build(collection, variant, base)
+
+    monkeypatch.setattr(evaluate, "build_variant_index", failing)
+    report = run_experiment(GenomeCollection(genomes=[clean]), expand_variant_specs(
+        ["kernel:10", "raw", "kernel:20"]), cfg)
+    failed, *after = report.variants
+    assert (failed.variant, failed.error, failed.reads_evaluated) == (
+        "kernel(k_max=10)", "kernel build failed", 0)
+    assert [(v.variant, v.error, v.reads_evaluated) for v in after] == [
+        ("raw", None, 2), ("kernel(k_max=20)", None, 2)]
 
 
 def test_run_experiment_shares_one_base_per_family(monkeypatch):

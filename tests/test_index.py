@@ -559,6 +559,28 @@ def test_reported_size_equals_file_bytes(tmp_path, toy_index, golden_raw_index,
         assert ix.size_bytes() == len(ix.to_bytes())
 
 
+def test_pattern_on_digest_index_is_coded_as_a_read(golden_collection, golden_digest_index):
+    # a pattern takes the read rule (encode_reads): on a digest index a base
+    # string is digested with the stored parameters (it used to be coded as
+    # bases, and matched nothing); a non-empty pattern that gets no codes is
+    # empty, and the empty pattern is the full interval
+    ix, params = golden_digest_index, DigestParams()
+    window = params.k + params.w - 1
+    rng = random.Random(24)
+    for _ in range(200):
+        genome = golden_collection.genomes[rng.randrange(16)]
+        length = rng.randint(window, 60)
+        start = rng.randrange(len(genome) - length + 1)
+        s = genome[start:start + length]
+        assert ix.find_interval(s) == ix.find_interval(digest_sequence(s, params)), s
+    s = golden_collection.genomes[3][:60]
+    assert ix.find_interval(s) == ix.find_interval(digest_sequence(s, params)) != EMPTY_INTERVAL
+    assert ix.genome_range(ix.find_interval(s)) == (3, 3)
+    for s in (s[:30] + "$" + s[30:], s[:30] + "N" + s[30:], s + "#", s[:window - 1], "A"):
+        assert ix.find_interval(s) == EMPTY_INTERVAL, s
+    assert ix.find_interval("") == SaInterval(0, ix.rows - 1)
+
+
 def test_alphabet_overflow_rejected():
     import numpy as np
     from memtax.collection import Alphabet, SeparatedText

@@ -283,6 +283,9 @@ def test_rank_select_inverse_laws():
                 assert symbols[p] == c
                 assert seq.rank(c, p) == k
                 assert seq.rank(c, p + 1) == k + 1
+            for j in (-1, total):
+                with pytest.raises(IndexError, match="out of range"):
+                    seq.select(c, j)
 
 
 # sigma: rows.  At 256 rows K is uint32 up to sigma = 2**24 - 1; at 2**24,
@@ -334,6 +337,11 @@ def test_rmq_examples():
     assert r.position(1, 3, "max") == 2
     with pytest.raises(ValueError):
         r.position(2, 1)
+    for lo, hi in ((-1, 2), (1, 4)):
+        with pytest.raises(ValueError, match="out of bounds"):
+            r.position(lo, hi)
+    with pytest.raises(ValueError, match="cannot index an empty array"):
+        RangeExtremes([])
 
 
 def test_rmq_against_scan():

@@ -33,6 +33,8 @@ def test_parse_errors():
     for bad in ("", "((a,b)", "a,b;", "(a,,b);", "(a,a);"):
         with pytest.raises(ValidationError):
             parse_newick(bad)
+    with pytest.raises(ValidationError, match="unbalanced parentheses"):
+        parse_newick("((a,b);")
 
 
 def test_parse_rejects_text_after_terminator():
