@@ -79,9 +79,25 @@ def _read_tree(path):
         return parse_newick(f.read())
 
 
+# build's parameter flags, dest: (flag, default); the hash flags go with
+# the digest modes, whose parameters include w
+_BUILD_FLAGS = {"k_max": ("--kmax", None), "k": ("--k", 3), "w": ("--w", 10),
+                **{f"hash_{c}": (f"--hash-{c}", v) for c, v in zip("abm", DEFAULT_HASH)}}
+
+
 def _variant_from_args(args) -> IndexVariant:
-    params = {name: getattr(args, name) for name in MODE_PARAMETERS[args.mode]}
-    return IndexVariant(args.mode, **params, hash_params=(args.hash_a, args.hash_b, args.hash_m))
+    """The index variant of build's flags.  A flag given for a mode that
+    takes no such parameter is an error, not ignored."""
+    takes = MODE_PARAMETERS[args.mode]
+    values = {}
+    for dest, (flag, default) in _BUILD_FLAGS.items():
+        value = getattr(args, dest)
+        if value is not None and dest not in takes and not (dest.startswith("hash") and "w" in takes):
+            raise ValidationError(f"{flag} does not apply to --mode {args.mode}")
+        values[dest] = default if value is None else value
+    hash_params = tuple(values.pop(f"hash_{c}") for c in "abm")
+    return IndexVariant(args.mode, **{name: values[name] for name in takes},
+                        hash_params=hash_params)
 
 
 def cmd_build(args) -> int:
@@ -177,17 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="map non-ACGT symbols to an unmatchable wildcard "
                              "instead of rejecting them")
 
-    def add_digest_params(sp):
-        sp.add_argument("--k", type=int, default=3, help="minimizer width (default 3)")
-        sp.add_argument("--w", type=int, default=10, help="window size in k-mers (default 10)")
-        for flag, default in zip(("--hash-a", "--hash-b", "--hash-m"), DEFAULT_HASH):
-            sp.add_argument(flag, type=int, default=default)
-
     b = sub.add_parser("build", help="build and serialize one index")
     add_common_build(b)
     b.add_argument("--mode", required=True, choices=tuple(MODE_PARAMETERS))
     b.add_argument("--kmax", dest="k_max", type=int, help="kernel order (kernel modes)")
-    add_digest_params(b)
+    b.add_argument("--k", type=int, help="minimizer width (digest modes; default 3)")
+    b.add_argument("--w", type=int, help="window size in k-mers (digest modes; default 10)")
+    for flag, default in zip(("--hash-a", "--hash-b", "--hash-m"), DEFAULT_HASH):
+        b.add_argument(flag, type=int, help=f"minimizer hash (digest modes; default {default})")
     b.add_argument("--tree", help="newick tree; validated against the collection")
     b.add_argument("--output", required=True, help="index file to write")
     b.set_defaults(func=cmd_build)

@@ -14,7 +14,7 @@ from .errors import MemtaxError, ValidationError
 from .index import AugmentedFmIndex
 from .kernel import KernelParams, build_katka_kernel, doubling_level
 from .mems import MemTable, longest_mems, read_mem_tables
-from .suffix import ALL_LEVELS
+from .suffix import LAST_LEVEL
 
 # The mutation RNG is Python's random.Random (Mersenne Twister, MT19937),
 # whose sequence for a given seed is stable across platforms and versions.
@@ -276,12 +276,11 @@ def _base_key(variant: IndexVariant) -> tuple:
     return ("digest", variant.k, variant.w, variant.hash_params)
 
 
-def _levels_wanted(variants: list[IndexVariant]):
-    """The doubling levels of their base text that variants take: every
-    one for a suffix array of the base itself, else one per kernel order."""
-    if any(not v.is_kernel for v in variants):
-        return ALL_LEVELS
-    return {doubling_level(v.k_max) for v in variants}
+def _levels_wanted(variants: list[IndexVariant]) -> set[int]:
+    """The doubling levels of their base text that variants take: the
+    pass's last for a suffix array of the base itself, and one per kernel
+    order."""
+    return {LAST_LEVEL if not v.is_kernel else doubling_level(v.k_max) for v in variants}
 
 
 def run_experiment(collection: GenomeCollection, variants: list[IndexVariant],

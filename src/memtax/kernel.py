@@ -43,36 +43,47 @@ def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText
     # symbols after the last separator belong to no genome and are dropped
     codes = st.codes[: st.sep_positions[-1] + 1] if len(st.sep_positions) else st.codes[:0]
     n = len(codes)
-    is_sep = codes == SEP_CODE
-    seps_before = np.concatenate(([0], np.cumsum(is_sep)))
     genome_len = np.diff(st.sep_positions, prepend=-1) - 1
-    keep = (genome_len < k)[seps_before[:-1]]  # genomes too short for a window stay
+    windows = np.maximum(genome_len - (k - 1), 0)
+    keep = np.repeat(windows == 0, genome_len + 1)  # genomes too short for a window stay
 
     # every window [i, i+k) inside one genome, identified by the ranks of its
     # two overlapping power-of-two halves in the whole text's levels (no
     # window reaches the symbols dropped above); when doubling stops short
     # of k, the last level's ranks are all distinct already
-    starts = np.flatnonzero(seps_before[k:] == seps_before[: max(n + 1 - k, 0)])
-    if len(starts):
+    if windows.any():
         j = doubling_level(k)
         rank = st.levels[j]
         st.levels.trim()
         rows = len(rank)
+        # each genome's window starts, counted up from its first
+        dtype = np.int32 if n < 1 << 31 else np.int64
+        firsts = (st.sep_positions - genome_len)[windows > 0]
+        counts = windows[windows > 0]
+        starts = np.repeat((firsts - (np.add.accumulate(counts) - counts)).astype(dtype), counts)
+        starts += np.arange(len(starts), dtype=dtype)
         ids = rank[starts].astype(np.int64)  # int32 ranks: rank * rows would wrap
         ids *= rows
-        ids += rank[starts + k - (1 << j)]
+        ids += rank[starts + (k - (1 << j))]
         del rank
         order, ids = sort_keys(ids, rows * rows)
-        groups = np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1))
+        groups = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+        del ids
         grouped = starts[order]  # each window's starts together, in no promised order
+        del order, starts
         kept = np.concatenate((np.minimum.reduceat(grouped, groups),  # first and last starts
                                np.maximum.reduceat(grouped, groups)))
-        cover = np.bincount(kept, minlength=n + 1) - np.bincount(kept + k, minlength=n + 1)
-        keep |= np.cumsum(cover[:n]) > 0
+        del grouped
+        # a symbol is covered when the furthest end of a kept window
+        # starting at or before it lies past it
+        ends = np.zeros(n, dtype=dtype)
+        ends[kept] = kept + k
+        np.maximum.accumulate(ends, out=ends)
+        keep |= ends > np.arange(n, dtype=dtype)
 
     # emit kept symbols and separators; one '#' per omitted run between two
     # kept ordinary symbols, nothing for runs next to a separator
-    at = np.flatnonzero(keep | is_sep)
+    at = np.flatnonzero(keep | (codes == SEP_CODE))
     out = codes[at]
     gap = (np.diff(at) > 1) & (out[:-1] != SEP_CODE) & (out[1:] != SEP_CODE)
     out = np.insert(out, np.flatnonzero(gap) + 1, HASH_CODE)

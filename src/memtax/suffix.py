@@ -2,17 +2,18 @@
 
 All structures are plain (uncompressed) arrays: a suffix array and LCP
 array of length n+1 (one row for the implicit end-of-file sentinel, code 0,
-smaller than every text symbol), built from prefix-doubling rank levels
-held as int32 (each ranked by one packed in-place sort of int64 keys,
-sort_keys) and held by the index in the file's fixed-width dtypes, and one
-sorted key array over the BWT in which a single search answers LF, rank
-and the C table.  A text's levels come from one lazily advanced pass
-(DoublingLevels), shared by its suffix array and its kernels.  The pass
-starts at a seed level, ranked by one sort of packed symbol words (8
-base symbols of 3 bits, 4 k = 3 digest symbols of 7 bits, in an int32
-word); the LCP takes its part below the seed's length from the XOR of two
-such words, and a level below the seed is sorted on demand.  Two
-scans over such an array answer many lanes at once: reduce_ranges (a min
+smaller than every text symbol), held by the index in the file's
+fixed-width dtypes, and one sorted key array over the BWT in which a
+single search answers LF, rank and the C table.  The suffix array inverts
+the last of a text's prefix-doubling rank levels, held as int32 (each ranked
+by one packed in-place sort of int64 keys, sort_keys); they come from one
+lazily advanced pass (DoublingLevels), shared by its suffix array and its
+kernels, which starts at a seed level, ranked by one sort of packed
+symbol words (8 base symbols of 3 bits, 4 k = 3 digest symbols of 7 bits,
+in an int32 word); a level below the seed is sorted on demand.  The LCP
+array takes no level: it compares the irreducible rows' suffixes a packed
+word at a time and fills in the other rows from them (the permuted LCP).
+Two scans over such an array answer many lanes at once: reduce_ranges (a min
 or max over each of many row ranges) and first_below (the first row past
 each origin whose value is below a bound, in windows of _SCAN_ROWS rows
 and wider).  RangeExtremes, a sparse table for range-min / range-max
@@ -142,22 +143,23 @@ def _doubling(text, j: int, bits: int):
         j += 1
 
 
-# every level number a text can reach: its rows are below 2**63
-ALL_LEVELS = range(64)
+# past every level a text can reach (its rows are below 2**63): asking for
+# it gives the pass's last, all-distinct level
+LAST_LEVEL = 63
 
 
 class DoublingLevels:
     """The prefix-doubling levels of one text, from one lazily advanced
     prefix_doubling_ranks pass shared by everything built from the text:
-    its suffix array takes every level from the pass's seed, a kernel of
-    order k the level of length 2**floor(log2 k).  A level below the seed
-    (only a kernel of order below 2**seed asks for one) comes from its own
-    sort of packed words, outside the pass.
+    its suffix array takes the pass's last level, a kernel of order k the
+    level of length 2**floor(log2 k).  A level below the seed (only a
+    kernel of order below 2**seed asks for one) comes from its own sort of
+    packed words, outside the pass.
 
     A level outlives the pass moving on, and trim, only while its number is
-    in keep (a container of level numbers, ALL_LEVELS for every one; empty
-    by default, so that a consumer holds just what it uses).  Asking for a
-    level that was let go starts the pass again.
+    in keep (a container of level numbers, LAST_LEVEL for the last one;
+    empty by default, so that a consumer holds just what it uses).  Asking
+    for a level that was let go starts the pass again.
     """
 
     def __init__(self, codes):
@@ -195,13 +197,6 @@ class DoublingLevels:
             if i == j or i == self.last:
                 return rank
 
-    def from_seed(self) -> list[np.ndarray]:
-        """Every level of the pass: the seed to the last."""
-        out = [self[self.seed]]
-        while self.last is None or self.seed + len(out) <= self.last:
-            out.append(self[self.seed + len(out)])
-        return out
-
     def trim(self) -> None:
         """Let go of every level not in keep, and of the pass once keep
         wants no level it has yet to yield."""
@@ -217,48 +212,86 @@ class DoublingLevels:
 def build_suffix_array(codes) -> tuple[np.ndarray, np.ndarray]:
     """Suffix array and LCP array of codes with the implicit EOF sentinel
     appended, both int64 of length len(codes) + 1.  codes may also be the
-    DoublingLevels of the text, whose levels are then taken and shared.
+    DoublingLevels of the text, whose pass is then shared.
 
     sa[0] is always the sentinel position len(codes); lcp[0] = 0 and lcp[i]
-    is the longest common prefix of the suffixes at rows i-1 and i.  Its
-    multiple of W = 2**seed comes from binary lifting over the levels from
-    the longest down to the seed, a block of rows at a time, each level let
-    go once lifted (unless the DoublingLevels keeps it).  Its rest, below
-    W, is the count of equal leading symbols of the two suffixes' next
-    packed words, which the bit length of their XOR gives.
+    is the longest common prefix of the suffixes at rows i-1 and i.  The
+    suffix array is the inverse of the pass's last, all-distinct level, the
+    one level it takes.  The LCP goes by the permuted LCP of Kärkkäinen,
+    Manzini & Puglisi, PLCP[sa[i]] = lcp[i]: only the irreducible rows,
+    each i >= 1 whose preceding symbol BWT[i] differs from BWT[i-1], are
+    compared (_common_prefix).  The suffix p of any other row has the
+    PLCP of p - 1 less one, so p + PLCP[p] is that of the last irreducible
+    position before it; as that end never falls while p grows, a running
+    maximum over the ends gives every row's.
     """
     levels = codes if isinstance(codes, DoublingLevels) else DoublingLevels(codes)
-    ranks = levels.from_seed()
+    inverse = levels[LAST_LEVEL]
     levels.trim()
-    inverse = ranks.pop()
     n = len(inverse)
     sa = np.empty(n, dtype=np.int64)
     for start in range(0, n, BLOCK_ROWS):
         sa[inverse[start: start + BLOCK_ROWS]] = np.arange(start, min(start + BLOCK_ROWS, n))
     del inverse
+    words = _packed_words(_text(levels.codes, np.int32), levels.seed, levels.bits)
+    first = (levels.bits << levels.seed) - levels.bits  # the shift of a word's first symbol
+    ends = np.zeros(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    for start in range(1, n, BLOCK_ROWS):
+        rows = sa[start - 1: start + BLOCK_ROWS]
+        bwt = words[rows - 1] >> first  # before position 0, the sentinel word's 0
+        heads = np.flatnonzero(bwt[1:] != bwt[:-1])
+        cur = rows[heads + 1]
+        ends[cur] = cur + _common_prefix(words, rows[heads], cur, levels)
+    del words
+    np.maximum.accumulate(ends, out=ends)
     lcp = np.zeros(n, dtype=np.int64)
-    # the last level is all-distinct, so every lcp is below its length
-    while ranks:
-        j, rank = levels.seed + len(ranks) - 1, ranks.pop()
-        for prev, cur, h in _adjacent_rows(sa, lcp):
-            h += (rank[prev + h] == rank[cur + h]) << j
-        del rank
-    if levels.seed:
-        # the levels are gone, so the int32 words add no peak; two suffixes
-        # differ within W symbols of their lifted lcp, at or before the sentinel
-        words = _packed_words(_text(levels.codes, np.int32), levels.seed, levels.bits)
-        width = levels.bits << levels.seed
-        for prev, cur, h in _adjacent_rows(sa, lcp):
-            h += (width - np.frexp(words[prev + h] ^ words[cur + h])[1]) // levels.bits
+    for start in range(1, n, BLOCK_ROWS):
+        cur = sa[start: start + BLOCK_ROWS]
+        lcp[start: start + len(cur)] = ends[cur] - cur
     return sa, lcp
 
 
-def _adjacent_rows(sa, lcp):
-    """(sa[i-1], sa[i], lcp[i]) for rows i >= 1, as views a block of rows at
-    a time."""
-    for start in range(1, len(sa), BLOCK_ROWS):
-        cur = sa[start: start + BLOCK_ROWS]
-        yield sa[start - 1: start - 1 + len(cur)], cur, lcp[start: start + len(cur)]
+def _common_prefix(words, a, b, levels: DoublingLevels) -> np.ndarray:
+    """The longest common prefix of the suffixes at each pair of distinct
+    positions a[k], b[k] of the text whose packed words (_packed_words, W =
+    2**seed symbols each) words holds.  Each lane compares the words W
+    symbols apart in a window of one word, then in windows 8 times wider up
+    to _GATHER_ROWS, so that its rounds grow with the log of its prefix;
+    one gather copies at most _GATHER_ROWS words.  The rest, below W, is
+    the count of equal leading symbols of the first unequal words, which
+    the bit length of their XOR gives."""
+    step = 1 << levels.seed
+    equal = np.zeros(len(a), dtype=np.int64)  # each lane's equal leading words so far
+    todo, width = np.arange(len(a)), 1
+    while todo.size:
+        per_gather = max(1, _GATHER_ROWS // width)
+        more = []
+        for k in range(0, len(todo), per_gather):
+            group = todo[k: k + per_gather]
+            h = equal[group] * step
+            got = _equal_words(words, a[group] + h, b[group] + h, step, width)
+            equal[group] += got
+            more.append(group[got == width])
+        todo = np.concatenate(more)
+        width = min(8 * width, _GATHER_ROWS)
+    h = equal * step
+    word_bits = levels.bits << levels.seed
+    return h + (word_bits - np.frexp(words[a + h] ^ words[b + h])[1]) // levels.bits
+
+
+def _equal_words(words, a, b, step: int, width: int) -> np.ndarray:
+    """Per lane, how many of the width words at a[k] + t * step and
+    b[k] + t * step (t = 0, 1, ...) are equal before the first unequal
+    pair, width when all are.  A row past the last reads the last word,
+    the sentinel's: two distinct suffixes differ at or before the earlier
+    one's sentinel, so no such read comes before a lane's first unequal
+    pair."""
+    last = len(words) - 1
+    offsets = np.arange(0, width * step, step)
+    differ = (words[np.minimum(a[:, None] + offsets, last)]
+              != words[np.minimum(b[:, None] + offsets, last)])
+    col = differ.argmax(axis=1)
+    return np.where(differ[np.arange(len(a)), col], col, width)
 
 
 def derive_bwt(codes, sa: np.ndarray) -> np.ndarray:

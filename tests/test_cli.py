@@ -434,6 +434,18 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
                             "--variants", "kernel:-3", "--reads-per-genome", "1",
                             "--read-len", "5"], "k_max must be at least 1"),
                           (build + ["--mode", "digest", "--w", huge], digest_bounds),
+                          # a flag the mode takes no parameter from (each used to be ignored)
+                          (build + ["--mode", "raw", "--kmax", "20"],
+                           "--kmax does not apply to --mode raw"),
+                          (build + ["--mode", "digest", "--kmax", "20"],
+                           "--kmax does not apply to --mode digest"),
+                          (build + ["--mode", "raw", "--k", "3"], "--k does not apply to --mode raw"),
+                          (build + ["--mode", "kernel", "--kmax", "5", "--w", "10"],
+                           "--w does not apply to --mode kernel"),
+                          (build + ["--mode", "raw", "--hash-m", "8863"],
+                           "--hash-m does not apply to --mode raw"),
+                          (build + ["--mode", "kernel", "--kmax", "5", "--hash-a", "1"],
+                           "--hash-a does not apply to --mode kernel"),
                           (["eval", "--input", str(genomes), "--format", "lines",
                             "--variants", f"raw,digest:3:{huge}", "--reads-per-genome", "1",
                             "--read-len", "5"], digest_bounds)):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -209,6 +210,37 @@ def test_run_experiment_shares_one_base_per_family(monkeypatch):
     monkeypatch.undo()
     for variant, blob in built:
         assert blob == build_variant_index(coll, variant).to_bytes(), variant.label
+
+
+def test_raw_after_a_kernel_takes_the_last_level_alone(monkeypatch):
+    # kernel:20 then raw: the kernel's level is let go once it is built, and
+    # the one pass goes on to the last level, so holding no more than raw
+    # then kernel:20, which keeps the kernel's level through the raw build
+    rng = random.Random(29)
+    coll = GenomeCollection(genomes=["".join(rng.choice("ACGT") for _ in range(2500)) * 4
+                                     for _ in range(4)])
+    cfg = ReadSimConfig(read_length=40, mutation_rate=0.02, reads_per_genome=2, seed=6)
+    passes, doubling = [], suffix.prefix_doubling_ranks
+
+    def counted_pass(codes):
+        passes.append(len(codes))
+        return doubling(codes)
+
+    monkeypatch.setattr(suffix, "prefix_doubling_ranks", counted_pass)
+    peaks = []
+    for specs in (["kernel:20", "raw"], ["raw", "kernel:20"]):
+        variants = expand_variant_specs(specs)
+        run_experiment(coll, variants, cfg)  # warm up
+        passes.clear()
+        tracemalloc.start()
+        try:
+            run_experiment(coll, variants, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # one pass over the base text (the kernel text, shorter, has its own)
+        assert passes.count(coll.n) == 1 and len(passes) == 2
+    assert peaks[0] <= peaks[1]
 
 
 def test_report_json_shape_and_class_partition():

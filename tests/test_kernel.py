@@ -9,6 +9,7 @@ from memtax.collection import HASH_CODE, SEP_CODE
 from memtax.kernel import kernel_size_report
 
 import oracles
+from conftest import construction_peak_per_row
 
 
 def test_kernel_params_validation():
@@ -158,3 +159,12 @@ def test_kernel_ids_do_not_wrap_on_large_texts():
     assert len(st) + 1 > 46_341
     for k_max in (7, 8, 64, 100):  # either side of levels 2/3 and 6
         _assert_naive_kernel(st, k_max)
+
+
+@pytest.mark.parametrize("k_max", [20, 100])
+def test_kernel_construction_peak(k_max):
+    # int32 window starts and one running maximum of window ends: 25.7
+    # bytes per row, the doubling pass included (68.0 with int64 starts
+    # and two bincounts of window bounds)
+    params = KernelParams(k_max)
+    assert construction_peak_per_row(lambda st: build_katka_kernel(st, params)) <= 32

@@ -7,11 +7,12 @@ from memtax import (DigestParams, GenomeCollection, KernelParams, build_katka_ke
                     digest_collection, kernel, separate, suffix)
 from memtax.collection import encode_bases
 from memtax.kernel import doubling_level
-from memtax.suffix import (ALL_LEVELS, DoublingLevels, IndexedSequence, RangeExtremes,
+from memtax.suffix import (LAST_LEVEL, DoublingLevels, IndexedSequence, RangeExtremes,
                            build_suffix_array, derive_bwt, first_below, prefix_doubling_ranks,
                            seed_level, sort_keys, symbol_bits)
 
 import oracles
+from conftest import construction_peak_per_row
 
 
 def sa_of(text: str):
@@ -121,6 +122,52 @@ def test_lcp_every_residue_of_the_word():
         assert set((lcp[1:] % width).tolist()) == set(range(width))
 
 
+def test_lcp_of_unary_periodic_and_repeated_texts():
+    # a unary or periodic text has few irreducible rows (BWT run heads) and
+    # long prefixes: every other row's LCP comes from the running maximum
+    for unit in ("A", "AC", "ACG", "ACGTTGCA"):
+        for n in list(range(1, 18)) + [63, 64, 65, 511, 512, 513]:
+            _check_sa_lcp_bwt(encode_bases((unit * n)[:n]))
+    for text in ("A" * 5000, "AC" * 2500):
+        codes = encode_bases(text)
+        sa, lcp = build_suffix_array(codes)
+        assert list(lcp) == oracles.naive_lcp(codes, sa)
+    # repeats across separators: the shared prefixes run through '$'
+    rng = random.Random(43)
+    core = "".join(rng.choice("ACGT") for _ in range(70))
+    genomes = [core, core, core[:30], core * 3, core[5:] + core, "A" * 40, "A" * 41]
+    _check_sa_lcp_bwt(separate(GenomeCollection(genomes=genomes)).codes)
+
+
+def test_lcp_of_digest_texts_of_every_seed():
+    # seeds 2, 1 and 0: 4, 2 and 1 symbols per word; with its largest code,
+    # 4**15 + 2, a k = 15 digest takes 31 bits, the whole int32 word
+    rng = random.Random(47)
+    for k, w, seed in ((3, 2, 2), (5, 1, 1), (8, 2, 0), (15, 2, 0)):
+        codes = _digest_codes(rng, k, w)
+        assert _seed(codes) == seed
+        _check_sa_lcp_bwt(codes)
+    codes[::50] = 4 ** 15 + 2
+    assert symbol_bits(codes) == 31
+    _check_sa_lcp_bwt(codes)
+
+
+def test_lcp_compare_rounds_grow_with_the_log(monkeypatch):
+    # the one irreducible row of a unary text shares 199 999 symbols (25 000
+    # words) with the row before: windows widening 8 times a round reach
+    # them in a few rounds, not one round per word
+    rounds = _counted(monkeypatch, suffix, "_equal_words")
+    sa, lcp = build_suffix_array(encode_bases("A" * 200_000))
+    assert np.array_equal(lcp[1:], np.arange(200_000))
+    assert 1 <= len(rounds) <= 10
+
+
+def test_suffix_array_construction_peak():
+    # the pass holds one level at a time and the LCP none: 36.1 bytes per
+    # row (66.5 when the LCP was lifted over every level)
+    assert construction_peak_per_row(lambda st: build_suffix_array(st.codes)) <= 45
+
+
 def _check_doubling_levels(codes, seed):
     assert _seed(codes) == seed
     levels = list(prefix_doubling_ranks(codes))
@@ -190,10 +237,10 @@ def test_doubling_levels_shared_kept_and_restarted(monkeypatch):
 
     # kept levels serve later consumers; the rest are let go by trim
     levels = DoublingLevels(codes)
-    levels.keep = ALL_LEVELS
+    levels.keep = range(LAST_LEVEL + 1)  # every level
     assert np.array_equal(levels[2], want[2])
     sa, lcp = build_suffix_array(levels)
-    assert [r.tolist() for r in levels.from_seed()] == [r.tolist() for r in want[3:]]
+    assert [levels[j].tolist() for j in range(3, last + 1)] == [r.tolist() for r in want[3:]]
     assert len(passes) == 3
     expected = build_suffix_array(codes)
     assert np.array_equal(sa, expected[0]) and np.array_equal(lcp, expected[1])
