@@ -163,8 +163,8 @@ def test_lcp_compare_rounds_grow_with_the_log(monkeypatch):
 
 
 def test_suffix_array_construction_peak():
-    # the pass holds one level at a time and the LCP none: 36.1 bytes per
-    # row (66.5 when the LCP was lifted over every level)
+    # the pass holds one level at a time and the LCP takes none: 36.1 bytes
+    # per row, where holding every level of the pass takes 66.5
     assert construction_peak_per_row(lambda st: build_suffix_array(st.codes)) <= 45
 
 
