@@ -17,7 +17,6 @@ digest_with_positions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +49,6 @@ class DigestParams:
                 and 0 < self.m <= 2**63 // 4**self.k):
             raise ValidationError(f"digest parameters must satisfy 1 <= k <= {MAX_DIGEST_K}, "
                                   "1 <= w <= 2^63 - k, 0 < m <= 2^63 / 4^k")
-
-    @property
-    def is_injective_on_kmers(self) -> bool:
-        """The hash separates all 4^k values when they fit below m and
-        gcd(a, m) = 1; holds for the default (2544 x + 3937) mod 8863."""
-        return 4**self.k <= self.m and math.gcd(self.a, self.m) == 1
 
     def to_provenance(self) -> dict:
         return {"mode": "digest", "k": self.k, "w": self.w,

@@ -129,6 +129,8 @@ class IndexVariant:
                 raise ValidationError(f"{name} must be at least 1")
         if self.is_digest:
             self.digest_params()  # rejects what a digest cannot be built with
+        if self.is_kernel:
+            KernelParams(self.k_max)  # and what a kernel cannot
 
     @property
     def is_digest(self) -> bool:

@@ -1,10 +1,10 @@
 """The augmented FM-index: backward search, suffix-array interval arithmetic,
 first/last occurrence extraction and genome ranges.
 
-The index keeps the BWT (with rank/select), the suffix array and the LCP
-array of the underlying text; the text itself is not retained.  The arrays
-are held as the `KTK2` file stores them: a loaded index keeps views into
-the file's payload, whose arrays are stored widest first and so each start
+The index keeps the BWT, the suffix array and the LCP array of the
+underlying text; the text itself is not retained.  The arrays are held
+as the `KTK2` file stores them: a loaded index keeps views into the
+file's payload, whose arrays are stored widest first and so each start
 at a multiple of its item size, and a built one holds the same dtypes.
 The LCP is stored at the narrowest unsigned width that holds its maximum
 (the byte-LCP of enhanced suffix arrays, without an exception table), and

@@ -30,6 +30,8 @@ class KernelParams:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValidationError("k_max must be at least 1")
+        if self.k_max > 2**63 - 1:  # the window arithmetic is int64
+            raise ValidationError("k_max must be at most 2^63 - 1")
 
 
 def doubling_level(k_max: int) -> int:

@@ -16,12 +16,9 @@ word at a time and fills in the other rows from them (the permuted LCP).
 Two scans over such an array answer many lanes at once: reduce_ranges (a min
 or max over each of many row ranges) and first_below (the first row past
 each origin whose value is below a bound, in windows of _SCAN_ROWS rows
-and wider).  RangeExtremes, a sparse table for range-min / range-max
-positions, serves the LCA over a tree's nodes in preorder.
+and wider).
 """
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -303,13 +300,13 @@ def derive_bwt(codes, sa: np.ndarray) -> np.ndarray:
 
 
 class IndexedSequence:
-    """A symbol sequence with per-symbol rank and select, held as one sorted
-    key array: keys = sort(symbols * R + row) for R rows, so a search for
-    c*R + i counts the rows holding a smaller symbol plus the occurrences of
-    c before i, the FM-index's LF(c, i) = C[c] + rank(c, i).  Each symbol's
-    run of keys, less c*R, is its increasing position list; nothing is
-    sized by the alphabet.  The keys are uint32 when every key and the one
-    past the last (sigma * R) fit 32 bits, else int64.
+    """A symbol sequence held as one sorted key array for the FM-index's LF:
+    keys = sort(symbols * R + row) for R rows, so a search for c*R + i
+    counts the rows holding a smaller symbol plus the occurrences of c
+    before i, LF(c, i) = C[c] + rank(c, i).  Each symbol's run of keys, less
+    c*R, is its increasing position list; nothing is sized by the alphabet.
+    The keys are uint32 when every key and the one past the last (sigma * R)
+    fit 32 bits, else int64.
     """
 
     def __init__(self, symbols: np.ndarray, alphabet_size: int):
@@ -327,9 +324,6 @@ class IndexedSequence:
             block += np.arange(start, start + len(block), dtype=dtype)
         self.keys.sort()
 
-    def access(self, i: int) -> int:
-        return int(self.symbols[i])
-
     def lf(self, c, i):
         """C[c] + rank(c, i): rows holding a smaller symbol, plus the
         occurrences of c in symbols[0..i).  Elementwise over int64 arrays or
@@ -346,19 +340,6 @@ class IndexedSequence:
         out = np.empty_like(order)
         out[order] = self.keys.searchsorted(ordered.astype(self.keys.dtype))
         return out.reshape(keys.shape)
-
-    def count(self, c: int) -> int:
-        return int(self.lf(c + 1, 0) - self.lf(c, 0))
-
-    def rank(self, c: int, i: int) -> int:
-        """Occurrences of c in symbols[0..i)."""
-        return int(self.lf(c, i) - self.lf(c, 0))
-
-    def select(self, c: int, j: int) -> int:
-        """Position of the j-th (0-based) occurrence of c."""
-        if not 0 <= j < self.count(c):
-            raise IndexError(f"select({c}, {j}) out of range")
-        return int(self.keys[self.lf(c, 0) + j]) - c * self.rows
 
 
 def reduce_ranges(ufunc, values, starts, stops):
@@ -426,42 +407,3 @@ def first_below(values, origins, bounds):
         todo = todo[(found[todo] == n) & (start[todo] < n)]
         width = min(8 * width, _GATHER_ROWS)
     return found
-
-
-class RangeExtremes:
-    """Sparse-table RMQ giving the leftmost position of the minimum and/or
-    maximum over any inclusive range of a fixed array."""
-
-    # a position replaces an earlier one only where its value is strictly better
-    _BETTER = {"min": operator.lt, "max": operator.gt}
-
-    def __init__(self, values, kinds=("min", "max")):
-        self.values = np.asarray(values)
-        n = len(self.values)
-        if n == 0:
-            raise ValueError("cannot index an empty array")
-        # level j holds the position of each range of 2**j rows' extreme
-        self._tables: dict[str, list[np.ndarray]] = {}
-        for kind in kinds:
-            levels = [np.arange(n, dtype=np.int64)]
-            while (half := 1 << (len(levels) - 1)) * 2 <= n:
-                a, b = levels[-1][: n - 2 * half + 1], levels[-1][half: n - half + 1]
-                levels.append(np.where(self._BETTER[kind](self.values[b], self.values[a]), b, a))
-            self._tables[kind] = levels
-
-    def position(self, lo: int, hi: int, kind: str = "min") -> int:
-        """Leftmost position attaining the extreme over [lo, hi] inclusive."""
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        if not (0 <= lo and hi < len(self.values)):
-            raise ValueError(f"range [{lo}, {hi}] out of bounds")
-        levels = self._tables[kind]
-        j = (hi - lo + 1).bit_length() - 1
-        a, b = int(levels[j][lo]), int(levels[j][hi - (1 << j) + 1])
-        return b if self._BETTER[kind](self.values[b], self.values[a]) else a
-
-    def argmin(self, lo: int, hi: int) -> int:
-        return self.position(lo, hi, "min")
-
-    def argmax(self, lo: int, hi: int) -> int:
-        return self.position(lo, hi, "max")

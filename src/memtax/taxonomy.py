@@ -3,15 +3,17 @@
 Leaves in left-to-right order correspond to genome indices 0..G-1, so the
 lowest common ancestor of leaf(first) and leaf(last) roots the smallest
 subtree covering every genome in [first, last].  LCA is answered with a
-range-minimum table over the depths of the nodes in preorder.
+range-minimum table over the depths of the nodes in preorder (Bender &
+Farach-Colton 2000).
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError
-from .suffix import RangeExtremes
 
 _TOKEN = re.compile(r"\(|\)|,|;|:[^,();]*|[^,();:\s]+")
 
@@ -49,16 +51,6 @@ class PhyloTree:
     def label_of(self, node: int) -> str:
         lbl = self.labels[node]
         return lbl if lbl else f"node{node}"
-
-    def leaf_span(self, node: int) -> tuple[int, int]:
-        """(first, last) genome index under a node: those of the leaves that
-        its first and last children lead down to."""
-        lo = hi = node
-        while self.children[lo]:
-            lo = self.children[lo][0]
-        while self.children[hi]:
-            hi = self.children[hi][-1]
-        return self.leaves.index(lo), self.leaves.index(hi)
 
     def validate_leaf_names(self, names: list[str]) -> None:
         """Tree leaves must match the collection: same count, and when any
@@ -129,6 +121,27 @@ def parse_newick(text: str) -> PhyloTree:
     return tree
 
 
+class RangeMin:
+    """Sparse table of the leftmost minimum of non-negative integers over
+    any inclusive range [lo, hi] of positions, 0 <= lo <= hi < n.  Entry
+    p of level j is the least value * n + position over the 2**j values
+    from p, so one np.minimum builds a level from the one below, and the
+    least of two overlapping runs' entries, mod n, is the position."""
+
+    def __init__(self, values):
+        self.n = n = len(values)
+        level = np.asarray(values, dtype=np.int64) * n + np.arange(n)
+        self.levels = [level]
+        while (half := 1 << (len(self.levels) - 1)) * 2 <= n:
+            level = np.minimum(level[:-half], level[half:])
+            self.levels.append(level)
+
+    def argmin(self, lo: int, hi: int) -> int:
+        j = (hi - lo + 1).bit_length() - 1
+        level = self.levels[j]
+        return int(min(level[lo], level[hi - (1 << j) + 1])) % self.n
+
+
 class LcaStructure:
     """Depth RMQ over a PhyloTree's nodes in preorder (children in any
     order).  A node's subtree is the run of positions from its own, so for
@@ -148,7 +161,7 @@ class LcaStructure:
             depths.append(depth)
             for child in tree.children[node]:
                 stack.append((child, depth + 1))
-        self.rmq = RangeExtremes(depths, kinds=("min",))
+        self.rmq = RangeMin(depths)
 
     def lca(self, a: int, b: int) -> int:
         i, j = self.pos[a], self.pos[b]

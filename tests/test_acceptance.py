@@ -18,9 +18,8 @@ from memtax import (DigestParams, GenomeCollection, IndexVariant,
 from memtax.collection import encode_bases
 from memtax.kernel import kernel_size_report
 from memtax.mems import render_symbols
-from memtax.suffix import (IndexedSequence, RangeExtremes, build_suffix_array,
-                           derive_bwt)
-from memtax.taxonomy import LcaStructure
+from memtax.suffix import IndexedSequence, build_suffix_array, derive_bwt
+from memtax.taxonomy import LcaStructure, RangeMin
 
 import oracles
 from conftest import P
@@ -313,27 +312,25 @@ def test_criterion_10_structure_property_suites(toy_index):
         assert list(lcp) == oracles.naive_lcp(codes, sa)
         assert list(derive_bwt(codes, sa)) == oracles.naive_bwt(codes, sa)
 
-    # rank/select inverse laws
+    # rank/select laws, as LF steps and key runs
+    from test_suffix import assert_rank_select_laws
     for _ in range(25):
         n = rng.randint(1, 250)
         sigma = rng.randint(2, 9)
         symbols = [rng.randrange(sigma) for _ in range(n)]
         seq = IndexedSequence(symbols, sigma)
         for c in range(sigma):
-            for k in range(seq.count(c)):
-                p = seq.select(c, k)
-                assert symbols[p] == c and seq.rank(c, p + 1) == k + 1
+            assert_rank_select_laws(seq, symbols, c)
 
-    # RMQ against linear scan, 10^4 (array, range) pairs
+    # range minimum against linear scan, 10^4 (array, range) pairs
     pairs = 0
     while pairs < 10_000:
         values = [rng.randrange(12) for _ in range(rng.randint(1, 100))]
-        r = RangeExtremes(values)
+        r = RangeMin(values)
         for _ in range(min(100, 10_000 - pairs)):
             lo = rng.randrange(len(values))
             hi = rng.randrange(lo, len(values))
             assert r.argmin(lo, hi) == oracles.naive_rmq(values, lo, hi, "min")
-            assert r.argmax(lo, hi) == oracles.naive_rmq(values, lo, hi, "max")
             pairs += 1
 
     # LCA against naive ancestor intersection on trees up to 64 leaves

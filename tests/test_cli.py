@@ -619,6 +619,40 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
     assert sorted(tmp_path.iterdir()) == files
 
 
+@pytest.mark.parametrize("k_max", [2**63, 10**20], ids=["2^63", "10^20"])
+@pytest.mark.parametrize("form", ["build", "kernel", "digest-kernel"])
+def test_kernel_order_past_int64_exits_2(tmp_path, toy_files, capsys, form, k_max):
+    # it used to end in an OverflowError traceback (exit 1); eval rejects
+    # the spec before any build
+    genomes, _ = toy_files
+    given = ["--input", str(genomes), "--format", "lines"]
+    if form == "build":
+        argv = ["build", *given, "--mode", "kernel", "--kmax", str(k_max),
+                "--output", str(tmp_path / "k.ktk2")]
+    else:
+        spec = f"kernel:{k_max}" if form == "kernel" else f"digest-kernel:3:2:{k_max}"
+        argv = ["eval", *given, "--variants", spec, "--read-len", "5",
+                "--reads-per-genome", "2"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: k_max must be at most 2^63 - 1"]
+    assert not (tmp_path / "k.ktk2").exists()
+
+
+def test_kernel_order_at_int64_max_keeps_the_text(tmp_path, toy_files):
+    # no genome holds a window of 2^63 - 1 symbols, so the kernel is the text
+    genomes, _ = toy_files
+    given = ["build", "--input", str(genomes), "--format", "lines"]
+    assert main([*given, "--mode", "kernel", "--kmax", str(2**63 - 1),
+                 "--output", str(tmp_path / "k.ktk2")]) == 0
+    assert main([*given, "--mode", "raw", "--output", str(tmp_path / "raw.ktk2")]) == 0
+    kernel, raw = deserialize(str(tmp_path / "k.ktk2")), deserialize(str(tmp_path / "raw.ktk2"))
+    assert kernel.provenance["k_max"] == 2**63 - 1
+    for name in ("sa", "lcp"):
+        assert np.array_equal(getattr(kernel, name), getattr(raw, name))
+    assert np.array_equal(kernel.bwt.symbols, raw.bwt.symbols)
+
+
 def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
     genomes, _ = toy_files
     golden = tmp_path / "golden.txt"

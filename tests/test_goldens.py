@@ -9,7 +9,7 @@ from memtax import KernelParams, build_index, build_katka_kernel
 
 def rows_of(index, positions):
     return [(i, int(index.sa[i]), int(index.lcp[i]),
-             index.alphabet.decode(index.bwt.access(i))) for i in positions]
+             index.alphabet.decode(index.bwt.symbols[i])) for i in positions]
 
 
 def test_kernel_index_first_last_rows(golden_kernel4_index):

@@ -147,7 +147,7 @@ def test_shrink_widens_subinterval(toy_index):
     # rows of "AT" whose BWT is not C: drop the C-preceded rows from the front
     sub = None
     for lo in range(full_at.lo, full_at.hi + 1):
-        if all(ix.bwt.access(r) != code_c for r in range(lo, full_at.hi + 1)):
+        if all(ix.bwt.symbols[r] != code_c for r in range(lo, full_at.hi + 1)):
             sub = SaInterval(lo, full_at.hi)
             break
     assert sub is not None

@@ -7,9 +7,9 @@ from memtax import (DigestParams, GenomeCollection, KernelParams, build_katka_ke
                     digest_collection, kernel, separate, suffix)
 from memtax.collection import encode_bases
 from memtax.kernel import doubling_level
-from memtax.suffix import (LAST_LEVEL, DoublingLevels, IndexedSequence, RangeExtremes,
-                           build_suffix_array, derive_bwt, first_below, prefix_doubling_ranks,
-                           seed_level, sort_keys, symbol_bits)
+from memtax.suffix import (LAST_LEVEL, DoublingLevels, IndexedSequence, build_suffix_array,
+                           derive_bwt, first_below, prefix_doubling_ranks, seed_level,
+                           sort_keys, symbol_bits)
 
 import oracles
 from conftest import construction_peak_per_row
@@ -310,6 +310,20 @@ def test_first_below_narrow_values(dtype):
     assert np.array_equal(got[past], np.minimum(origins[past], len(values)))
 
 
+def assert_rank_select_laws(seq, symbols, c):
+    """Rank and select as the index reads them: LF steps by one at each
+    occurrence of c and by none elsewhere, so that LF(c, n) - LF(c, 0)
+    counts c; c's run of keys, less c*R, is its position list (which the
+    shrink reads)."""
+    symbols = np.asarray(symbols)
+    n = len(symbols)
+    assert np.array_equal(np.diff(seq.lf(c, np.arange(n + 1))), symbols == c)
+    where = np.flatnonzero(symbols == c)
+    assert seq.lf(c, n) - seq.lf(c, 0) == len(where)
+    run = seq.keys[seq.lf(c, 0): seq.lf(c, n)].astype(np.int64) - c * n
+    assert run.tolist() == where.tolist()
+
+
 def test_rank_select_inverse_laws():
     rng = random.Random(5)
     for _ in range(30):
@@ -320,19 +334,8 @@ def test_rank_select_inverse_laws():
         for c in range(sigma + 1):  # absent and one-past symbols included
             smaller = int(np.sum(symbols < c))
             for i in range(n + 1):
-                assert seq.lf(c, i) == smaller + seq.rank(c, i) == \
-                    smaller + int(np.sum(symbols[:i] == c))
-        for c in range(sigma):
-            total = seq.count(c)
-            assert seq.rank(c, n) == total == sum(1 for s in symbols if s == c)
-            for k in range(total):
-                p = seq.select(c, k)
-                assert symbols[p] == c
-                assert seq.rank(c, p) == k
-                assert seq.rank(c, p + 1) == k + 1
-            for j in (-1, total):
-                with pytest.raises(IndexError, match="out of range"):
-                    seq.select(c, j)
+                assert seq.lf(c, i) == smaller + int(np.sum(symbols[:i] == c))
+            assert_rank_select_laws(seq, symbols, c)
 
 
 # sigma: rows.  At 256 rows K is uint32 up to sigma = 2**24 - 1; at 2**24,
@@ -371,36 +374,4 @@ def test_lf_batched_against_per_key(sigma):
         stepped = seq.lf(c, np.array([i, np.minimum(i + 7, rows)]))
         assert np.all(stepped[0][c == -1] == stepped[1][c == -1])  # an empty step
     for c in {-1, *values.tolist(), sigma}:
-        where = np.flatnonzero(values == c)
-        assert seq.count(c) == len(where)
-        assert [seq.rank(c, i) for i in (0, 1, rows // 2, rows)] == \
-            [lf(c, i) - lf(c, 0) for i in (0, 1, rows // 2, rows)]
-        assert [seq.select(c, j) for j in range(len(where))] == where.tolist()
-
-
-def test_rmq_examples():
-    r = RangeExtremes([5, 2, 7, 2])
-    assert r.position(0, 3, "min") == 1  # leftmost tie
-    assert r.position(1, 3, "max") == 2
-    with pytest.raises(ValueError):
-        r.position(2, 1)
-    for lo, hi in ((-1, 2), (1, 4)):
-        with pytest.raises(ValueError, match="out of bounds"):
-            r.position(lo, hi)
-    with pytest.raises(ValueError, match="cannot index an empty array"):
-        RangeExtremes([])
-
-
-def test_rmq_against_scan():
-    rng = random.Random(17)
-    pairs = 0
-    while pairs < 10_000:
-        n = rng.randint(1, 120)
-        values = [rng.randrange(10) for _ in range(n)]
-        r = RangeExtremes(values)
-        for _ in range(min(120, 10_000 - pairs)):
-            lo = rng.randrange(n)
-            hi = rng.randrange(lo, n)
-            assert r.argmin(lo, hi) == oracles.naive_rmq(values, lo, hi, "min")
-            assert r.argmax(lo, hi) == oracles.naive_rmq(values, lo, hi, "max")
-            pairs += 1
+        assert_rank_select_laws(seq, values, c)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from memtax import LcaStructure, PhyloTree, ValidationError, parse_newick
+from memtax.taxonomy import RangeMin
 
 import oracles
 
@@ -131,20 +132,6 @@ def test_subtree_for_range():
         s.subtree_for_range(0, 9)
 
 
-def test_subtree_leaf_span_contains_range_random():
-    rng = random.Random(505)
-    for _ in range(20):
-        tree = _random_tree(rng, max_leaves=32)
-        s = LcaStructure(tree)
-        G = tree.leaf_count
-        for _ in range(50):
-            first = rng.randrange(G)
-            last = rng.randrange(first, G)
-            node = s.subtree_for_range(first, last)
-            lo, hi = tree.leaf_span(node)
-            assert lo <= first and last <= hi
-
-
 def _spans_by_parent_walks(tree):
     """(first, last) genome index under every node: each leaf, left to right
     for first and right to left for last, walks up until it meets a node
@@ -159,6 +146,20 @@ def _spans_by_parent_walks(tree):
                 u = tree.parent[u]
         spans.append(span)
     return spans
+
+
+def test_subtree_span_contains_range_random():
+    rng = random.Random(505)
+    for _ in range(20):
+        tree = _random_tree(rng, max_leaves=32)
+        s = LcaStructure(tree)
+        first_of, last_of = _spans_by_parent_walks(tree)
+        G = tree.leaf_count
+        for _ in range(50):
+            first = rng.randrange(G)
+            last = rng.randrange(first, G)
+            node = s.subtree_for_range(first, last)
+            assert first_of[node] <= first and last <= last_of[node]
 
 
 def _caterpillar(leaves, right=True):
@@ -179,7 +180,7 @@ def test_lca_and_spans_on_chains_and_caterpillars(newick):
     # leaves; these trees have unary nodes, or a depth of 2 999
     tree = parse_newick(newick)
     s = LcaStructure(tree)
-    assert len(s.rmq.values) == tree.node_count
+    assert len(s.rmq.levels[0]) == tree.node_count
     rng = random.Random(606)
     n, G = tree.node_count, tree.leaf_count
     for _ in range(300):
@@ -187,7 +188,10 @@ def test_lca_and_spans_on_chains_and_caterpillars(newick):
         assert s.lca(a, b) == s.lca(b, a) == oracles.naive_lca(tree.parent, a, b)
     first_of, last_of = _spans_by_parent_walks(tree)
     for u in rng.sample(range(n), min(n, 300)):
-        assert tree.leaf_span(u) == (first_of[u], last_of[u])
+        # a node's own span roots at the node, or at a unary descendant of it
+        node = s.subtree_for_range(first_of[u], last_of[u])
+        assert s.lca(u, node) == u
+        assert (first_of[node], last_of[node]) == (first_of[u], last_of[u])
     for _ in range(300):
         first = rng.randrange(G)
         last = rng.randrange(first, G)
@@ -197,3 +201,23 @@ def test_lca_and_spans_on_chains_and_caterpillars(newick):
         assert first_of[node] <= first and last <= last_of[node]
         assert not any(first_of[c] <= first and last <= last_of[c]
                        for c in tree.children[node])
+
+
+def test_rmq_examples():
+    r = RangeMin([5, 2, 7, 2])
+    assert r.argmin(0, 3) == 1  # leftmost tie
+    assert r.argmin(2, 3) == 3
+
+
+def test_rmq_against_scan():
+    rng = random.Random(17)
+    pairs = 0
+    while pairs < 10_000:
+        n = rng.randint(1, 120)
+        values = [rng.randrange(10) for _ in range(n)]
+        r = RangeMin(values)
+        for _ in range(min(120, 10_000 - pairs)):
+            lo = rng.randrange(n)
+            hi = rng.randrange(lo, n)
+            assert r.argmin(lo, hi) == oracles.naive_rmq(values, lo, hi, "min")
+            pairs += 1
