@@ -51,6 +51,9 @@ class SimulatedRead:
 
 
 _OTHER_BASES = {c: BASES.replace(c, "") for c in BASES}
+# the most bases simulate_reads takes on: reads_per_genome x genomes x
+# read_length, checked before the first read (the reads are held as strings)
+MAX_SIMULATED_BASES = 1 << 31
 
 
 def simulate_reads(collection: GenomeCollection, cfg: ReadSimConfig) -> list[SimulatedRead]:
@@ -58,7 +61,11 @@ def simulate_reads(collection: GenomeCollection, cfg: ReadSimConfig) -> list[Sim
     each base substituted with probability mutation_rate by a uniformly
     chosen different base.  Deterministic for a fixed seed; genomes shorter
     than the read length are skipped with a warning, unless every genome
-    is, which raises."""
+    is, which raises; so does asking for more than MAX_SIMULATED_BASES."""
+    genomes = len(collection.genomes)
+    if cfg.reads_per_genome * genomes * cfg.read_length > MAX_SIMULATED_BASES:
+        raise ValidationError(f"{cfg.reads_per_genome} reads per genome x {genomes} genomes x "
+                              f"{cfg.read_length} bases is more than 2^31 simulated bases")
     rng = random.Random(cfg.seed)
     reads: list[SimulatedRead] = []
     skipped = []

@@ -42,16 +42,13 @@ import numpy as np
 from .collection import RESERVED, SEP_CODE, Alphabet, SeparatedText
 from .digest import BLOCK_SYMBOLS, DigestParams, digest_reads
 from .errors import EmptyIntervalError, FormatError, ValidationError
-from .suffix import (BLOCK_ROWS, IndexedSequence, build_suffix_array, derive_bwt,
-                     first_below, reduce_ranges)
+from .suffix import (BLOCK_ROWS, LCP_DTYPES, IndexedSequence, build_suffix_array, first_below,
+                     lcp_dtype, reduce_ranges, row_dtype, symbol_dtype)
 
 # what a checksummed header that no writer produced raises on decoding
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ValidationError)
 MAGIC = b"KTK2"
 VERSION = 5
-# the LCP's widths, narrowest first: a file stores the narrowest whose range
-# holds its maximum
-LCP_DTYPES = ("u1", "<u2", "<u4", "<u8")
 
 
 @dataclass(frozen=True)
@@ -72,20 +69,14 @@ class SaInterval:
 EMPTY_INTERVAL = SaInterval(0, -1)
 
 
-def _lcp_dtype(maximum: int) -> str:
-    """The narrowest of LCP_DTYPES whose range holds maximum."""
-    return next(name for name in LCP_DTYPES if maximum < 1 << 8 * np.dtype(name).itemsize)
-
-
 def _layout(text_length: int, alphabet: Alphabet, lcp: str) -> list[list]:
     """[name, dtype, count] of each payload array, in file order, for an
     LCP of dtype lcp.  The order is by descending item size, ties in the
     order bwt, sa, lcp: item sizes being powers of two, every array then
     starts at a multiple of its item size in an 8-aligned buffer."""
     rows = text_length + 1
-    row_dtype = "<u4" if rows < 2**32 else "<u8"
-    bwt_dtype = "u1" if alphabet.size <= 256 else "<u4"
-    arrays = [["bwt", bwt_dtype, rows], ["sa", row_dtype, rows], ["lcp", lcp, rows]]
+    arrays = [["bwt", symbol_dtype(alphabet.size), rows], ["sa", row_dtype(rows), rows],
+              ["lcp", lcp, rows]]
     return sorted(arrays, key=lambda array: -np.dtype(array[1]).itemsize)
 
 
@@ -129,12 +120,8 @@ class AugmentedFmIndex:
             raise ValidationError("cannot index an empty text")
         if int(codes.max()) >= st.alphabet.size:
             raise ValidationError("text symbol exceeds the declared alphabet width")
-        sa, lcp = build_suffix_array(st.levels)
-        layout = _layout(len(codes), st.alphabet, _lcp_dtype(int(lcp.max())))
-        dtype = {name: dt for name, dt, _ in layout}
-        bwt = IndexedSequence(derive_bwt(codes, sa).astype(dtype["bwt"]), st.alphabet.size)
-        return cls(bwt, sa.astype(dtype["sa"]), lcp.astype(dtype["lcp"]),
-                   st.alphabet, st.provenance)
+        sa, lcp, bwt = build_suffix_array(st.levels, st.alphabet.size)
+        return cls(IndexedSequence(bwt, st.alphabet.size), sa, lcp, st.alphabet, st.provenance)
 
     # ------------------------------------------------------------------
     @property
@@ -145,7 +132,7 @@ class AugmentedFmIndex:
     def layout(self) -> list[list]:
         """[name, dtype, count] of each array the file stores, the LCP at
         the width this index holds it in."""
-        return _layout(self.n, self.alphabet, _lcp_dtype(np.iinfo(self.lcp.dtype).max))
+        return _layout(self.n, self.alphabet, lcp_dtype(np.iinfo(self.lcp.dtype).max))
 
     def encode_reads(self, reads) -> tuple[list, np.ndarray, np.ndarray]:
         """(ids, codes, offsets) of an iterable of (id, read) pairs: the
@@ -383,7 +370,7 @@ def _read_payload(source) -> memoryview:
 def _decode(meta: dict, payload) -> AugmentedFmIndex:
     """The index over views into payload, which must hold exactly the
     arrays of _layout at one LCP width, with a valid suffix array, bounded
-    LCP values stored at the width _lcp_dtype gives their maximum, a BWT
+    LCP values stored at the width lcp_dtype gives their maximum, a BWT
     that agrees with the suffix array and the header's genome count."""
     n = meta["text_length"]
     alphabet = Alphabet.from_dict(meta["alphabet"])
@@ -404,7 +391,7 @@ def _decode(meta: dict, payload) -> AugmentedFmIndex:
     del seen
     if not _lcp_in_bounds(sa, lcp):
         raise FormatError("LCP array exceeds the suffix lengths")
-    if np.dtype(_lcp_dtype(int(lcp.max()))) != lcp.dtype:
+    if np.dtype(lcp_dtype(int(lcp.max()))) != lcp.dtype:
         raise FormatError("LCP array is stored wider than its maximum needs")
     bwt = IndexedSequence(bwt, alphabet.size)
     if not _lf_agrees(sa, bwt.keys):

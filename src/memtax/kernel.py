@@ -20,7 +20,7 @@ import numpy as np
 
 from .collection import FIRST_SYMBOL_CODE, HASH_CODE, SEP_CODE, SeparatedText
 from .errors import ValidationError
-from .suffix import sort_keys
+from .suffix import BLOCK_ROWS, sort_keys
 
 
 @dataclass(frozen=True)
@@ -64,24 +64,34 @@ def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText
         counts = windows[windows > 0]
         starts = np.repeat((firsts - (np.add.accumulate(counts) - counts)).astype(dtype), counts)
         starts += np.arange(len(starts), dtype=dtype)
-        ids = rank[starts].astype(np.int64)  # int32 ranks: rank * rows would wrap
-        ids *= rows
-        ids += rank[starts + (k - (1 << j))]
-        del rank
-        order, ids = sort_keys(ids, rows * rows)
-        groups = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+        # int64 ids (int32 ranks: rank * rows would wrap), a block at a time
+        ids = np.empty(len(starts), dtype=np.int64)
+        for start in range(0, len(starts), BLOCK_ROWS):
+            block, at = ids[start: start + BLOCK_ROWS], starts[start: start + BLOCK_ROWS]
+            block[:] = rank[at]
+            block *= rows
+            block += rank[at + (k - (1 << j))]
+        del rank, block, at  # the views too, or they would hold ids and starts
+        # each window's starts together, in no promised order
+        grouped, ids = sort_keys(ids, rows * rows, starts)
+        del starts
+        change = np.empty(len(ids), dtype=bool)
+        change[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=change[1:])
         del ids
-        grouped = starts[order]  # each window's starts together, in no promised order
-        del order, starts
+        groups = np.flatnonzero(change)
+        del change
         kept = np.concatenate((np.minimum.reduceat(grouped, groups),  # first and last starts
                                np.maximum.reduceat(grouped, groups)))
-        del grouped
+        del grouped, groups
         # a symbol is covered when the furthest end of a kept window
         # starting at or before it lies past it
         ends = np.zeros(n, dtype=dtype)
         ends[kept] = kept + k
+        del kept
         np.maximum.accumulate(ends, out=ends)
         keep |= ends > np.arange(n, dtype=dtype)
+        del ends  # none of the window arrays is held through the emit
 
     # emit kept symbols and separators; one '#' per omitted run between two
     # kept ordinary symbols, nothing for runs next to a separator

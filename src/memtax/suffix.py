@@ -1,18 +1,20 @@
 """Suffix-array machinery backing the augmented FM-index.
 
-All structures are plain (uncompressed) arrays: a suffix array and LCP
-array of length n+1 (one row for the implicit end-of-file sentinel, code 0,
-smaller than every text symbol), held by the index in the file's
-fixed-width dtypes, and one sorted key array over the BWT in which a
-single search answers LF, rank and the C table.  The suffix array inverts
-the last of a text's prefix-doubling rank levels, held as int32 (each ranked
-by one packed in-place sort of int64 keys, sort_keys); they come from one
-lazily advanced pass (DoublingLevels), shared by its suffix array and its
-kernels, which starts at a seed level, ranked by one sort of packed
-symbol words (8 base symbols of 3 bits, 4 k = 3 digest symbols of 7 bits,
-in an int32 word); a level below the seed is sorted on demand.  The LCP
-array takes no level: it compares the irreducible rows' suffixes a packed
-word at a time and fills in the other rows from them (the permuted LCP).
+All structures are plain (uncompressed) arrays: a suffix array, LCP
+array and BWT of length n+1 (one row for the implicit end-of-file sentinel,
+code 0, smaller than every text symbol), built in the index file's
+fixed-width dtypes (row_dtype, lcp_dtype, symbol_dtype), and one sorted key
+array over the BWT in which a single search answers LF, rank and the C
+table.  The suffix array inverts the last of a text's prefix-doubling rank
+levels, held as int32 (each ranked by one packed in-place sort of int64
+keys, sort_keys); they come from one lazily advanced pass (DoublingLevels),
+shared by its suffix array and its kernels, which starts at a seed level,
+ranked by one sort of packed symbol words (8 base symbols of 3 bits, 4
+k = 3 digest symbols of 7 bits, in an int32 word, packed in place); a
+level below the seed is sorted on demand.  The LCP array takes no level:
+it compares the irreducible rows' suffixes a packed word at a time and
+fills in the other rows from them (the permuted LCP); the BWT is the first
+symbol of the word before each row's suffix, which that comparison reads.
 Two scans over such an array answer many lanes at once: reduce_ranges (a min
 or max over each of many row ranges) and first_below (the first row past
 each origin whose value is below a bound, in windows of _SCAN_ROWS rows
@@ -26,27 +28,37 @@ from .collection import EOF_CODE
 
 # rows per block of the passes that would otherwise copy a row-sized int64 array
 BLOCK_ROWS = 1 << 16
+# the LCP's widths, narrowest first: an index stores the narrowest whose
+# range holds its maximum
+LCP_DTYPES = ("u1", "<u2", "<u4", "<u8")
 # first_below's first window per lane, which most LCP widenings of the MEM
 # walk end within, and the most rows one of its gathers copies
 _SCAN_ROWS, _GATHER_ROWS = 64, 1 << 14
 
 
-def sort_keys(keys, bound: int):
-    """(order, keys[order]) for int64 keys in [0, bound): an order that
-    sorts them, with the sorted keys.  When the bit width of bound plus
-    that of a row index fits in 63 bits, one in-place sort of
-    keys << b | row gives both, unpacked by a mask and a shift; the keys
-    are then overwritten, so callers pass an array they no longer need.
-    Otherwise an argsort.  Equal keys come in no promised order.
+def sort_keys(keys, bound: int, tags=None):
+    """(tags[order], keys[order]) for int64 keys in [0, bound) and an order
+    that sorts them.  tags are non-negative integers, one per key, by
+    default the row indices, which give the order itself (as int64), else
+    in the tags' dtype.  When the bit width of bound plus that of the
+    largest tag fits in 63 bits, one in-place sort of keys << b | tag gives
+    both, unpacked by a mask and a shift; the keys are then overwritten, so
+    callers pass an array they no longer need.  Otherwise an argsort.
+    Equal keys come in no promised order.
     """
-    b = max(len(keys) - 1, 0).bit_length()
+    top = max(len(keys) - 1, 0) if tags is None else int(tags.max(initial=0))
+    b = top.bit_length()
     if (int(bound) - 1).bit_length() + b > 63:
         order = np.argsort(keys)
-        return order, keys[order]
+        return order if tags is None else tags[order], keys[order]
     keys <<= b
-    keys |= np.arange(len(keys))
+    for start in range(0, len(keys), BLOCK_ROWS):
+        block = keys[start: start + BLOCK_ROWS]
+        end = start + len(block)
+        block |= np.arange(start, end) if tags is None else tags[start:end]
     keys.sort()
-    order = keys & ((1 << b) - 1)
+    order = np.empty(len(keys), dtype=np.int64 if tags is None else tags.dtype)
+    np.bitwise_and(keys, (1 << b) - 1, out=order, casting="unsafe")
     keys >>= b
     return order, keys
 
@@ -66,8 +78,10 @@ def seed_level(bits: int, rows: int) -> int:
 
 
 def _text(codes, dtype=np.int64) -> np.ndarray:
-    """codes + EOF sentinel, checked."""
-    text = np.append(np.asarray(codes, dtype=dtype), EOF_CODE)
+    """codes + EOF sentinel, checked, in one array of dtype."""
+    text = np.empty(len(codes) + 1, dtype=dtype)
+    text[:-1] = codes
+    text[-1] = EOF_CODE
     if text.size == 1:
         raise ValueError("text must be non-empty")
     if text[:-1].min() <= EOF_CODE:
@@ -79,11 +93,16 @@ def _packed_words(text, j: int, bits: int) -> np.ndarray:
     """The 2**j symbols from every row of text as one word of the text's
     dtype, bits bits per symbol, the first in the high bits; past the
     sentinel the symbols are code 0, so a word's order is its prefix's.
-    At j = 0 the words are text itself."""
+    Packed into text itself, a block at a time in ascending order: a
+    block's rows take the rows m on, which the block copies before it
+    shifts, and which the blocks after it have yet to shift."""
+    n = len(text)
     for m in (1 << i for i in range(j)):
-        shifted = text << (bits * m)
-        shifted[:-m] |= text[m:]
-        text = shifted
+        for start in range(0, n, BLOCK_ROWS):
+            block = text[start: start + BLOCK_ROWS]
+            after = text[start + m: start + m + len(block)].copy()
+            block <<= bits * m
+            block[: len(after)] |= after
     return text
 
 
@@ -110,7 +129,8 @@ def _doubling(text, j: int, bits: int):
     rank * d + next_rank over the d ranks of the level before), and the
     dense ranks are the running count of key changes along the sorted keys,
     scattered back by the order.  Between levels the pass holds only the
-    level it last yielded.
+    level it last yielded, and lets go of it once the next level's keys
+    are built, before their sort.
     """
     n = len(text)
     dtype = np.int32 if n < 1 << 31 else np.int64
@@ -136,6 +156,7 @@ def _doubling(text, j: int, bits: int):
         key = rank.astype(np.int64)
         key *= distinct
         key[: n - h] += rank[h:]
+        del rank  # no level is held through the next sort
         bound = distinct * distinct
         j += 1
 
@@ -184,15 +205,17 @@ class DoublingLevels:
         if self._pass is None or j < self._next:
             self._pass, self._next = prefix_doubling_ranks(self.codes), self.seed
         while True:
-            i, rank = self._next, next(self._pass)
-            self._next += 1
+            # the level before is let go first (no local name holds it),
+            # so that it and the next are never held together
+            i = self._next
             if not self._keeps(i - 1):
                 self._held.pop(i - 1, None)
-            self._held[i] = rank
-            if rank.size == int(rank.max()) + 1:
+            self._held[i] = next(self._pass)
+            self._next += 1
+            if self._held[i].size == int(self._held[i].max()) + 1:
                 self.last, self._pass = i, None
             if i == j or i == self.last:
-                return rank
+                return self._held[i]
 
     def trim(self) -> None:
         """Let go of every level not in keep, and of the pass once keep
@@ -206,13 +229,32 @@ class DoublingLevels:
         return i in self.keep or (i == self.last and max(self.keep, default=-1) > i)
 
 
-def build_suffix_array(codes) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix array and LCP array of codes with the implicit EOF sentinel
-    appended, both int64 of length len(codes) + 1.  codes may also be the
-    DoublingLevels of the text, whose pass is then shared.
+def row_dtype(rows: int) -> str:
+    """The dtype of a suffix array of rows rows, as the index file stores it."""
+    return "<u4" if rows < 1 << 32 else "<u8"
+
+
+def symbol_dtype(alphabet_size: int) -> str:
+    """The dtype of a BWT over alphabet_size codes, as the index file stores it."""
+    return "u1" if alphabet_size <= 256 else "<u4"
+
+
+def lcp_dtype(maximum: int) -> str:
+    """The narrowest of LCP_DTYPES whose range holds maximum."""
+    return next(name for name in LCP_DTYPES if maximum < 1 << 8 * np.dtype(name).itemsize)
+
+
+def build_suffix_array(codes, alphabet_size: int | None = None):
+    """(sa, lcp, bwt): the suffix array, LCP array and BWT of codes with
+    the implicit EOF sentinel appended, each of len(codes) + 1 rows, in the
+    dtypes the index file stores (row_dtype, lcp_dtype of the LCP's
+    maximum, and symbol_dtype of alphabet_size, by default one more than
+    the largest code).  codes may also be the DoublingLevels of the text,
+    whose pass is then shared.
 
     sa[0] is always the sentinel position len(codes); lcp[0] = 0 and lcp[i]
-    is the longest common prefix of the suffixes at rows i-1 and i.  The
+    is the longest common prefix of the suffixes at rows i-1 and i;
+    bwt[i] is the symbol before suffix sa[i], EOF for sa[i] = 0.  The
     suffix array is the inverse of the pass's last, all-distinct level, the
     one level it takes.  The LCP goes by the permuted LCP of Kärkkäinen,
     Manzini & Puglisi, PLCP[sa[i]] = lcp[i]: only the irreducible rows,
@@ -220,32 +262,43 @@ def build_suffix_array(codes) -> tuple[np.ndarray, np.ndarray]:
     compared (_common_prefix).  The suffix p of any other row has the
     PLCP of p - 1 less one, so p + PLCP[p] is that of the last irreducible
     position before it; as that end never falls while p grows, a running
-    maximum over the ends gives every row's.
+    maximum over the ends gives every row's, and the LCP's maximum is an
+    irreducible row's, which gives its dtype before it is written.  The
+    pass that finds the irreducible rows reads every row's BWT symbol, and
+    keeps it.
     """
     levels = codes if isinstance(codes, DoublingLevels) else DoublingLevels(codes)
     inverse = levels[LAST_LEVEL]
     levels.trim()
     n = len(inverse)
-    sa = np.empty(n, dtype=np.int64)
+    sa = np.empty(n, dtype=row_dtype(n))
     for start in range(0, n, BLOCK_ROWS):
         sa[inverse[start: start + BLOCK_ROWS]] = np.arange(start, min(start + BLOCK_ROWS, n))
     del inverse
+    if alphabet_size is None:
+        alphabet_size = int(np.max(levels.codes)) + 1
     words = _packed_words(_text(levels.codes, np.int32), levels.seed, levels.bits)
     first = (levels.bits << levels.seed) - levels.bits  # the shift of a word's first symbol
+    bwt = np.empty(n, dtype=symbol_dtype(alphabet_size))
     ends = np.zeros(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    maximum = 0
     for start in range(1, n, BLOCK_ROWS):
         rows = sa[start - 1: start + BLOCK_ROWS]
-        bwt = words[rows - 1] >> first  # before position 0, the sentinel word's 0
-        heads = np.flatnonzero(bwt[1:] != bwt[:-1])
+        # before position 0, the sentinel word's 0
+        symbols = words[np.subtract(rows, 1, dtype=np.int64)] >> first
+        bwt[start - 1: start - 1 + len(rows)] = symbols
+        heads = np.flatnonzero(symbols[1:] != symbols[:-1])
         cur = rows[heads + 1]
-        ends[cur] = cur + _common_prefix(words, rows[heads], cur, levels)
+        common = _common_prefix(words, rows[heads], cur, levels)
+        ends[cur] = cur + common
+        maximum = max(maximum, int(common.max(initial=0)))
     del words
     np.maximum.accumulate(ends, out=ends)
-    lcp = np.zeros(n, dtype=np.int64)
+    lcp = np.zeros(n, dtype=lcp_dtype(maximum))
     for start in range(1, n, BLOCK_ROWS):
         cur = sa[start: start + BLOCK_ROWS]
         lcp[start: start + len(cur)] = ends[cur] - cur
-    return sa, lcp
+    return sa, lcp, bwt
 
 
 def _common_prefix(words, a, b, levels: DoublingLevels) -> np.ndarray:
@@ -289,14 +342,6 @@ def _equal_words(words, a, b, step: int, width: int) -> np.ndarray:
               != words[np.minimum(b[:, None] + offsets, last)])
     col = differ.argmax(axis=1)
     return np.where(differ[np.arange(len(a)), col], col, width)
-
-
-def derive_bwt(codes, sa: np.ndarray) -> np.ndarray:
-    """BWT over codes + sentinel: bwt[i] = text[sa[i]-1], EOF when sa[i] = 0."""
-    s = np.empty(len(sa), dtype=np.int32)
-    s[:-1] = np.asarray(codes, dtype=np.int32)
-    s[-1] = EOF_CODE
-    return s[np.asarray(sa, dtype=np.int64) - 1]  # index -1 (sa[i] = 0) is the sentinel
 
 
 class IndexedSequence:

@@ -18,7 +18,7 @@ from memtax import (DigestParams, GenomeCollection, IndexVariant,
 from memtax.collection import encode_bases
 from memtax.kernel import kernel_size_report
 from memtax.mems import render_symbols
-from memtax.suffix import IndexedSequence, build_suffix_array, derive_bwt
+from memtax.suffix import IndexedSequence, build_suffix_array
 from memtax.taxonomy import LcaStructure, RangeMin
 
 import oracles
@@ -307,10 +307,10 @@ def test_criterion_10_structure_property_suites(toy_index):
         n = rng.randint(1, 512)
         text = "".join(rng.choice(rng.choice(["AC", "ACGT"])) for _ in range(n))
         codes = encode_bases(text)
-        sa, lcp = build_suffix_array(codes)
+        sa, lcp, bwt = build_suffix_array(codes)
         assert list(sa) == oracles.naive_suffix_array(codes)
         assert list(lcp) == oracles.naive_lcp(codes, sa)
-        assert list(derive_bwt(codes, sa)) == oracles.naive_bwt(codes, sa)
+        assert list(bwt) == oracles.naive_bwt(codes, sa.tolist())
 
     # rank/select laws, as LF steps and key runs
     from test_suffix import assert_rank_select_laws

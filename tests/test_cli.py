@@ -1,7 +1,11 @@
 import json
 import os
+import pathlib
 import random
+import resource
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
 
@@ -11,9 +15,10 @@ import pytest
 from memtax import (DigestParams, ReadSimConfig, classify_read, compute_mem_table,
                     deserialize, digest_sequence, longest_mems, parse_collection,
                     simulate_reads)
+import memtax
 from memtax import cli
 from memtax.cli import main
-from memtax.evaluate import build_variant_index, expand_variant_specs
+from memtax.evaluate import MAX_SIMULATED_BASES, build_variant_index, expand_variant_specs
 from memtax.mems import TSV_HEADER
 
 from conftest import P, TOY_GENOMES, rewritten_index, rewritten_rows
@@ -637,6 +642,49 @@ def test_kernel_order_past_int64_exits_2(tmp_path, toy_files, capsys, form, k_ma
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == ["error: k_max must be at most 2^63 - 1"]
     assert not (tmp_path / "k.ktk2").exists()
+
+
+def _capped_main(argv, cap: int = 1 << 29) -> tuple[int, list[str]]:
+    """(exit code, stderr lines) of main(argv) run in a child process whose
+    address space is capped at cap bytes: a command that grew without bound
+    would fail there, not exhaust the host."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(pathlib.Path(memtax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-c", "import sys; from memtax.cli import main; "
+                            "sys.exit(main(sys.argv[1:]))", *argv],
+                           env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    return child.returncode, child.stderr.splitlines()
+
+
+@pytest.mark.parametrize("count", [10**20, 2**63], ids=["10^20", "2^63"])
+@pytest.mark.parametrize("flag", ["--reads-per-genome", "--read-len"])
+def test_simulated_reads_past_the_bound_exit_2(tmp_path, toy_files, flag, count):
+    # eval used to append reads to one list until the host killed it; now
+    # reads_per_genome x genomes x read_length is bounded before any read
+    genomes, _ = toy_files
+    argv = ["eval", "--input", str(genomes), "--format", "lines", "--read-len", "5",
+            "--reads-per-genome", "2", flag, str(count), "--output", str(tmp_path / "r.json")]
+    code, err = _capped_main(argv)
+    assert code == 2 and len(err) == 1 and "more than 2^31 simulated bases" in err[0]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_simulated_reads_bound_is_the_product(tmp_path, toy_files, capsys):
+    # one read per genome past the bound, and no more, is rejected
+    genomes, _ = toy_files
+    length = 5
+    per_genome = MAX_SIMULATED_BASES // (len(TOY_GENOMES) * length) + 1
+    argv = ["eval", "--input", str(genomes), "--format", "lines", "--read-len", str(length),
+            "--reads-per-genome", str(per_genome)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {per_genome} reads per genome x {len(TOY_GENOMES)} genomes x {length} bases "
+        f"is more than 2^31 simulated bases"]
 
 
 def test_kernel_order_at_int64_max_keeps_the_text(tmp_path, toy_files):

@@ -163,8 +163,9 @@ def test_kernel_ids_do_not_wrap_on_large_texts():
 
 @pytest.mark.parametrize("k_max", [20, 100])
 def test_kernel_construction_peak(k_max):
-    # int32 window starts and one running maximum of window ends: 25.7
-    # bytes per row, the doubling pass included, where int64 starts and two
-    # bincounts of window bounds take 68.0
+    # int32 window starts carried through the sort of the window ids and
+    # one running maximum of window ends: 22.9 bytes per row, the doubling
+    # pass included, where int64 starts and two bincounts of window bounds
+    # take 68.0
     params = KernelParams(k_max)
     assert construction_peak_per_row(lambda st: build_katka_kernel(st, params)) <= 32

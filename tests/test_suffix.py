@@ -5,11 +5,12 @@ import pytest
 
 from memtax import (DigestParams, GenomeCollection, KernelParams, build_katka_kernel,
                     digest_collection, kernel, separate, suffix)
-from memtax.collection import encode_bases
+from memtax.collection import Alphabet, encode_bases
+from memtax.index import _layout
 from memtax.kernel import doubling_level
 from memtax.suffix import (LAST_LEVEL, DoublingLevels, IndexedSequence, build_suffix_array,
-                           derive_bwt, first_below, prefix_doubling_ranks, seed_level,
-                           sort_keys, symbol_bits)
+                           first_below, lcp_dtype, prefix_doubling_ranks, seed_level, sort_keys,
+                           symbol_bits)
 
 import oracles
 from conftest import construction_peak_per_row
@@ -21,6 +22,10 @@ def sa_of(text: str):
 
 def lcp_of(text: str):
     return build_suffix_array(encode_bases(text))[1]
+
+
+def bwt_of(text: str):
+    return build_suffix_array(encode_bases(text))[2]
 
 
 def test_suffix_array_examples():
@@ -43,20 +48,18 @@ def test_suffix_array_rejects_reserved_codes():
 
 def test_bwt_examples():
     # bwt of GATA: A T G <eof> A
-    codes = encode_bases("GATA")
-    bwt = derive_bwt(codes, sa_of("GATA"))
-    rendered = ["ACGT"[c - 3] if c >= 3 else "." for c in bwt]
+    rendered = ["ACGT"[c - 3] if c >= 3 else "." for c in bwt_of("GATA")]
     assert rendered == ["A", "T", "G", ".", "A"]
-    codes = encode_bases("A")
-    assert list(derive_bwt(codes, sa_of("A"))) == [3, 0]
+    assert list(bwt_of("A")) == [3, 0]
 
 
 def _check_sa_lcp_bwt(codes):
-    sa, lcp = build_suffix_array(codes)
+    sa, lcp, bwt = build_suffix_array(codes)
     assert sorted(sa) == list(range(len(codes) + 1))  # permutation
     assert list(sa) == oracles.naive_suffix_array(codes)
     assert list(lcp) == oracles.naive_lcp(codes, sa)
-    assert list(derive_bwt(codes, sa)) == oracles.naive_bwt(codes, sa)
+    assert lcp.dtype == np.dtype(lcp_dtype(int(lcp.max())))  # the narrowest that holds it
+    assert list(bwt) == oracles.naive_bwt(codes, sa.tolist())  # Python ints: 0 - 1 is -1
 
 
 def test_sa_lcp_bwt_against_oracle_random():
@@ -117,7 +120,7 @@ def test_lcp_every_residue_of_the_word():
     digest = _digest_codes(rng, 3, 2)
     for codes, width in ((codes, 8), (digest, 4)):
         assert 1 << _seed(codes) == width
-        sa, lcp = build_suffix_array(codes)
+        sa, lcp, _ = build_suffix_array(codes)
         assert list(lcp) == oracles.naive_lcp(codes, sa)
         assert set((lcp[1:] % width).tolist()) == set(range(width))
 
@@ -130,7 +133,7 @@ def test_lcp_of_unary_periodic_and_repeated_texts():
             _check_sa_lcp_bwt(encode_bases((unit * n)[:n]))
     for text in ("A" * 5000, "AC" * 2500):
         codes = encode_bases(text)
-        sa, lcp = build_suffix_array(codes)
+        sa, lcp, _ = build_suffix_array(codes)
         assert list(lcp) == oracles.naive_lcp(codes, sa)
     # repeats across separators: the shared prefixes run through '$'
     rng = random.Random(43)
@@ -157,15 +160,37 @@ def test_lcp_compare_rounds_grow_with_the_log(monkeypatch):
     # words) with the row before: windows widening 8 times a round reach
     # them in a few rounds, not one round per word
     rounds = _counted(monkeypatch, suffix, "_equal_words")
-    sa, lcp = build_suffix_array(encode_bases("A" * 200_000))
+    sa, lcp, _ = build_suffix_array(encode_bases("A" * 200_000))
     assert np.array_equal(lcp[1:], np.arange(200_000))
     assert 1 <= len(rounds) <= 10
 
 
 def test_suffix_array_construction_peak():
-    # the pass holds one level at a time and the LCP takes none: 36.1 bytes
-    # per row, where holding every level of the pass takes 66.5
+    # the pass holds one level at a time and the LCP takes none, and the
+    # arrays come out in their stored dtypes: 25.0 bytes per row, where
+    # int64 arrays took 36.1 and holding every level of the pass 66.5
     assert construction_peak_per_row(lambda st: build_suffix_array(st.codes)) <= 45
+
+
+def test_text_is_one_array_of_the_dtype_asked_for():
+    # np.append of the sentinel used to promote int32 codes to int64
+    for dtype in (np.int32, np.int64):
+        text = suffix._text(np.array([3, 4, 5], np.int32), dtype)
+        assert text.dtype == dtype and text.tolist() == [3, 4, 5, 0]
+
+
+@pytest.mark.parametrize("length, lcp", [(256, "u1"), (257, "<u2")])
+def test_suffix_arrays_come_in_the_stored_dtypes(length, lcp):
+    # a unary text of length n has LCP maximum n - 1: 255 is the last a
+    # byte holds
+    codes = encode_bases("A" * length)
+    for alphabet in (Alphabet("bases"), Alphabet("digest", 4)):  # u1 and <u4 BWTs
+        arrays = dict(zip(("sa", "lcp", "bwt"), build_suffix_array(codes, alphabet.size)))
+        assert int(arrays["lcp"].max()) == length - 1
+        assert {name: arrays[name].dtype for name in arrays} == \
+            {name: np.dtype(dtype) for name, dtype, _ in _layout(length, alphabet, lcp)}
+    # by default the BWT's dtype holds the largest code
+    assert build_suffix_array(codes)[2].dtype == np.uint8
 
 
 def _check_doubling_levels(codes, seed):
@@ -239,7 +264,7 @@ def test_doubling_levels_shared_kept_and_restarted(monkeypatch):
     levels = DoublingLevels(codes)
     levels.keep = range(LAST_LEVEL + 1)  # every level
     assert np.array_equal(levels[2], want[2])
-    sa, lcp = build_suffix_array(levels)
+    sa, lcp, _ = build_suffix_array(levels)
     assert [levels[j].tolist() for j in range(3, last + 1)] == [r.tolist() for r in want[3:]]
     assert len(passes) == 3
     expected = build_suffix_array(codes)
@@ -285,6 +310,19 @@ def test_sort_keys_orders_keys(bound):
     assert np.array_equal(ordered, np.sort(keys))
     assert np.array_equal(keys[order], ordered)
     assert sorted(order) == list(range(len(keys)))
+
+
+@pytest.mark.parametrize("bound", [50, (1 << 62) - 3])
+def test_sort_keys_carries_tags(bound):
+    # tags in place of the row index come out in the tags' dtype, each
+    # beside its key; near 2**62 the tags' bits leave no room: the argsort
+    rng = np.random.default_rng(bound % 1000)
+    keys = rng.integers(0, bound, 300, dtype=np.int64)
+    keys[::7] = keys[0]
+    tags = (3 * np.arange(300) + 7).astype(np.int32)
+    got, ordered = sort_keys(keys.copy(), bound, tags)
+    assert got.dtype == np.int32 and np.array_equal(ordered, np.sort(keys))
+    assert sorted(zip(ordered.tolist(), got.tolist())) == sorted(zip(keys.tolist(), tags.tolist()))
 
 
 @pytest.mark.parametrize("dtype", ["u1", "<u2"])
