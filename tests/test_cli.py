@@ -12,10 +12,10 @@ import zlib
 import numpy as np
 import pytest
 
+import memtax
 from memtax import (DigestParams, ReadSimConfig, classify_read, compute_mem_table,
                     deserialize, digest_sequence, longest_mems, parse_collection,
                     simulate_reads)
-import memtax
 from memtax import cli
 from memtax.cli import main
 from memtax.evaluate import MAX_SIMULATED_BASES, build_variant_index, expand_variant_specs
