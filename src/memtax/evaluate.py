@@ -51,9 +51,12 @@ class SimulatedRead:
 
 
 _OTHER_BASES = {c: BASES.replace(c, "") for c in BASES}
-# the most bases simulate_reads takes on: reads_per_genome x genomes x
-# read_length, checked before the first read (the reads are held as strings)
+# the most bases and reads simulate_reads takes on, reads_per_genome x
+# genomes x read_length and reads_per_genome x genomes, checked before the
+# first read: the reads are held as strings, at about 1.7 bytes per base
+# for 200-base reads but 150 bytes per read for 5-base ones
 MAX_SIMULATED_BASES = 1 << 31
+MAX_SIMULATED_READS = 1 << 22
 
 
 def simulate_reads(collection: GenomeCollection, cfg: ReadSimConfig) -> list[SimulatedRead]:
@@ -61,11 +64,15 @@ def simulate_reads(collection: GenomeCollection, cfg: ReadSimConfig) -> list[Sim
     each base substituted with probability mutation_rate by a uniformly
     chosen different base.  Deterministic for a fixed seed; genomes shorter
     than the read length are skipped with a warning, unless every genome
-    is, which raises; so does asking for more than MAX_SIMULATED_BASES."""
+    is, which raises; so does asking for more than MAX_SIMULATED_BASES or
+    MAX_SIMULATED_READS."""
     genomes = len(collection.genomes)
     if cfg.reads_per_genome * genomes * cfg.read_length > MAX_SIMULATED_BASES:
         raise ValidationError(f"{cfg.reads_per_genome} reads per genome x {genomes} genomes x "
                               f"{cfg.read_length} bases is more than 2^31 simulated bases")
+    if cfg.reads_per_genome * genomes > MAX_SIMULATED_READS:
+        raise ValidationError(f"{cfg.reads_per_genome} reads per genome x {genomes} genomes "
+                              f"is more than 2^22 simulated reads")
     rng = random.Random(cfg.seed)
     reads: list[SimulatedRead] = []
     skipped = []

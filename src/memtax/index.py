@@ -2,18 +2,24 @@
 first/last occurrence extraction and genome ranges.
 
 The index keeps the BWT, the suffix array and the LCP array of the
-underlying text; the text itself is not retained.  The arrays are held
-as the `KTK2` file stores them: a loaded index keeps views into the
-file's payload, whose arrays are stored widest first and so each start
-at a multiple of its item size, and a built one holds the same dtypes.
-The LCP is stored at the narrowest unsigned width that holds its maximum
-(the byte-LCP of enhanced suffix arrays, without an exception table), and
-the walk's kernels scan it at that width.  Two structures are derived,
-for a built and a loaded index alike: the BWT's sorted key array (uint32
-below sigma * R < 2**32, from one in-place sort), searched for every
-backward step and for the shrink's nearest rows preceded by a symbol, and
-the separator positions, the suffix-array rows of the key array's `$` run,
-which give each text position its genome.
+underlying text; the text itself is not retained.  A built and a loaded
+index hold the same dtypes: the BWT at symbol_dtype, the suffix array at
+row_dtype and the LCP at the narrowest unsigned width that holds its
+maximum (the byte-LCP of enhanced suffix arrays, without an exception
+table), which the walk's kernels scan at that width.  The `KTK2` file
+(VERSION 6) packs them.  The BWT and the suffix array take the bits of
+their largest possible value, ceil(log2 sigma) and ceil(log2 R) for R
+rows, every 8 values that many bytes, least significant bit first.  The
+LCP is stored as the bit vector of its permuted LCP (Sadakane 2007):
+PLCP[p], the LCP of the suffix at text position p, drops by at most one
+from p to p + 1, so its R values are R ones, at PLCP[p] + 2p, in 2R bits.
+The load decodes the arrays a BLOCK_ROWS block at a time and gathers the
+LCP as PLCP[SA] at the width the header records.  Two structures are
+derived, for a built and a loaded index alike: the BWT's sorted key array
+(uint32 below sigma * R < 2**32, from one in-place sort), searched for
+every backward step and for the shrink's nearest rows preceded by a
+symbol, and the separator positions, the suffix-array rows of the key
+array's `$` run, which give each text position its genome.
 
 The MEM walk's kernels take arrays with one entry per lane (one read's
 walk) and answer every lane with a few whole-array operations: a backward
@@ -48,7 +54,7 @@ from .suffix import (BLOCK_ROWS, LCP_DTYPES, IndexedSequence, build_suffix_array
 # what a checksummed header that no writer produced raises on decoding
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ValidationError)
 MAGIC = b"KTK2"
-VERSION = 5
+VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -70,19 +76,122 @@ EMPTY_INTERVAL = SaInterval(0, -1)
 
 
 def _layout(text_length: int, alphabet: Alphabet, lcp: str) -> list[list]:
-    """[name, dtype, count] of each payload array, in file order, for an
-    LCP of dtype lcp.  The order is by descending item size, ties in the
-    order bwt, sa, lcp: item sizes being powers of two, every array then
-    starts at a multiple of its item size in an 8-aligned buffer."""
+    """[name, dtype, count] of each array the file stores, in file order,
+    with the dtype it is held in, the LCP at dtype lcp."""
     rows = text_length + 1
-    arrays = [["bwt", symbol_dtype(alphabet.size), rows], ["sa", row_dtype(rows), rows],
-              ["lcp", lcp, rows]]
-    return sorted(arrays, key=lambda array: -np.dtype(array[1]).itemsize)
+    return [["bwt", symbol_dtype(alphabet.size), rows], ["sa", row_dtype(rows), rows],
+            ["lcp", lcp, rows]]
 
 
-def _sizes(layout: list[list]) -> list[int]:
-    """Bytes of each payload array of a layout."""
-    return [count * np.dtype(dtype).itemsize for _, dtype, count in layout]
+def _packing(rows: int, alphabet: Alphabet) -> list[tuple[int, int]]:
+    """(values, bits) of each array of the layout as the file packs it: the
+    BWT and the suffix array one value per row, at the bits of their largest
+    possible value (sigma - 1 and R - 1), and the LCP as its PLCP bit
+    vector, 2R values of one bit."""
+    return [(rows, (alphabet.size - 1).bit_length()), (rows, (rows - 1).bit_length()),
+            (2 * rows, 1)]
+
+
+def _packed_bytes(values: int, bits: int) -> int:
+    """Bytes of values packed at bits bits each: every 8 values take bits bytes."""
+    return -(-values // 8) * bits
+
+
+def _pack(values: np.ndarray, bits: int) -> np.ndarray:
+    """values, each below 2**bits, packed at bits bits each: value i takes
+    bits i * bits to (i + 1) * bits - 1 of the bytes, least significant bit
+    first, so every 8 values take bits bytes; a last, partial group is
+    padded with zeros.  A BLOCK_ROWS block of values at a time, each group
+    is assembled in ceil(bits / 8) little-endian 64-bit words."""
+    groups = np.zeros((-(-len(values) // 8), bits), dtype=np.uint8)
+    step = BLOCK_ROWS // 8
+    for first in range(0, len(groups), step):
+        block, out = values[8 * first: 8 * (first + step)], groups[first: first + step]
+        words = np.zeros((len(out), -(-bits // 8)), dtype="<u8")
+        for k in range(8):
+            word, shift = divmod(k * bits, 64)
+            value = block[k::8].astype("<u8")
+            words[:len(value), word] |= value << shift
+            if shift + bits > 64:
+                words[:len(value), word + 1] |= value >> (64 - shift)
+        out[:] = words.view(np.uint8)[:, :bits]
+    return groups.ravel()
+
+
+def _unpack(packed: np.ndarray, bits: int, count: int, dtype: str) -> np.ndarray:
+    """The count values _pack packed at bits bits each, in dtype, decoded
+    as _pack encodes them; FormatError where the padding is not zero."""
+    groups = packed.reshape(-1, bits)
+    values = np.empty(count, dtype=dtype)
+    mask = np.uint64((1 << bits) - 1)
+    step = BLOCK_ROWS // 8
+    for first in range(0, len(groups), step):
+        block = groups[first: first + step]
+        words = np.zeros((len(block), 8 * -(-bits // 8)), dtype=np.uint8)
+        words[:, :bits] = block
+        words = words.view("<u8")
+        for k in range(8):
+            word, shift = divmod(k * bits, 64)
+            value = words[:, word] >> shift
+            if shift + bits > 64:
+                value |= words[:, word + 1] << (64 - shift)
+            value &= mask
+            out = values[8 * first + k: 8 * (first + len(block)): 8]
+            out[:] = value[:len(out)]
+            if value[len(out):].any():
+                raise FormatError("index padding bits are not zero")
+    return values
+
+
+def _plcp_bits(plcp: np.ndarray) -> np.ndarray:
+    """The bit vector of a PLCP array of R values, packed as _pack packs
+    one-bit values: 2R bits, with a one at PLCP[p] + 2p for every p.  A
+    BLOCK_ROWS block of rows at a time, the ones increasing, each block's
+    ones are flagged from the byte of its first one to its last."""
+    rows = len(plcp)
+    bits = np.zeros(_packed_bytes(2 * rows, 1), dtype=np.uint8)
+    for start in range(0, rows, BLOCK_ROWS):
+        ones = plcp[start: start + BLOCK_ROWS].astype(np.int64)
+        ones += np.arange(2 * start, 2 * (start + len(ones)), 2)
+        first = int(ones[0]) >> 3
+        ones -= 8 * first
+        flags = np.zeros(8 * (int(ones[-1]) // 8 + 1), dtype=bool)
+        flags[ones] = True
+        packed = np.packbits(flags, bitorder="little")
+        bits[first: first + len(packed)] |= packed
+    return bits
+
+
+def _lcp_from_plcp(bits: np.ndarray, sa: np.ndarray, dtype: str) -> np.ndarray:
+    """LCP = PLCP[SA] in dtype, the PLCP decoded from its bit vector a
+    BLOCK_ROWS block of bits at a time: PLCP[p] is the position of the p-th
+    one less 2p.  FormatError unless the vector holds one one per row, none
+    before 2p and none that puts PLCP[p] past dtype's range, and no pad bit."""
+    rows = len(sa)
+    if (pad := 2 * rows % 8) and bits[-1] >> pad:
+        raise FormatError("index padding bits are not zero")
+    miscount = FormatError("LCP bit vector does not hold one one per row")
+    plcp, top, found = np.empty(rows, dtype=dtype), np.iinfo(dtype).max, 0
+    step = BLOCK_ROWS // 8
+    for start in range(0, len(bits), step):
+        ones = np.flatnonzero(np.unpackbits(bits[start: start + step],
+                                            bitorder="little").view(bool))
+        if found + len(ones) > rows:
+            raise miscount
+        ones += 8 * start
+        ones -= np.arange(2 * found, 2 * (found + len(ones)), 2)
+        if len(ones) and ones.min() < 0:
+            raise FormatError("LCP bit vector has a one before position 2p")
+        if len(ones) and ones.max() > top:
+            raise FormatError("LCP array exceeds the width its header records")
+        plcp[found: found + len(ones)] = ones
+        found += len(ones)
+    if found < rows:
+        raise miscount
+    lcp = np.empty_like(plcp)
+    for start in range(0, rows, BLOCK_ROWS):
+        np.take(plcp, sa[start: start + BLOCK_ROWS], out=lcp[start: start + BLOCK_ROWS])
+    return lcp
 
 
 def _digest_params(provenance: dict, alphabet: Alphabet) -> DigestParams | None:
@@ -259,35 +368,47 @@ class AugmentedFmIndex:
                 reduce_ranges(np.maximum, self.sa, *rows))
 
     def summary(self) -> dict:
-        """The file's header fields, each payload array's dtype, count and
-        bytes, the LCP maximum, the bytes of the BWT's key array K (held
-        beside the arrays, not stored) and the bytes of the file."""
-        layout = self.layout()
+        """The file's header fields; each array's dtype and count as held,
+        and its bits per row and bytes as stored; the LCP maximum, the bytes
+        of the BWT's key array K (held beside the arrays, not stored) and
+        the bytes of the file."""
+        packing = _packing(self.rows, self.alphabet)
         return {"version": VERSION, "text_length": self.n,
                 "genome_count": len(self.sep_positions), "alphabet": self.alphabet.to_dict(),
                 "provenance": self.provenance,
-                "arrays": [{"name": name, "dtype": dtype, "count": count, "bytes": size}
-                           for (name, dtype, count), size in zip(layout, _sizes(layout))],
+                "arrays": [{"name": name, "dtype": dtype, "count": count,
+                            "bits": values * bits // count, "bytes": _packed_bytes(values, bits)}
+                           for (name, dtype, count), (values, bits) in zip(self.layout(), packing)],
                 "lcp_max": int(self.lcp.max()), "key_bytes": self.bwt.keys.nbytes,
                 "file_bytes": self.size_bytes()}
 
     # ------------------------------------------------------------------
     def serialize(self, sink) -> int:
-        """Write the index to a path (str or os.PathLike) or a binary file,
-        each array straight from the index in the layout's order; returns
-        the number of bytes written."""
+        """Write the index to a path (str or os.PathLike) or a binary file:
+        the header, its checksum and the packed arrays in the layout's
+        order; returns the number of bytes written."""
         if isinstance(sink, (str, os.PathLike)):
             with open(sink, "wb") as f:
                 return self.serialize(f)
         head = self._head()
-        held = {"bwt": self.bwt.symbols, "sa": self.sa, "lcp": self.lcp}
-        arrays = [np.asarray(held[name], dtype=dtype) for name, dtype, _ in self.layout()]
+        payload = self._payload()
         crc = zlib.crc32(head)
-        for array in arrays:
-            crc = zlib.crc32(array, crc)
-        for part in (head + struct.pack("<I", crc), *arrays):
+        for part in payload:
+            crc = zlib.crc32(part, crc)
+        for part in (head + struct.pack("<I", crc), *payload):
             sink.write(part)
-        return len(head) + 4 + sum(array.nbytes for array in arrays)
+        return len(head) + 4 + sum(part.nbytes for part in payload)
+
+    def _payload(self) -> list[np.ndarray]:
+        """The arrays packed as the file stores them: the BWT and the
+        suffix array at their bits, then the PLCP's bit vector, the PLCP
+        scattered from the LCP at its width, a block of rows at a time."""
+        (_, bwt_bits), (_, sa_bits), _ = _packing(self.rows, self.alphabet)
+        payload = [_pack(self.bwt.symbols, bwt_bits), _pack(self.sa, sa_bits)]
+        plcp = np.empty_like(self.lcp)
+        for start in range(0, self.rows, BLOCK_ROWS):
+            plcp[self.sa[start: start + BLOCK_ROWS]] = self.lcp[start: start + BLOCK_ROWS]
+        return payload + [_plcp_bits(plcp)]
 
     def to_bytes(self) -> bytes:
         buf = io.BytesIO()
@@ -296,7 +417,8 @@ class AugmentedFmIndex:
 
     def size_bytes(self) -> int:
         """Bytes serialize() writes, counted without building the payload."""
-        return len(self._head()) + 4 + sum(_sizes(self.layout()))
+        return len(self._head()) + 4 + sum(
+            _packed_bytes(values, bits) for values, bits in _packing(self.rows, self.alphabet))
 
     def _head(self) -> bytes:
         """Every byte of the file before the checksum: magic, version,
@@ -316,16 +438,19 @@ def deserialize(source) -> AugmentedFmIndex:
     """Read an index written by AugmentedFmIndex.serialize() from a path
     (str or os.PathLike), bytes or a binary file; the payload is read into
     one buffer, that of a non-seekable source after reading it whole, and
-    the arrays are views into it.  Raises FormatError on bad magic/version,
-    truncation, a checksum mismatch over header and payload, a header
-    missing a key, holding a wrong type or invalid digest parameters, arrays
-    other than the layout that text_length and the alphabet determine
-    (widest first, the LCP at one of LCP_DTYPES),
-    a suffix array that is not a permutation of 0..text_length, an LCP
-    entry longer than either of its two suffixes, an LCP wider than its
-    maximum needs, a BWT whose LF mapping does not step every suffix-array
-    row one text position back, or a genome count other than the number of
-    the BWT's separators."""
+    let go once the BWT and suffix array are decoded from it.  Raises
+    FormatError on bad magic/version, truncation, a checksum mismatch over
+    header and payload, a header missing a key, holding a wrong type or
+    invalid digest parameters, arrays other than the layout that
+    text_length and the alphabet determine (the LCP at one of LCP_DTYPES)
+    or a payload of another size, a padding bit set, a BWT symbol outside
+    the alphabet, a suffix array that is not a permutation of
+    0..text_length, an LCP bit vector that does not hold one one per row or
+    holds one before position 2p, an LCP past the width the header records,
+    an LCP entry longer than either of its two suffixes, an LCP wider than
+    its maximum needs, a BWT whose LF mapping does not step every
+    suffix-array row one text position back, or a genome count other than
+    the number of the BWT's separators."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as f:
             return deserialize(f)
@@ -347,7 +472,12 @@ def deserialize(source) -> AugmentedFmIndex:
     if zlib.crc32(payload, zlib.crc32(head + meta_bytes)) != crc:
         raise FormatError("index checksum mismatch")
     try:
-        return _decode(json.loads(meta_bytes), payload)
+        meta = json.loads(meta_bytes)
+        alphabet, bwt, sa, bits, lcp_width = _unpacked(meta, payload)
+        del payload  # before the LCP and K are built
+        lcp = _lcp_from_plcp(bits, sa, lcp_width)
+        del bits
+        return _decode(meta, alphabet, bwt, sa, lcp)
     except _MALFORMED as e:
         raise FormatError(f"malformed index header: {type(e).__name__}: {e}") from None
 
@@ -367,28 +497,41 @@ def _read_payload(source) -> memoryview:
     return buf[:filled]
 
 
-def _decode(meta: dict, payload) -> AugmentedFmIndex:
-    """The index over views into payload, which must hold exactly the
-    arrays of _layout at one LCP width, with a valid suffix array, bounded
-    LCP values stored at the width lcp_dtype gives their maximum, a BWT
-    that agrees with the suffix array and the header's genome count."""
+def _unpacked(meta: dict, payload) -> tuple:
+    """(alphabet, bwt, suffix array, a copy of the PLCP's bit vector, LCP
+    dtype) of a payload that must hold exactly the arrays of _layout at one
+    LCP width, packed at the bits of _packing, with a BWT over the alphabet
+    and a suffix array that is a permutation of the rows."""
     n = meta["text_length"]
+    if not isinstance(n, int):
+        raise ValidationError("text_length is not an integer")
     alphabet = Alphabet.from_dict(meta["alphabet"])
-    layout = meta["arrays"]
+    layout, packing = meta["arrays"], _packing(n + 1, alphabet)
+    sizes = [_packed_bytes(values, bits) for values, bits in packing]
     if layout not in [_layout(n, alphabet, width) for width in LCP_DTYPES] \
-            or sum(sizes := _sizes(layout)) != len(payload):
+            or sum(sizes) != len(payload):
         raise FormatError("index arrays disagree with the header's text length and alphabet")
-    offsets = accumulate(sizes, initial=0)
-    arrays = {name: np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-              for (name, dtype, count), offset in zip(layout, offsets)}
-    bwt, sa, lcp = arrays["bwt"], arrays["sa"], arrays["lcp"]
-    # the SA first, so that n - SA cannot wrap below
-    seen = np.zeros(n + 1, dtype=bool)
+    bwt, sa, bits = (np.frombuffer(payload, dtype=np.uint8, count=size, offset=offset)
+                     for size, offset in zip(sizes, accumulate(sizes, initial=0)))
+    (_, bwt_dtype, rows), (_, sa_dtype, _), (_, lcp_width, _) = layout
+    bwt = _unpack(bwt, packing[0][1], rows, bwt_dtype)
+    if bwt.max() >= alphabet.size:
+        raise FormatError("BWT holds a symbol outside the alphabet")
+    sa = _unpack(sa, packing[1][1], rows, sa_dtype)
+    # the SA first, so that the LCP's gather and n - SA cannot leave the rows
+    seen = np.zeros(rows, dtype=bool)
     if sa.max() <= n:
         seen[sa] = True
     if not seen.all():
         raise FormatError("suffix array is not a permutation of the text positions")
-    del seen
+    return alphabet, bwt, sa, bits.copy(), lcp_width
+
+
+def _decode(meta: dict, alphabet: Alphabet, bwt, sa, lcp) -> AugmentedFmIndex:
+    """The index over the decoded arrays, which must hold LCP values
+    bounded by their suffixes and stored at the width lcp_dtype gives their
+    maximum, a BWT that agrees with the suffix array and the header's
+    genome count."""
     if not _lcp_in_bounds(sa, lcp):
         raise FormatError("LCP array exceeds the suffix lengths")
     if np.dtype(lcp_dtype(int(lcp.max()))) != lcp.dtype:

@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from memtax import (DigestParams, GenomeCollection, KernelParams,
+from memtax import (Alphabet, DigestParams, GenomeCollection, KernelParams,
                     build_index, build_katka_kernel, digest_collection,
                     separate)
 
@@ -31,18 +31,80 @@ def rewritten_index(blob: bytes, edit) -> bytes:
     return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
 
 
-def rewritten_rows(blob: bytes, array: str, rows, value: int) -> bytes:
-    """The index file with rows (an index or slice) of one payload array
-    set to value, checksummed as a writer would have."""
+def _sections(blob: bytes) -> tuple[int, dict]:
+    """(rows, {name: (payload offset, bytes, bits per value)}) of the packed
+    arrays of an index file, from its header: the BWT and the suffix array
+    at the bits of sigma - 1 and R - 1, every 8 values in that many bytes,
+    then the LCP as its PLCP bit vector of 2R one-bit values."""
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    meta = json.loads(blob[12: 12 + meta_len])
+    rows = meta["text_length"] + 1
+    sigma = Alphabet.from_dict(meta["alphabet"]).size
+    sections, offset = {}, 0
+    for name, values, bits in (("bwt", rows, (sigma - 1).bit_length()),
+                               ("sa", rows, (rows - 1).bit_length()), ("lcp", 2 * rows, 1)):
+        sections[name] = (offset, -(-values // 8) * bits, bits)
+        offset += sections[name][1]
+    return rows, sections
+
+
+def stored_bits(blob: bytes, array: str) -> np.ndarray:
+    """The bits of one packed payload array, least significant bit of each
+    byte first, as a 0/1 uint8 array."""
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    offset, size, _ = _sections(blob)[1][array]
+    return np.unpackbits(np.frombuffer(blob, np.uint8, size, 16 + meta_len + offset),
+                         bitorder="little")
+
+
+def _bit_values(bits: np.ndarray, width: int) -> np.ndarray:
+    """The width-bit values of a bit array, each least significant bit first."""
+    return bits.reshape(-1, width).astype(np.int64) @ (1 << np.arange(width))
+
+
+def rewritten_bits(blob: bytes, array: str, edit) -> bytes:
+    """The index file with the bits of one packed payload array (as
+    stored_bits gives them) passed through edit(bits), which changes them
+    in place, checksummed as a writer would have."""
     (meta_len,) = struct.unpack("<I", blob[8:12])
     head = blob[:12 + meta_len]
     payload = bytearray(blob[16 + meta_len:])
-    offset = 0
-    for name, dtype, count in json.loads(blob[12: 12 + meta_len])["arrays"]:
-        if name == array:
-            np.frombuffer(payload, dtype=dtype, count=count, offset=offset)[rows] = value
-        offset += count * np.dtype(dtype).itemsize
+    offset, size, _ = _sections(blob)[1][array]
+    bits = stored_bits(blob, array)
+    edit(bits)
+    payload[offset: offset + size] = np.packbits(bits, bitorder="little").tobytes()
     return head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + bytes(payload)
+
+
+def rewritten_rows(blob: bytes, array: str, rows, value: int) -> bytes:
+    """The index file with rows (an index or slice) of one array set to
+    value, checksummed as a writer would have: of the BWT's or the suffix
+    array's packed values, whose padding values follow the last row, or of
+    the LCP, decoded from the PLCP bit vector as PLCP[SA] and encoded back.
+    The value must be one that the encoding can hold there."""
+    count, sections = _sections(blob)
+    width = sections[array][2]
+    if array == "lcp":
+        sa = _bit_values(stored_bits(blob, "sa"), sections["sa"][2])[:count]
+        twice = 2 * np.arange(count)
+
+        def edit(bits):
+            plcp = np.flatnonzero(bits) - twice
+            lcp = plcp[sa]
+            lcp[rows] = value
+            plcp[sa] = lcp
+            ones = plcp + twice
+            assert ones[0] >= 0 and np.all(np.diff(ones) > 0) and ones[-1] < 2 * count, \
+                "the PLCP bit vector cannot hold this LCP"
+            bits[:] = 0
+            bits[ones] = 1
+    else:
+        def edit(bits):
+            values = _bit_values(bits, width)
+            values[rows] = value
+            assert 0 <= values.min() and values.max() < 1 << width, f"not a {width}-bit value"
+            bits[:] = ((values[:, None] >> np.arange(width)) & 1).ravel()
+    return rewritten_bits(blob, array, edit)
 
 
 def construction_peak_per_row(build) -> float:

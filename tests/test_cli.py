@@ -18,10 +18,11 @@ from memtax import (DigestParams, ReadSimConfig, classify_read, compute_mem_tabl
                     simulate_reads)
 from memtax import cli
 from memtax.cli import main
-from memtax.evaluate import MAX_SIMULATED_BASES, build_variant_index, expand_variant_specs
+from memtax.evaluate import (MAX_SIMULATED_BASES, MAX_SIMULATED_READS, build_variant_index,
+                             expand_variant_specs)
 from memtax.mems import TSV_HEADER
 
-from conftest import P, TOY_GENOMES, rewritten_index, rewritten_rows
+from conftest import P, TOY_GENOMES, rewritten_bits, rewritten_index, rewritten_rows
 
 
 @pytest.fixture()
@@ -390,10 +391,11 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
                  "--mode", "raw", "--output", str(idx)]) == 0
     blob = idx.read_bytes()
     # format error: a file of version 2, whose LCP was <u4 whatever its
-    # maximum, of version 3, which stored the separators as a bitvector, or
-    # of version 4, which stored the BWT first
+    # maximum, of version 3, which stored the separators as a bitvector, of
+    # version 4, which stored the BWT first, or of version 5, which stored
+    # the arrays unpacked, widest first
     capsys.readouterr()
-    for version in (2, 3, 4):
+    for version in (2, 3, 4, 5):
         idx.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         assert main(["query", "--index", str(idx), "--reads", str(reads)]) == 4
         err = capsys.readouterr().err.splitlines()
@@ -477,15 +479,22 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: malformed index header")
     # format error: a checksummed raw index whose LCP rows exceed the
-    # suffix lengths, each at the one-byte LCP's maximum of 255 (it used to
-    # load and report a 5-long MEM for ACATA)
+    # suffix lengths, each at 1, the largest that the PLCP bit vector holds
+    # in every row but the first (at 255, the one-byte LCP's maximum, it
+    # used to load and report a 5-long MEM for ACATA), and one whose PLCP
+    # bit vector holds one one too few, or a padding bit
     assert main(["build", "--input", str(genomes), "--format", "lines",
                  "--mode", "raw", "--output", str(idx)]) == 0
     raw_blob = idx.read_bytes()
     assert b'["lcp","u1",46]' in raw_blob
-    idx.write_bytes(rewritten_rows(raw_blob, "lcp", slice(1, None), 255))
-    rc = main(["query", "--index", str(idx), "--reads", str(reads)])
-    assert rc == 4
+    capsys.readouterr()
+    for bad in (rewritten_rows(raw_blob, "lcp", slice(1, None), 1),
+                rewritten_bits(raw_blob, "lcp", lambda bits: bits.__setitem__(90, 0)),
+                rewritten_bits(raw_blob, "lcp", lambda bits: bits.__setitem__(92, 1))):
+        idx.write_bytes(bad)
+        assert main(["query", "--index", str(idx), "--reads", str(reads)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
     # format error: a checksummed raw index with one BWT A edited to C (it
     # used to load and report GATTAGATA over genomes 0-3), and one whose
     # genome count is one more than the BWT's separators
@@ -687,6 +696,25 @@ def test_simulated_reads_bound_is_the_product(tmp_path, toy_files, capsys):
         f"is more than 2^31 simulated bases"]
 
 
+@pytest.mark.parametrize("genomes, per_genome",
+                         [(3, 143_165_576), (5, MAX_SIMULATED_READS // 5 + 1)],
+                         ids=["three-genomes", "one-past"])
+def test_simulated_read_count_past_the_bound_exit_2(tmp_path, genomes, per_genome):
+    # 143 165 576 five-base reads of each of three genomes are within the
+    # base bound (2 147 483 640 bases), and eval used to hold them until a
+    # 512 MB cap ended it with a MemoryError traceback; now reads_per_genome
+    # x genomes is bounded before any read, one read past it as well
+    fasta = tmp_path / "genomes.fa"
+    fasta.write_text("".join(f">g{g}\n{TOY_GENOMES[g]}\n" for g in range(genomes)))
+    argv = ["eval", "--input", str(fasta), "--read-len", "5", "--reads-per-genome",
+            str(per_genome), "--output", str(tmp_path / "r.json")]
+    assert per_genome * genomes * 5 <= MAX_SIMULATED_BASES
+    code, err = _capped_main(argv)
+    assert (code, err) == (2, [f"error: {per_genome} reads per genome x {genomes} genomes is "
+                               f"more than 2^22 simulated reads"])
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_kernel_order_at_int64_max_keeps_the_text(tmp_path, toy_files):
     # no genome holds a window of 2^63 - 1 symbols, so the kernel is the text
     genomes, _ = toy_files
@@ -715,17 +743,21 @@ def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
         assert len(out) == 1
         got = json.loads(out[0])
         ix = deserialize(str(idx))
-        assert got["version"] == 5 and got["text_length"] == ix.n
+        assert got["version"] == 6 and got["text_length"] == ix.n
         assert got["genome_count"] == len(ix.sep_positions)
         assert got["alphabet"] == ix.alphabet.to_dict() and got["provenance"] == ix.provenance
-        # the file stores three arrays, at the dtypes the index holds them in
+        # the file stores three arrays, each held at its dtype and packed:
+        # the BWT at ceil(log2 sigma) bits (3 raw, 7 for 3-mer digests), the
+        # suffix array at ceil(log2 R) and the LCP as a bit vector of 2R bits
         held = {"bwt": ix.bwt.symbols, "sa": ix.sa, "lcp": ix.lcp}
+        bits = {"bwt": 3 if mode == ["raw"] else 7, "sa": (ix.rows - 1).bit_length(), "lcp": 2}
         arrays = {a["name"]: a for a in got["arrays"]}
-        assert len(got["arrays"]) == len(arrays) and arrays.keys() == held.keys()
+        assert [a["name"] for a in got["arrays"]] == ["bwt", "sa", "lcp"]
         for name, array in held.items():
             a = arrays[name]
-            assert (np.dtype(a["dtype"]), a["count"], a["bytes"]) == \
-                (array.dtype, len(array), array.nbytes)
+            assert (np.dtype(a["dtype"]), a["count"], a["bits"], a["bytes"]) == \
+                (array.dtype, len(array), bits[name], -(-ix.rows * bits[name] // 8)
+                 if name == "lcp" else -(-ix.rows // 8) * bits[name])
         assert got["lcp_max"] == int(ix.lcp.max()) and arrays["lcp"]["dtype"] == "u1"
         # K is uint32 below sigma * R < 2**32
         assert got["key_bytes"] == ix.bwt.keys.nbytes == 4 * ix.rows

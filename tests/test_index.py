@@ -16,11 +16,12 @@ from memtax import (AugmentedFmIndex, DigestParams, EmptyIntervalError,
                     ValidationError, build_index, compute_mem_table,
                     compute_mem_tables, deserialize, digest_collection,
                     digest_sequence, separate)
-from memtax.index import EMPTY_INTERVAL
+from memtax.index import EMPTY_INTERVAL, _pack, _unpack
 from memtax.suffix import BLOCK_ROWS, _SCAN_ROWS
 
 import oracles
-from conftest import P, TOY_GENOMES, construction_peak_per_row, rewritten_index, rewritten_rows
+from conftest import (P, TOY_GENOMES, construction_peak_per_row, rewritten_bits, rewritten_index,
+                      rewritten_rows, stored_bits)
 
 
 def _code(ix, symbol):
@@ -286,22 +287,40 @@ def test_serialize_deterministic(toy_index):
     assert rebuilt.to_bytes() == toy_index.to_bytes()
 
 
+def _assert_round_trip(ix) -> bytes:
+    """ix's file, which size_bytes counts, loads into arrays equal to ix's
+    in its dtypes and is written back byte for byte."""
+    blob = ix.to_bytes()
+    assert ix.size_bytes() == len(blob)
+    loaded = deserialize(blob)
+    for got, want in ((loaded.bwt.symbols, ix.bwt.symbols), (loaded.sa, ix.sa),
+                      (loaded.lcp, ix.lcp)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert loaded.to_bytes() == blob
+    return blob
+
+
+def _stored_widths(ix) -> dict:
+    return {a["name"]: a["bits"] for a in ix.summary()["arrays"]}
+
+
 def test_loaded_arrays_aligned(tmp_path):
-    # the arrays, stored widest first, are aligned by their order for every
-    # row count mod 4 (a one-byte BWT) and for a four-byte BWT (k = 4
-    # digest), loaded from bytes, a file and a pipe
-    indexes = [build_index(separate(GenomeCollection(genomes=["GATTACAGAT"[:length]])))
-               for length in range(6, 10)]
-    assert sorted(ix.rows % 4 for ix in indexes) == [0, 1, 2, 3]
+    # the packed arrays decode into arrays of their own, aligned (numpy's
+    # reduceat copies an unaligned array whole), for every row count mod 8,
+    # which sets the packed arrays' padding, and for a four-byte BWT packed
+    # at 9 bits (k = 4 digest), loaded from bytes, a file and a pipe
+    indexes = [build_index(separate(GenomeCollection(genomes=["GATTACAGATTACA"[:length]])))
+               for length in range(6, 14)]
+    assert sorted(ix.rows % 8 for ix in indexes) == list(range(8))
     rng = random.Random(4)
     genome = "".join(rng.choice("ACGT") for _ in range(300))
-    for w in (3, 4):  # an odd row count puts the SA 4 bytes off an 8-byte boundary
+    for w in (3, 4):
         indexes.append(build_index(digest_collection(GenomeCollection(genomes=[genome]),
                                                      DigestParams(k=4, w=w))))
         assert indexes[-1].bwt.symbols.dtype == np.dtype("<u4")
-    assert sorted(ix.rows % 2 for ix in indexes[-2:]) == [0, 1]
+        assert _stored_widths(indexes[-1])["bwt"] == 9
     for k, ix in enumerate(indexes):
-        blob = ix.to_bytes()
+        blob = _assert_round_trip(ix)
         path = tmp_path / f"{k}.ktk2"
         path.write_bytes(blob)
         read_end, write_end = os.pipe()
@@ -314,6 +333,35 @@ def test_loaded_arrays_aligned(tmp_path):
             assert got.sa.flags.aligned and got.lcp.flags.aligned
             assert got.bwt.symbols.flags.aligned
             assert got.to_bytes() == blob
+
+
+@pytest.mark.parametrize("rows, sa_bits", [(1 << 16, 16), ((1 << 16) + 1, 17)])
+def test_round_trip_at_the_suffix_array_width_boundary(rows, sa_bits):
+    # R - 1 = 2^16 - 1 is the largest row 16 bits hold; a genome of R - 2
+    # bases is R rows with its separator and the sentinel
+    rng = random.Random(rows)
+    genome = "".join(rng.choice("ACGT") for _ in range(rows - 2))
+    ix = build_index(separate(GenomeCollection(genomes=[genome])))
+    assert ix.rows == rows and _stored_widths(ix) == {"bwt": 3, "sa": sa_bits, "lcp": 2}
+    _assert_round_trip(ix)
+
+
+def test_pack_round_trip_at_every_width(monkeypatch):
+    # values of 1 to 64 bits, in partial groups and across blocks of 64
+    # rows, pack as the file describes them (value i at bits i * bits up,
+    # least significant bit first) and unpack to themselves
+    monkeypatch.setattr("memtax.index.BLOCK_ROWS", 64)
+    rng = np.random.default_rng(6)
+    for bits in range(1, 65):
+        for count in (0, 1, 7, 8, 9, 63, 64, 65, 200):
+            values = rng.integers(0, (1 << min(bits, 63)) - 1, count, dtype=np.uint64, endpoint=True)
+            if bits == 64:
+                values |= np.uint64(1 << 63)
+            packed = _pack(values, bits)
+            assert len(packed) == -(-count // 8) * bits
+            number = int.from_bytes(packed.tobytes(), "little")
+            assert number == sum(int(v) << (i * bits) for i, v in enumerate(values))
+            assert np.array_equal(_unpack(packed, bits, count, "<u8"), values)
 
 
 def _load_peak_over_resident(monkeypatch, block_rows: int) -> tuple[int, int]:
@@ -386,8 +434,9 @@ def test_deserialize_errors(toy_index, golden_digest_index):
         deserialize(b"NOPE" + bytes(blob[4:]))
     bad_version = bytearray(blob)
     # version 2 stored the LCP as <u4 whatever its maximum, version 3 the
-    # separator positions as a bitvector, version 4 the BWT first
-    for version in (99, 2, 3, 4):
+    # separator positions as a bitvector, version 4 the BWT first, version 5
+    # the arrays unpacked, widest first
+    for version in (99, 2, 3, 4, 5):
         bad_version[4] = version
         with pytest.raises(FormatError, match=f"unsupported index version {version}"):
             deserialize(bytes(bad_version))
@@ -419,11 +468,13 @@ def test_deserialize_errors(toy_index, golden_digest_index):
         with pytest.raises(FormatError, match="malformed index header"):
             deserialize(_with_header(blob, old, new, True))
     # checksummed arrays that disagree with text_length: a suffix array two
-    # entries short (46 one-byte BWT symbols precede its 46 four-byte rows),
-    # and a text length raised by 5
+    # entries short (44 values at 6 bits take the 36 bytes of 46), one whose
+    # last 8 values are cut from the payload (18 packed BWT bytes precede
+    # its 36), and a text length raised by 5
     assert b'["sa","<u4",46]' in blob
-    for bad in (_with_header(blob, b'["sa","<u4",46]', b'["sa","<u4",44]', True,
-                             payload_cut=(46 + 44 * 4, 46 + 46 * 4)),
+    for bad in (_with_header(blob, b'["sa","<u4",46]', b'["sa","<u4",44]', True),
+                _with_header(blob, b'["sa","<u4",46]', b'["sa","<u4",38]', True,
+                             payload_cut=(18 + 30, 18 + 36)),
                 _with_header(blob, b'"text_length":45', b'"text_length":50', True)):
         with pytest.raises(FormatError, match="text length"):
             deserialize(bad)
@@ -457,21 +508,46 @@ def test_deserialize_errors(toy_index, golden_digest_index):
     moved = deserialize(rewritten_index(digest_blob, _setter("provenance", "w", 12)))
     assert moved.digest_params == DigestParams(k=3, w=12)
     # checksummed payloads whose SA is no permutation of 0..n or whose LCP
-    # exceeds the suffix lengths: every SA row but the first set to
-    # 4 000 000 000 and every LCP row but the first to the one-byte LCP's
-    # maximum, 255 (both far past the 46 rows), an SA row repeated, and an
-    # LCP one past its bound
+    # exceeds the suffix lengths, each at a value the encoding can hold:
+    # every SA row but the first set to 63, the largest of 6 bits, one SA
+    # row set to 46, the first past the rows, an SA row repeated, every LCP
+    # row but the first set to 1 (a larger one puts two of the PLCP's ones
+    # at one bit), the first LCP row set to 1, and an LCP one past its bound
     sa = toy_index.sa
-    assert toy_index.lcp.dtype == np.uint8
-    lcp_bound = 45 - max(int(sa[20]), int(sa[21]))
-    for array, rows, value, match in (("sa", slice(1, None), 4_000_000_000, "permutation"),
+    assert toy_index.lcp.dtype == np.uint8 and toy_index.rows == 46
+    lcp_bound = 45 - max(int(sa[17]), int(sa[18]))
+    assert lcp_bound > toy_index.lcp[18]
+    for array, rows, value, match in (("sa", slice(1, 46), 63, "permutation"),
+                                      ("sa", 5, 46, "permutation"),
                                       ("sa", 5, int(sa[6]), "permutation"),
-                                      ("lcp", slice(1, None), 255, "LCP"),
+                                      ("lcp", slice(1, None), 1, "LCP"),
                                       ("lcp", 0, 1, "LCP"),
-                                      ("lcp", 21, lcp_bound + 1, "LCP")):
+                                      ("lcp", 18, lcp_bound + 1, "LCP")):
         with pytest.raises(FormatError, match=match):
             deserialize(rewritten_rows(blob, array, rows, value))
-    assert deserialize(rewritten_rows(blob, "lcp", 21, lcp_bound)).n == 45  # at the bound
+    assert deserialize(rewritten_rows(blob, "lcp", 18, lcp_bound)).n == 45  # at the bound
+    # a set padding bit: a BWT or SA value past the 46 rows of their 48
+    # packed values, or one of the 4 bits past the LCP bit vector's 92
+    for bad in (rewritten_rows(blob, "bwt", 46, 1), rewritten_rows(blob, "sa", 47, 1),
+                rewritten_bits(blob, "lcp", lambda bits: bits.__setitem__(92, 1))):
+        with pytest.raises(FormatError, match="padding bits"):
+            deserialize(bad)
+    # an LCP bit vector without one one per row: its last one (at 2 * 45,
+    # the sentinel's PLCP of 0) cleared, or a one added after it; and one
+    # whose 46 ones fill its first 46 bits, all but the first before 2p
+    assert stored_bits(blob, "lcp")[90] == 1 and not stored_bits(blob, "lcp")[91:].any()
+    for bad, match in ((lambda bits: bits.__setitem__(90, 0), "one one per row"),
+                       (lambda bits: bits.__setitem__(91, 1), "one one per row"),
+                       (lambda bits: bits.__setitem__(slice(None), np.arange(96) < 46),
+                        "before position 2p")):
+        with pytest.raises(FormatError, match=match):
+            deserialize(rewritten_bits(blob, "lcp", bad))
+    # a digest BWT symbol past the alphabet's 67 codes, which 7 bits hold
+    digest_rows = golden_digest_index.rows
+    assert golden_digest_index.alphabet.size == 67
+    for value in (67, 127):
+        with pytest.raises(FormatError, match="outside the alphabet"):
+            deserialize(rewritten_rows(digest_blob, "bwt", digest_rows // 2, value))
     # checksummed payloads whose BWT disagrees with the SA: every single
     # A -> C edit of the BWT
     a, c = toy_index.alphabet.query_codes(["AC"]).tolist()
@@ -501,11 +577,7 @@ def test_lcp_stored_at_its_measured_width(length, maximum, dtype):
     ix = build_index(separate(GenomeCollection(genomes=["A" * length])))
     assert int(ix.lcp.max()) == maximum and ix.lcp.dtype == np.dtype(dtype)
     assert ["lcp", dtype, ix.rows] in ix.layout()
-    blob = ix.to_bytes()
-    assert len(blob) == ix.size_bytes()
-    loaded = deserialize(blob)
-    assert loaded.lcp.dtype == np.dtype(dtype) and loaded.to_bytes() == blob
-    assert np.array_equal(loaded.lcp, ix.lcp)
+    _assert_round_trip(ix)
 
 
 def test_lcp_wider_than_its_maximum_rejected(toy_index):
@@ -521,6 +593,16 @@ def test_lcp_wider_than_its_maximum_rejected(toy_index):
     with pytest.raises(FormatError, match="text length"):
         deserialize(_with_header(toy_index.to_bytes(), b'["lcp","u1",46]', b'["lcp","i1",46]',
                                  True))
+
+
+def test_lcp_past_its_recorded_width_rejected():
+    # an LCP maximum of 256 recorded as one byte wide: the PLCP bit vector
+    # holds it, the header's width does not
+    ix = build_index(separate(GenomeCollection(genomes=["A" * 257])))
+    assert int(ix.lcp.max()) == 256 and ["lcp", "<u2", ix.rows] in ix.layout()
+    narrow = rewritten_index(ix.to_bytes(), lambda meta: meta["arrays"][2].__setitem__(1, "u1"))
+    with pytest.raises(FormatError, match="exceeds the width its header records"):
+        deserialize(narrow)
 
 
 def test_narrow_lcp_mem_tables_equal_four_byte_lcp(golden_genomes, golden_raw_index,
@@ -662,6 +744,29 @@ def test_fuzz_index_header(kind, toy_index, golden_digest_index):
                 compute_mem_table(ix, ix.alphabet.symbols(codes))
         except MemtaxError:
             pass
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["raw", "digest"])
+def test_fuzz_index_payload(kind, toy_index, golden_digest_index):
+    """A file with any one payload byte XORed, checksummed again, either
+    raises FormatError or loads and writes itself back byte for byte."""
+    blob = (toy_index if kind == "raw" else golden_digest_index).to_bytes()
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    head, start = blob[:12 + meta_len], 16 + meta_len
+
+    @settings(derandomize=True, deadline=None, max_examples=500, database=None)
+    @given(hs.integers(start, len(blob) - 1), hs.integers(1, 255))
+    def check(at, mask):
+        payload = bytearray(blob[start:])
+        payload[at - start] ^= mask
+        bad = head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + bytes(payload)
+        try:
+            ix = deserialize(bad)
+        except FormatError:
+            return
+        assert ix.to_bytes() == bad
 
     check()
 

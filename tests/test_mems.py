@@ -312,13 +312,12 @@ def test_non_string_base_reads_take_one_symbol_per_item(monkeypatch):
 def _assert_memory_is_one_chunk(monkeypatch, text_of):
     """Reads stream through in chunks: four chunks peak no higher than one,
     and a chunk copies no row-sized array.  The index over text_of(the
-    genomes) is loaded from a file whose one-byte BWT leaves the arrays
-    after it off a 4-byte boundary (numpy copies unaligned arrays whole
-    for reduceat)."""
+    genomes) is loaded from its file, whose packed arrays decode into
+    aligned ones (numpy copies unaligned arrays whole for reduceat)."""
     rng = random.Random(10)
     genomes = ["".join(rng.choice("ACGT") for _ in range(20_000)) for _ in range(5)]
     ix = deserialize(build_index(text_of(GenomeCollection(genomes=genomes))).to_bytes())
-    assert ix.rows % 4
+    assert ix.sa.flags.aligned and ix.lcp.flags.aligned
     chunk = [_random_read(rng, genomes) for _ in range(32)]
     assert ix.rows > 100 * len(ix.encode_reads(enumerate(chunk))[1])
     monkeypatch.setattr(mems, "CHUNK_READS", len(chunk))
