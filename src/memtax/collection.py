@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from numbers import Integral
 from typing import Iterable
@@ -169,17 +168,12 @@ class SeparatedText:
         self.alphabet = alphabet
         self.provenance = provenance or {"mode": "raw"}
         self.sep_positions = np.flatnonzero(self.codes == SEP_CODE).astype(np.int64)
+        # doubling levels of the codes (suffix.doubling_levels) handed to the
+        # next build from this text, which pops the one it takes
+        self.levels: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    @cached_property
-    def levels(self):
-        """The prefix-doubling levels of the codes (suffix.DoublingLevels),
-        one lazily advanced pass shared by every structure built from this
-        text: its suffix array and its kernels."""
-        from .suffix import DoublingLevels  # suffix imports this module
-        return DoublingLevels(self.codes)
 
     @property
     def n(self) -> int:

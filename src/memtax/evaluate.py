@@ -14,7 +14,7 @@ from .errors import MemtaxError, ValidationError
 from .index import AugmentedFmIndex
 from .kernel import KernelParams, build_katka_kernel, doubling_level
 from .mems import MemTable, longest_mems, read_mem_tables
-from .suffix import LAST_LEVEL
+from .suffix import LAST_LEVEL, doubling_levels
 
 # The mutation RNG is Python's random.Random (Mersenne Twister, MT19937),
 # whose sequence for a given seed is stable across platforms and versions.
@@ -210,7 +210,8 @@ def build_base_text(collection: GenomeCollection, variant: IndexVariant) -> Sepa
 def build_variant_text(collection: GenomeCollection, variant: IndexVariant,
                        base: SeparatedText | None = None) -> SeparatedText:
     """The variant's text, built on base (build_base_text's, made here when
-    not given), whose doubling levels its kernel takes."""
+    not given).  A kernel pops its doubling level from base.levels when it
+    is held there, and runs a pass of its own otherwise."""
     if base is None:
         base = build_base_text(collection, variant)
     if not variant.is_kernel:
@@ -292,11 +293,11 @@ def _base_key(variant: IndexVariant) -> tuple:
     return ("digest", variant.k, variant.w, variant.hash_params)
 
 
-def _levels_wanted(variants: list[IndexVariant]) -> set[int]:
-    """The doubling levels of their base text that variants take: the
-    pass's last for a suffix array of the base itself, and one per kernel
-    order."""
-    return {LAST_LEVEL if not v.is_kernel else doubling_level(v.k_max) for v in variants}
+def _level(variant: IndexVariant) -> int:
+    """The doubling level of its base text that a variant takes: the
+    pass's last for a suffix array of the base itself, else its kernel
+    order's."""
+    return doubling_level(variant.k_max) if variant.is_kernel else LAST_LEVEL
 
 
 def run_experiment(collection: GenomeCollection, variants: list[IndexVariant],
@@ -305,33 +306,42 @@ def run_experiment(collection: GenomeCollection, variants: list[IndexVariant],
     reads through each and accumulate sizes, true-positive rates and mean
     per-read query times.  Variants on one base text (the separated genomes,
     or the digest of one (k, w, hash)) share it: it is built once, at its
-    first variant, with one doubling pass whose levels serve its suffix
-    array and every kernel order, and each level is let go once no later
-    variant of the text takes it; the text itself after its last variant.
-    Build or query failures, a base's included, are reported per variant
-    without aborting the rest."""
+    first variant, with one doubling pass for every level its variants take
+    (the last for its suffix array, one per kernel order).  Each level is
+    held until the last variant that takes it, which is handed the only
+    reference in base.levels; the text is let go after its last variant.
+    So an order that lists kernels before the variant taking a higher level
+    holds every level from the start, and peaks about as the raw-first
+    order does, not lower.  Build or query failures, a base's included, are
+    reported per variant without aborting the rest."""
     reads = simulate_reads(collection, cfg)
     report = EvalReport(config=cfg)
     keys = [_base_key(v) for v in variants]
     bases: dict[tuple, SeparatedText | MemtaxError] = {}
+    held: dict[tuple, dict] = {}  # each base's doubling levels yet to be taken
     for i, (variant, key) in enumerate(zip(variants, keys)):
         later = [v for v, k in zip(variants[i + 1:], keys[i + 1:]) if k == key]
         if key not in bases:
             try:
                 bases[key] = build_base_text(collection, variant)
+                held[key] = doubling_levels(bases[key].codes, {_level(v) for v in [variant, *later]})
             except MemtaxError as e:
                 bases[key] = e
         base = bases[key] if later else bases.pop(key)
         error = str(base) if isinstance(base, MemtaxError) else None
         if error is None:
-            base.levels.keep = _levels_wanted(later)
+            # the build pops its level: the only reference, unless a later
+            # variant takes the level too
+            j = _level(variant)
+            levels = held[key] if later else held.pop(key)
+            base.levels = {j: levels[j] if j in map(_level, later) else levels.pop(j)}
             try:
                 report.variants.append(_evaluate_variant(
                     build_variant_index(collection, variant, base), variant, reads,
                     per_read_sink))
             except MemtaxError as e:
                 error = str(e)
-            base.levels.trim()
+            base.levels = {}
         if error is not None:
             report.variants.append(VariantReport(
                 variant=variant.label, params=variant.params_dict(), error=error))

@@ -226,7 +226,7 @@ class AugmentedFmIndex:
             raise ValidationError("cannot index an empty text")
         if int(codes.max()) >= st.alphabet.size:
             raise ValidationError("text symbol exceeds the declared alphabet width")
-        sa, lcp, bwt = build_suffix_array(st.levels, st.alphabet.size)
+        sa, lcp, bwt = build_suffix_array(codes, st.alphabet.size, st.levels)
         return cls(IndexedSequence(bwt, st.alphabet.size), sa, lcp, st.alphabet, st.provenance)
 
     # ------------------------------------------------------------------

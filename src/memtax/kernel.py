@@ -20,7 +20,7 @@ import numpy as np
 
 from .collection import FIRST_SYMBOL_CODE, HASH_CODE, SEP_CODE, SeparatedText
 from .errors import ValidationError
-from .suffix import BLOCK_ROWS, sort_keys
+from .suffix import BLOCK_ROWS, doubling_levels, sort_keys
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText
     # of k, the last level's ranks are all distinct already
     if windows.any():
         j = doubling_level(k)
-        rank = st.levels[j]
-        st.levels.trim()
+        rank = st.levels.pop(j) if j in st.levels else doubling_levels(st.codes, {j})[j]
         rows = len(rank)
         # each genome's window starts, counted up from its first
         dtype = np.int32 if n < 1 << 31 else np.int64

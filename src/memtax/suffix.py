@@ -7,11 +7,13 @@ fixed-width dtypes (row_dtype, lcp_dtype, symbol_dtype), and one sorted key
 array over the BWT in which a single search answers LF, rank and the C
 table.  The suffix array inverts the last of a text's prefix-doubling rank
 levels, held as int32 (each ranked by one packed in-place sort of int64
-keys, sort_keys); they come from one lazily advanced pass (DoublingLevels),
-shared by its suffix array and its kernels, which starts at a seed level,
+keys, sort_keys).  One stateless pass, doubling_levels, gives the levels
+that a text's suffix array and kernels take: it starts at a seed level,
 ranked by one sort of packed symbol words (8 base symbols of 3 bits, 4
-k = 3 digest symbols of 7 bits, in an int32 word, packed in place); a
-level below the seed is sorted on demand.  The LCP array takes no level:
+k = 3 digest symbols of 7 bits, in an int32 word, packed in place), and a
+level below the seed is sorted on its own.  A build pops its level from
+the dict of levels handed to it, or runs a pass of its own when the level
+is not there.  The LCP array takes no level:
 it compares the irreducible rows' suffixes a packed word at a time and
 fills in the other rows from them (the permuted LCP); the BWT is the first
 symbol of the word before each row's suffix, which that comparison reads.
@@ -166,67 +168,29 @@ def _doubling(text, j: int, bits: int):
 LAST_LEVEL = 63
 
 
-class DoublingLevels:
-    """The prefix-doubling levels of one text, from one lazily advanced
-    prefix_doubling_ranks pass shared by everything built from the text:
-    its suffix array takes the pass's last level, a kernel of order k the
-    level of length 2**floor(log2 k).  A level below the seed (only a
-    kernel of order below 2**seed asks for one) comes from its own sort of
-    packed words, outside the pass.
-
-    A level outlives the pass moving on, and trim, only while its number is
-    in keep (a container of level numbers, LAST_LEVEL for the last one;
-    empty by default, so that a consumer holds just what it uses).  Asking
-    for a level that was let go starts the pass again.
+def doubling_levels(codes, wanted) -> dict[int, np.ndarray]:
+    """Each level j in wanted of codes' prefix doubling (ranks of the
+    prefixes of length 2**j), from one prefix_doubling_ranks pass that stops
+    at the highest wanted level.  Its last, all-distinct level also serves
+    LAST_LEVEL and every level past it.  A level below the seed comes from
+    its own sort of packed words, outside the pass.  No level outside
+    wanted is held while the next is sorted, and the pass ends with the
+    call, so the returned dict holds the only references to its levels.
     """
-
-    def __init__(self, codes):
-        self.codes = codes
-        self.bits = symbol_bits(codes)
-        self.seed = seed_level(self.bits, len(codes) + 1)
-        self.keep = ()
-        self.last: int | None = None  # the all-distinct level, once reached
-        self._pass = None
-        self._next = self.seed  # the level the current pass yields next
-        self._held: dict[int, np.ndarray] = {}
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        """Level j (prefixes of length 2**j), or the last level when the
-        pass ends before j: its ranks are all distinct already."""
-        if self.last is not None:
-            j = min(j, self.last)
-        if j in self._held:
-            return self._held[j]
-        if j < self.seed:
-            rank = next(_doubling(_text(self.codes), j, self.bits))
-            if self._keeps(j):
-                self._held[j] = rank
-            return rank
-        if self._pass is None or j < self._next:
-            self._pass, self._next = prefix_doubling_ranks(self.codes), self.seed
-        while True:
-            # the level before is let go first (no local name holds it),
-            # so that it and the next are never held together
-            i = self._next
-            if not self._keeps(i - 1):
-                self._held.pop(i - 1, None)
-            self._held[i] = next(self._pass)
-            self._next += 1
-            if self._held[i].size == int(self._held[i].max()) + 1:
-                self.last, self._pass = i, None
-            if i == j or i == self.last:
-                return self._held[i]
-
-    def trim(self) -> None:
-        """Let go of every level not in keep, and of the pass once keep
-        wants no level it has yet to yield."""
-        self._held = {i: rank for i, rank in self._held.items() if self._keeps(i)}
-        if max(self.keep, default=-1) < self._next:
-            self._pass = None
-
-    def _keeps(self, i: int) -> bool:
-        # the last level also serves every level past it
-        return i in self.keep or (i == self.last and max(self.keep, default=-1) > i)
+    bits = symbol_bits(codes)
+    seed = seed_level(bits, len(codes) + 1)
+    levels = {j: next(_doubling(_text(codes), j, bits)) for j in wanted if j < seed}
+    top = max(wanted, default=-1)
+    ranks = prefix_doubling_ranks(codes) if top >= seed else None
+    for j in range(seed, top + 1):
+        rank = next(ranks)
+        if rank.size == int(rank.max()) + 1:  # all distinct: the last level
+            levels.update((i, rank) for i in wanted if i >= j)
+            break
+        if j in wanted:
+            levels[j] = rank
+        del rank  # before the next level's sort
+    return levels
 
 
 def row_dtype(rows: int) -> str:
@@ -244,13 +208,14 @@ def lcp_dtype(maximum: int) -> str:
     return next(name for name in LCP_DTYPES if maximum < 1 << 8 * np.dtype(name).itemsize)
 
 
-def build_suffix_array(codes, alphabet_size: int | None = None):
+def build_suffix_array(codes, alphabet_size: int | None = None, levels=None):
     """(sa, lcp, bwt): the suffix array, LCP array and BWT of codes with
     the implicit EOF sentinel appended, each of len(codes) + 1 rows, in the
     dtypes the index file stores (row_dtype, lcp_dtype of the LCP's
     maximum, and symbol_dtype of alphabet_size, by default one more than
-    the largest code).  codes may also be the DoublingLevels of the text,
-    whose pass is then shared.
+    the largest code).  The pass's last level is popped from levels
+    (doubling_levels' dict of the codes, handed over) when held there, and
+    taken from a pass of its own otherwise.
 
     sa[0] is always the sentinel position len(codes); lcp[0] = 0 and lcp[i]
     is the longest common prefix of the suffixes at rows i-1 and i;
@@ -267,18 +232,20 @@ def build_suffix_array(codes, alphabet_size: int | None = None):
     pass that finds the irreducible rows reads every row's BWT symbol, and
     keeps it.
     """
-    levels = codes if isinstance(codes, DoublingLevels) else DoublingLevels(codes)
-    inverse = levels[LAST_LEVEL]
-    levels.trim()
+    if LAST_LEVEL not in (levels or ()):
+        levels = doubling_levels(codes, {LAST_LEVEL})
+    inverse = levels.pop(LAST_LEVEL)
     n = len(inverse)
     sa = np.empty(n, dtype=row_dtype(n))
     for start in range(0, n, BLOCK_ROWS):
         sa[inverse[start: start + BLOCK_ROWS]] = np.arange(start, min(start + BLOCK_ROWS, n))
     del inverse
     if alphabet_size is None:
-        alphabet_size = int(np.max(levels.codes)) + 1
-    words = _packed_words(_text(levels.codes, np.int32), levels.seed, levels.bits)
-    first = (levels.bits << levels.seed) - levels.bits  # the shift of a word's first symbol
+        alphabet_size = int(np.max(codes)) + 1
+    bits = symbol_bits(codes)
+    seed = seed_level(bits, n)
+    words = _packed_words(_text(codes, np.int32), seed, bits)
+    first = (bits << seed) - bits  # the shift of a word's first symbol
     bwt = np.empty(n, dtype=symbol_dtype(alphabet_size))
     ends = np.zeros(n, dtype=np.int32 if n < 1 << 31 else np.int64)
     maximum = 0
@@ -289,7 +256,7 @@ def build_suffix_array(codes, alphabet_size: int | None = None):
         bwt[start - 1: start - 1 + len(rows)] = symbols
         heads = np.flatnonzero(symbols[1:] != symbols[:-1])
         cur = rows[heads + 1]
-        common = _common_prefix(words, rows[heads], cur, levels)
+        common = _common_prefix(words, rows[heads], cur, seed, bits)
         ends[cur] = cur + common
         maximum = max(maximum, int(common.max(initial=0)))
     del words
@@ -301,7 +268,7 @@ def build_suffix_array(codes, alphabet_size: int | None = None):
     return sa, lcp, bwt
 
 
-def _common_prefix(words, a, b, levels: DoublingLevels) -> np.ndarray:
+def _common_prefix(words, a, b, seed: int, bits: int) -> np.ndarray:
     """The longest common prefix of the suffixes at each pair of distinct
     positions a[k], b[k] of the text whose packed words (_packed_words, W =
     2**seed symbols each) words holds.  Each lane compares the words W
@@ -310,7 +277,7 @@ def _common_prefix(words, a, b, levels: DoublingLevels) -> np.ndarray:
     one gather copies at most _GATHER_ROWS words.  The rest, below W, is
     the count of equal leading symbols of the first unequal words, which
     the bit length of their XOR gives."""
-    step = 1 << levels.seed
+    step = 1 << seed
     equal = np.zeros(len(a), dtype=np.int64)  # each lane's equal leading words so far
     todo, width = np.arange(len(a)), 1
     while todo.size:
@@ -325,8 +292,7 @@ def _common_prefix(words, a, b, levels: DoublingLevels) -> np.ndarray:
         todo = np.concatenate(more)
         width = min(8 * width, _GATHER_ROWS)
     h = equal * step
-    word_bits = levels.bits << levels.seed
-    return h + (word_bits - np.frexp(words[a + h] ^ words[b + h])[1]) // levels.bits
+    return h + ((bits << seed) - np.frexp(words[a + h] ^ words[b + h])[1]) // bits
 
 
 def _equal_words(words, a, b, step: int, width: int) -> np.ndarray:

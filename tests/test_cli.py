@@ -653,20 +653,47 @@ def test_kernel_order_past_int64_exits_2(tmp_path, toy_files, capsys, form, k_ma
     assert not (tmp_path / "k.ktk2").exists()
 
 
-def _capped_main(argv, cap: int = 1 << 29) -> tuple[int, list[str]]:
-    """(exit code, stderr lines) of main(argv) run in a child process whose
-    address space is capped at cap bytes: a command that grew without bound
-    would fail there, not exhaust the host."""
+# runs main on each argv of a JSON list, one after another, its stdout let
+# go, and prints the JSON list of [exit code, stderr lines]; a traceback is
+# exit code 1
+_MAINS = """
+import contextlib, io, json, sys, traceback
+from memtax.cli import main
+done = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        except BaseException:
+            traceback.print_exc()
+            code = 1
+    done.append([code, err.getvalue().splitlines()])
+print(json.dumps(done))
+"""
+
+
+def _capped_mains(argvs, cap: int = 1 << 29) -> list[tuple[int, list[str]]]:
+    """(exit code, stderr lines) of main(argv) for each of argvs, run one
+    after another in a child process whose address space is capped at cap
+    bytes: a command that grew without bound would fail there, not exhaust
+    the host."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = str(pathlib.Path(memtax.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
            "OPENBLAS_NUM_THREADS": "1"}
-    child = subprocess.run([sys.executable, "-c", "import sys; from memtax.cli import main; "
-                            "sys.exit(main(sys.argv[1:]))", *argv],
+    child = subprocess.run([sys.executable, "-c", _MAINS, json.dumps(argvs)],
                            env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
-    return child.returncode, child.stderr.splitlines()
+    assert child.returncode == 0, child.stderr
+    return [tuple(case) for case in json.loads(child.stdout)]
+
+
+def _capped_main(argv, cap: int = 1 << 29) -> tuple[int, list[str]]:
+    return _capped_mains([argv], cap)[0]
 
 
 @pytest.mark.parametrize("count", [10**20, 2**63], ids=["10^20", "2^63"])
@@ -713,6 +740,43 @@ def test_simulated_read_count_past_the_bound_exit_2(tmp_path, genomes, per_genom
     assert (code, err) == (2, [f"error: {per_genome} reads per genome x {genomes} genomes is "
                                f"more than 2^22 simulated reads"])
     assert not (tmp_path / "r.json").exists()
+
+
+EXTREME_INTS = [0, -1, 2**31, 2**63, 10**20]
+
+
+def _flag_cases(command: str, given: list[str], flags: list[str]) -> list[list[str]]:
+    """given plus one integer flag at each of EXTREME_INTS, for each flag."""
+    return [[command, *given, f"{flag}={value}"] for flag in flags for value in EXTREME_INTS]
+
+
+def test_every_integer_flag_at_extremes_exits_cleanly(tmp_path, toy_files):
+    # each integer flag and spec field at 0, -1, 2^31, 2^63 and 10^20 either
+    # runs or ends in a documented exit code with one line, under the cap;
+    # one child per command
+    genomes, reads = toy_files
+    idx, tree, out = tmp_path / "toy.ktk2", tmp_path / "toy.nwk", str(tmp_path / "out")
+    tree.write_text("((g0,g1),(g2,(g3,g4)));")
+    assert main(["build", "--input", str(genomes), "--format", "lines",
+                 "--mode", "raw", "--output", str(idx)]) == 0
+    lines = ["--input", str(genomes), "--format", "lines"]
+    mems = ["--index", str(idx), "--reads", str(reads), "--output", out]
+    evaluate = [*lines, "--read-len", "5", "--reads-per-genome", "2", "--output", out]
+    batches = [
+        _flag_cases("build", [*lines, "--mode", "kernel", "--output", out], ["--kmax"])
+        + _flag_cases("build", [*lines, "--mode", "digest", "--output", out],
+                      ["--k", "--w", "--hash-a", "--hash-b", "--hash-m"]),
+        _flag_cases("query", mems, ["--min-mem"]),
+        _flag_cases("classify", [*mems, "--tree", str(tree)], ["--min-mem"]),
+        _flag_cases("eval", evaluate, ["--reads-per-genome", "--read-len", "--seed"])
+        + [["eval", *evaluate, f"--variants={spec.format(value)}"]
+           for spec in ("kernel:{}", "digest:{}:2", "digest:3:{}", "digest-kernel:{}:2:4",
+                        "digest-kernel:3:{}:4", "digest-kernel:3:2:{}")
+           for value in EXTREME_INTS],
+    ]
+    for argvs in batches:
+        for argv, (code, err) in zip(argvs, _capped_mains(argvs)):
+            assert code in (0, 2, 3, 4) and len(err) <= 1, (argv[0], argv[-1], code, err)
 
 
 def test_kernel_order_at_int64_max_keeps_the_text(tmp_path, toy_files):

@@ -213,9 +213,11 @@ def test_run_experiment_shares_one_base_per_family(monkeypatch):
 
 
 def test_raw_after_a_kernel_takes_the_last_level_alone(monkeypatch):
-    # kernel:20 then raw: the kernel's level is let go once it is built, and
-    # the one pass goes on to the last level, so holding no more than raw
-    # then kernel:20, which keeps the kernel's level through the raw build
+    # one pass at the base's first variant gives both levels in either
+    # order; kernel:20 then raw hands each build its level alone, so the raw
+    # build holds no other level, while raw then kernel:20 holds the
+    # kernel's level through the raw build, which here sets the peak: the
+    # kernel-first order peaks no higher
     rng = random.Random(29)
     coll = GenomeCollection(genomes=["".join(rng.choice("ACGT") for _ in range(2500)) * 4
                                      for _ in range(4)])

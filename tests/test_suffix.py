@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from memtax import (DigestParams, GenomeCollection, KernelParams, build_katka_ke
 from memtax.collection import Alphabet, encode_bases
 from memtax.index import _layout
 from memtax.kernel import doubling_level
-from memtax.suffix import (LAST_LEVEL, DoublingLevels, IndexedSequence, build_suffix_array,
+from memtax.suffix import (LAST_LEVEL, IndexedSequence, build_suffix_array, doubling_levels,
                            first_below, lcp_dtype, prefix_doubling_ranks, seed_level, sort_keys,
                            symbol_bits)
 
@@ -205,9 +206,9 @@ def _check_doubling_levels(codes, seed):
     assert [len(set(rank)) == len(rank) for rank in levels] == \
         [False] * (len(levels) - 1) + [True]
     # a level below the seed comes from its own packed sort
-    on_demand = DoublingLevels(codes)
+    below = doubling_levels(codes, set(range(seed)))
     for j in range(seed):
-        assert on_demand[j].tolist() == oracles.naive_prefix_ranks(codes, 1 << j)
+        assert below[j].tolist() == oracles.naive_prefix_ranks(codes, 1 << j)
 
 
 def test_doubling_levels_against_oracle():
@@ -240,64 +241,74 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-def test_doubling_levels_shared_kept_and_restarted(monkeypatch):
+def test_doubling_levels_one_pass_to_the_highest_wanted_then_nothing_held(monkeypatch):
     rng = random.Random(23)
     codes = encode_bases("".join(rng.choice("ACGT") for _ in range(300)) * 2)
-    want = [np.array(oracles.naive_prefix_ranks(codes, 1 << j)) for j in range(3)]
-    want += list(prefix_doubling_ranks(codes))
-    last = len(want) - 1
+    last = 3 + len(list(prefix_doubling_ranks(codes))) - 1
     passes = _counted(monkeypatch, suffix, "prefix_doubling_ranks")
     sorts = _counted(monkeypatch, suffix, "sort_keys")
 
-    levels = DoublingLevels(codes)
-    assert levels.seed == 3
-    assert np.array_equal(levels[4], want[4]) and levels.last is None
-    assert np.array_equal(levels[63], want[last]) and levels.last == last
-    assert passes == [len(codes)]  # one pass served both, and all levels between
-    assert len(sorts) == last - 2  # one sort per level from the seed
-    assert np.array_equal(levels[3], want[3]) and len(passes) == 2  # let go: again
-    # below the seed: one packed sort of its own, no pass
-    assert np.array_equal(levels[1], want[1]) and len(passes) == 2
-    assert len(sorts) == last - 2 + 2
+    # below the seed (3), the seed, one between, the last and one past it
+    wanted = {1, 2, 3, 5, LAST_LEVEL, 40}
+    levels = doubling_levels(codes, wanted)
+    assert set(levels) == wanted and 5 < last < 40
+    for j in wanted:
+        assert levels[j].tolist() == oracles.naive_prefix_ranks(codes, 1 << j), j
+    assert levels[LAST_LEVEL] is levels[40]  # the last level serves both
+    assert passes == [len(codes)]
+    # one packed sort for each level below the seed, one per level of the pass
+    assert len(sorts) == 2 + last - 3 + 1
 
-    # kept levels serve later consumers; the rest are let go by trim
-    levels = DoublingLevels(codes)
-    levels.keep = range(LAST_LEVEL + 1)  # every level
-    assert np.array_equal(levels[2], want[2])
-    sa, lcp, _ = build_suffix_array(levels)
-    assert [levels[j].tolist() for j in range(3, last + 1)] == [r.tolist() for r in want[3:]]
-    assert len(passes) == 3
-    expected = build_suffix_array(codes)
-    assert np.array_equal(sa, expected[0]) and np.array_equal(lcp, expected[1])
-    levels.keep = {2, 5, 40}  # 40 is past the last level, which serves it
-    levels.trim()
+    # a wanted set below the last level stops the pass at its highest
+    passes.clear()
     sorts.clear()
-    assert np.array_equal(levels[40], want[last]) and np.array_equal(levels[2], want[2])
-    assert np.array_equal(levels[5], want[5]) and not sorts  # all three kept
-    assert len(passes) == 4  # build_suffix_array(codes) made its own
-    assert np.array_equal(levels[4], want[4]) and len(passes) == 5  # trimmed away
-    assert np.array_equal(levels[1], want[1]) and len(passes) == 5
+    levels = doubling_levels(codes, {4})
+    assert levels[4].tolist() == oracles.naive_prefix_ranks(codes, 1 << 4)
+    assert passes == [len(codes)] and len(sorts) == 2
+    assert doubling_levels(codes, set()) == {} and len(passes) == 1
+    del levels
+
+    # once the dict is dropped no level stays alive, not even in a pass
+    # stopped short of its last level: 100 011 rows, 400 KB a level
+    genomes = ["".join(rng.choice("ACGT") for _ in range(2500)) * 4 for _ in range(10)]
+    codes = separate(GenomeCollection(genomes=genomes)).codes
+    doubling_levels(codes, {4})  # warm up
+    for wanted in ({4}, {1, 4}, {4, LAST_LEVEL}):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            levels = doubling_levels(codes, wanted)
+            assert set(levels) == wanted
+            del levels
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held < 64 << 10, (wanted, held)
 
 
 def test_seeded_pass_sort_count(monkeypatch):
     # levels 0-2 of a base text take no sort of their own: its suffix array
     # takes one sort per level from the seed, level 3, to the last
-    sorts = _counted(monkeypatch, suffix, "sort_keys")
-    window_sorts = _counted(monkeypatch, kernel, "sort_keys")
     rng = random.Random(41)
     genomes = ["".join(rng.choice("ACGT") for _ in range(200)) * 3 for _ in range(4)]
     st = separate(GenomeCollection(genomes=genomes))
-    levels = st.levels
-    assert levels.seed == 3
-    levels.keep = {doubling_level(8)}
-    build_suffix_array(levels)
-    assert len(sorts) == levels.last - levels.seed + 1 and levels.last > 8
-    # a kernel of order 8 or more shares the kept level: its window ids only
+    assert _seed(st.codes) == 3
+    last = 3 + len(list(prefix_doubling_ranks(st.codes))) - 1
+    sorts = _counted(monkeypatch, suffix, "sort_keys")
+    window_sorts = _counted(monkeypatch, kernel, "sort_keys")
+    held = doubling_levels(st.codes, {LAST_LEVEL, doubling_level(8)})
+    assert len(sorts) == last - 3 + 1 and last > 8
+    # handed over, the levels take no sort in the builds
+    st.levels = {LAST_LEVEL: held.pop(LAST_LEVEL)}
+    build_suffix_array(st.codes, None, st.levels)
+    assert len(sorts) == last - 3 + 1 and st.levels == {}
+    # a kernel of order 8 or more pops the handed level: its window ids only
+    st.levels = {doubling_level(8): held.pop(doubling_level(8))}
     build_katka_kernel(st, KernelParams(8))
-    assert len(sorts) == levels.last - levels.seed + 1 and len(window_sorts) == 1
+    assert len(sorts) == last - 3 + 1 and len(window_sorts) == 1 and st.levels == {}
     # below 2**seed a kernel's level takes one packed sort of its own
     build_katka_kernel(st, KernelParams(5))
-    assert len(sorts) == levels.last - levels.seed + 2 and len(window_sorts) == 2
+    assert len(sorts) == last - 3 + 2 and len(window_sorts) == 2
 
 
 @pytest.mark.parametrize("bound", [1, 7, 1 << 20, (1 << 62) - 3])
