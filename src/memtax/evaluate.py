@@ -311,9 +311,8 @@ def run_experiment(collection: GenomeCollection, variants: list[IndexVariant],
     held until the last variant that takes it, which is handed the only
     reference in base.levels; the text is let go after its last variant.
     So an order that lists kernels before the variant taking a higher level
-    holds every level from the start, and peaks about as the raw-first
-    order does, not lower.  Build or query failures, a base's included, are
-    reported per variant without aborting the rest."""
+    holds every level from the start.  Build or query failures, a base's
+    included, are reported per variant without aborting the rest."""
     reads = simulate_reads(collection, cfg)
     report = EvalReport(config=cfg)
     keys = [_base_key(v) for v in variants]

@@ -692,10 +692,6 @@ def _capped_mains(argvs, cap: int = 1 << 29) -> list[tuple[int, list[str]]]:
     return [tuple(case) for case in json.loads(child.stdout)]
 
 
-def _capped_main(argv, cap: int = 1 << 29) -> tuple[int, list[str]]:
-    return _capped_mains([argv], cap)[0]
-
-
 @pytest.mark.parametrize("count", [10**20, 2**63], ids=["10^20", "2^63"])
 @pytest.mark.parametrize("flag", ["--reads-per-genome", "--read-len"])
 def test_simulated_reads_past_the_bound_exit_2(tmp_path, toy_files, flag, count):
@@ -704,7 +700,7 @@ def test_simulated_reads_past_the_bound_exit_2(tmp_path, toy_files, flag, count)
     genomes, _ = toy_files
     argv = ["eval", "--input", str(genomes), "--format", "lines", "--read-len", "5",
             "--reads-per-genome", "2", flag, str(count), "--output", str(tmp_path / "r.json")]
-    code, err = _capped_main(argv)
+    [(code, err)] = _capped_mains([argv])
     assert code == 2 and len(err) == 1 and "more than 2^31 simulated bases" in err[0]
     assert not (tmp_path / "r.json").exists()
 
@@ -736,7 +732,7 @@ def test_simulated_read_count_past_the_bound_exit_2(tmp_path, genomes, per_genom
     argv = ["eval", "--input", str(fasta), "--read-len", "5", "--reads-per-genome",
             str(per_genome), "--output", str(tmp_path / "r.json")]
     assert per_genome * genomes * 5 <= MAX_SIMULATED_BASES
-    code, err = _capped_main(argv)
+    [(code, err)] = _capped_mains([argv])
     assert (code, err) == (2, [f"error: {per_genome} reads per genome x {genomes} genomes is "
                                f"more than 2^22 simulated reads"])
     assert not (tmp_path / "r.json").exists()
@@ -746,7 +742,8 @@ EXTREME_INTS = [0, -1, 2**31, 2**63, 10**20]
 
 
 def _flag_cases(command: str, given: list[str], flags: list[str]) -> list[list[str]]:
-    """given plus one integer flag at each of EXTREME_INTS, for each flag."""
+    """given plus one integer flag at each of EXTREME_INTS, for each flag;
+    a flag that given holds too takes its last value."""
     return [[command, *given, f"{flag}={value}"] for flag in flags for value in EXTREME_INTS]
 
 
