@@ -41,7 +41,10 @@ def _replace(path):
         return
     final = os.path.realpath(path)
     part = f"{final}.{os.getpid()}.part"
-    out = open(part, "x")
+    try:
+        out = open(part, "x")
+    except OSError as e:  # named as given, not as the new file
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with out:
             yield out

@@ -176,17 +176,8 @@ class SeparatedText:
         return len(self.codes)
 
     @property
-    def n(self) -> int:
-        return len(self.codes)
-
-    @property
     def genome_count(self) -> int:
         return len(self.sep_positions)
-
-    def genome_spans(self) -> list[tuple[int, int]]:
-        """Half-open [start, end) span of each genome (end is its separator)."""
-        ends = self.sep_positions.tolist()
-        return list(zip([0] + [end + 1 for end in ends[:-1]], ends))
 
     def text(self) -> str:
         """Human-readable rendering, separators included.  A digest of

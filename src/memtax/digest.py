@@ -169,13 +169,7 @@ def digest_reads(reads: list[str], params: DigestParams) -> tuple[np.ndarray, np
     return values.astype(np.int32), np.diff(ends, prepend=0)
 
 
-class Digest(SeparatedText):
-    def values(self) -> list[list[int]]:
-        """Per-genome lists of k-mer values (separators stripped)."""
-        return [(self.codes[s:e] - FIRST_SYMBOL_CODE).tolist() for s, e in self.genome_spans()]
-
-
-def digest_collection(collection: GenomeCollection, params: DigestParams) -> Digest:
+def digest_collection(collection: GenomeCollection, params: DigestParams) -> SeparatedText:
     """Concatenated per-genome digests, one '$' after each genome, exactly
     parallel to the separated base text: one _minimize over the genomes
     laid end to end."""
@@ -184,12 +178,12 @@ def digest_collection(collection: GenomeCollection, params: DigestParams) -> Dig
     values, starts = _minimize(_base_digits("".join(genomes)), lengths, params)
     values += FIRST_SYMBOL_CODE
     codes = np.insert(values.astype(np.int32), starts.searchsorted(np.cumsum(lengths)), SEP_CODE)
-    return Digest(codes, Alphabet(kind="digest", k=params.k), params.to_provenance())
+    return SeparatedText(codes, Alphabet(kind="digest", k=params.k), params.to_provenance())
 
 
 def render_ascii(source) -> str:
     """ASCII form of a digest (k = 3 only): value v is chr(37 + v); '$' and
-    '#' render verbatim.  Accepts a Digest/kernelized digest or raw values."""
+    '#' render verbatim.  Accepts a digest text (a kernel's too) or raw values."""
     if isinstance(source, SeparatedText):
         if source.alphabet.kind != "digest" or source.alphabet.k != 3:
             raise ValidationError("ASCII rendering is defined for k = 3 digests only")

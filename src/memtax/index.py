@@ -1,25 +1,23 @@
 """The augmented FM-index: backward search, suffix-array interval arithmetic,
 first/last occurrence extraction and genome ranges.
 
-The index keeps the BWT, the suffix array and the LCP array of the
-underlying text; the text itself is not retained.  A built and a loaded
-index hold the same dtypes: the BWT at symbol_dtype, the suffix array at
-row_dtype and the LCP at the narrowest unsigned width that holds its
-maximum (the byte-LCP of enhanced suffix arrays, without an exception
-table), which the walk's kernels scan at that width.  The `KTK2` file
-(VERSION 6) packs them.  The BWT and the suffix array take the bits of
-their largest possible value, ceil(log2 sigma) and ceil(log2 R) for R
-rows, every 8 values that many bytes, least significant bit first.  The
-LCP is stored as the bit vector of its permuted LCP (Sadakane 2007):
-PLCP[p], the LCP of the suffix at text position p, drops by at most one
-from p to p + 1, so its R values are R ones, at PLCP[p] + 2p, in 2R bits.
-The load decodes the arrays a BLOCK_ROWS block at a time and gathers the
-LCP as PLCP[SA] at the width the header records.  Two structures are
-derived, for a built and a loaded index alike: the BWT's sorted key array
-(uint32 below sigma * R < 2**32, from one in-place sort), searched for
-every backward step and for the shrink's nearest rows preceded by a
-symbol, and the separator positions, the suffix-array rows of the key
-array's `$` run, which give each text position its genome.
+An index, built or loaded alike, holds the BWT only as its sorted key array
+K (key_dtype, from one in-place sort), searched for every backward step and
+for the shrink's nearest rows preceded by a symbol, beside the suffix array
+(row_dtype) and the LCP (the narrowest unsigned width that holds its
+maximum: the byte-LCP of enhanced suffix arrays, without an exception table,
+which the walk's kernels scan at that width); the separator positions, the
+suffix-array rows of K's `$` run, give each text position its genome.  The
+`KTK2` file (VERSION 6) packs the BWT, recovered from K, the suffix array
+and the LCP; its header records the BWT at symbol_dtype, the width a decoded
+BWT takes.  The BWT and the suffix array take the bits of their largest
+possible value, ceil(log2 sigma) and ceil(log2 R) for R rows, every 8 values
+that many bytes, least significant bit first.  The LCP is stored as the bit
+vector of its permuted LCP (Sadakane 2007): PLCP[p], the LCP of the suffix
+at text position p, drops by at most one from p to p + 1, so its R values
+are R ones, at PLCP[p] + 2p, in 2R bits.  The load decodes the arrays a
+BLOCK_ROWS block at a time, gathers the LCP as PLCP[SA] at the width the
+header records and decodes the BWT last, into K's dtype, for K to take over.
 
 The MEM walk's kernels take arrays with one entry per lane (one read's
 walk) and answer every lane with a few whole-array operations: a backward
@@ -49,7 +47,7 @@ from .collection import RESERVED, SEP_CODE, Alphabet, SeparatedText
 from .digest import BLOCK_SYMBOLS, DigestParams, digest_reads
 from .errors import EmptyIntervalError, FormatError, ValidationError
 from .suffix import (BLOCK_ROWS, LCP_DTYPES, IndexedSequence, build_suffix_array, first_below,
-                     lcp_dtype, reduce_ranges, row_dtype, symbol_dtype)
+                     key_dtype, lcp_dtype, reduce_ranges, row_dtype, symbol_dtype)
 
 # what a checksummed header that no writer produced raises on decoding
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ValidationError)
@@ -397,11 +395,12 @@ class AugmentedFmIndex:
         return len(head) + 4 + sum(part.nbytes for part in payload)
 
     def _payload(self) -> list[np.ndarray]:
-        """The arrays packed as the file stores them: the BWT and the
-        suffix array at their bits, then the PLCP's bit vector, the PLCP
+        """The arrays packed as the file stores them: the BWT (from K) and
+        the suffix array at their bits, then the PLCP's bit vector, the PLCP
         scattered from the LCP at its width, a block of rows at a time."""
         (_, bwt_bits), (_, sa_bits), _ = _packing(self.rows, self.alphabet)
-        payload = [_pack(self.bwt.symbols, bwt_bits), _pack(self.sa, sa_bits)]
+        payload = [_pack(self.bwt.symbols(symbol_dtype(self.alphabet.size)), bwt_bits),
+                   _pack(self.sa, sa_bits)]
         plcp = np.empty_like(self.lcp)
         for start in range(0, self.rows, BLOCK_ROWS):
             plcp[self.sa[start: start + BLOCK_ROWS]] = self.lcp[start: start + BLOCK_ROWS]
@@ -435,7 +434,8 @@ def deserialize(source) -> AugmentedFmIndex:
     """Read an index written by AugmentedFmIndex.serialize() from a path
     (str or os.PathLike), bytes or a binary file; the payload is read into
     one buffer, that of a non-seekable source after reading it whole, and
-    let go once the BWT, the suffix array and the PLCP are decoded from it.
+    let go once the suffix array and the PLCP are decoded from it (the
+    packed BWT, copied out, is decoded last, into K's dtype).
     Raises FormatError on bad magic/version, truncation, a checksum
     mismatch over header and payload, a header missing a key, holding a
     wrong type or invalid digest parameters, arrays other than the layout
@@ -474,12 +474,18 @@ def deserialize(source) -> AugmentedFmIndex:
         # mmap threshold to the size of a mapping let go, so allocated after
         # the payload's release it would come from the heap and stay
         # resident once let go itself (0.9 MB more peak RSS on raw desk)
-        alphabet, bwt, sa, plcp = _unpacked(meta, payload)
+        alphabet, packed_bwt, sa, plcp = _unpacked(meta, payload)
         del payload  # before the LCP and K are built
         lcp = np.empty_like(plcp)
         for start in range(0, len(sa), BLOCK_ROWS):
             np.take(plcp, sa[start: start + BLOCK_ROWS], out=lcp[start: start + BLOCK_ROWS])
         del plcp
+        # the BWT in K's dtype, which K takes over: no BWT array beside K
+        bwt = _unpack(packed_bwt, _packing(len(sa), alphabet)[0][1], len(sa),
+                      key_dtype(alphabet.size, len(sa)))
+        del packed_bwt
+        if bwt.max() >= alphabet.size:
+            raise FormatError("BWT holds a symbol outside the alphabet")
         return _decode(meta, alphabet, bwt, sa, lcp)
     except _MALFORMED as e:
         raise FormatError(f"malformed index header: {type(e).__name__}: {e}") from None
@@ -501,10 +507,9 @@ def _read_payload(source) -> memoryview:
 
 
 def _unpacked(meta: dict, payload) -> tuple:
-    """(alphabet, bwt, suffix array, PLCP at the LCP's width) of a payload
-    that must hold exactly the arrays of _layout at one LCP width, packed
-    at the bits of _packing, with a BWT over the alphabet and a suffix
-    array that is a permutation of the rows."""
+    """(alphabet, a copy of the packed BWT, suffix array, PLCP at the LCP's
+    width) of a payload holding exactly the arrays of _layout at one LCP
+    width, packed at the bits of _packing, whose suffix array permutes the rows."""
     n = meta["text_length"]
     if not isinstance(n, int):
         raise ValidationError("text_length is not an integer")
@@ -516,10 +521,7 @@ def _unpacked(meta: dict, payload) -> tuple:
         raise FormatError("index arrays disagree with the header's text length and alphabet")
     bwt, sa, bits = (np.frombuffer(payload, dtype=np.uint8, count=size, offset=offset)
                      for size, offset in zip(sizes, accumulate(sizes, initial=0)))
-    (_, bwt_dtype, rows), (_, sa_dtype, _), (_, lcp_width, _) = layout
-    bwt = _unpack(bwt, packing[0][1], rows, bwt_dtype)
-    if bwt.max() >= alphabet.size:
-        raise FormatError("BWT holds a symbol outside the alphabet")
+    _, (_, sa_dtype, rows), (_, lcp_width, _) = layout
     sa = _unpack(sa, packing[1][1], rows, sa_dtype)
     # the SA first, so that the LCP's gather and n - SA cannot leave the rows
     seen = np.zeros(rows, dtype=bool)
@@ -528,14 +530,14 @@ def _unpacked(meta: dict, payload) -> tuple:
     if not seen.all():
         raise FormatError("suffix array is not a permutation of the text positions")
     del seen
-    return alphabet, bwt, sa, _plcp_from_bits(bits, rows, lcp_width)
+    return alphabet, bwt.copy(), sa, _plcp_from_bits(bits, rows, lcp_width)
 
 
 def _decode(meta: dict, alphabet: Alphabet, bwt, sa, lcp) -> AugmentedFmIndex:
     """The index over the decoded arrays, which must hold LCP values
     bounded by their suffixes and stored at the width lcp_dtype gives their
-    maximum, a BWT that agrees with the suffix array and the header's
-    genome count."""
+    maximum, a BWT (in K's dtype, taken over by K) that agrees with the
+    suffix array and the header's genome count."""
     if not _lcp_in_bounds(sa, lcp):
         raise FormatError("LCP array exceeds the suffix lengths")
     if np.dtype(lcp_dtype(int(lcp.max()))) != lcp.dtype:

@@ -4,7 +4,7 @@ All structures are plain (uncompressed) arrays: a suffix array, LCP
 array and BWT of length n+1 (one row for the implicit end-of-file sentinel,
 code 0, smaller than every text symbol), built in the index file's
 fixed-width dtypes (row_dtype, lcp_dtype, symbol_dtype), and one sorted key
-array over the BWT in which a single search answers LF, rank and the C
+array over the BWT (held instead of it): one search answers LF, rank and the C
 table.  The suffix array inverts the last of a text's prefix-doubling rank
 levels, held as int32 (each ranked by one packed in-place sort of int64
 keys, sort_keys).  One stateless pass, doubling_levels, gives the levels
@@ -310,30 +310,42 @@ def _equal_words(words, a, b, step: int, width: int) -> np.ndarray:
     return np.where(differ[np.arange(len(a)), col], col, width)
 
 
+def key_dtype(alphabet_size: int, rows: int):
+    """K's dtype: uint32 while sigma * R, one past the last key, fits 32 bits, else int64."""
+    return np.dtype(np.uint32 if alphabet_size * rows < 1 << 32 else np.int64)
+
+
 class IndexedSequence:
-    """A symbol sequence held as one sorted key array for the FM-index's LF:
-    keys = sort(symbols * R + row) for R rows, so a search for c*R + i
-    counts the rows holding a smaller symbol plus the occurrences of c
-    before i, LF(c, i) = C[c] + rank(c, i).  Each symbol's run of keys, less
-    c*R, is its increasing position list; nothing is sized by the alphabet.
-    The keys are uint32 when every key and the one past the last (sigma * R)
-    fit 32 bits, else int64.
+    """A symbol sequence held only as one sorted key array for the FM-index's
+    LF: keys = sort(symbols * R + row) for R rows, so a search for c*R + i
+    counts the rows holding a smaller symbol plus the occurrences of c before
+    i, LF(c, i) = C[c] + rank(c, i).  Each symbol's run of keys, less c*R, is
+    its increasing position list; nothing is sized by the alphabet.  A
+    symbols array already in key_dtype is taken over: the keys are built in it.
     """
 
     def __init__(self, symbols: np.ndarray, alphabet_size: int):
         symbols = np.asarray(symbols)
         if symbols.size and (symbols.min() < 0 or symbols.max() >= alphabet_size):
             raise ValueError("symbol out of declared alphabet range")
-        self.symbols = symbols
-        self.rows = len(symbols)
+        self.rows, dtype = len(symbols), key_dtype(alphabet_size, len(symbols))
         # symbols times R, each block then plus its rows (no row-sized
         # temporary), sorted in place: distinct keys need no stable sort
-        dtype = np.uint32 if alphabet_size * self.rows < 1 << 32 else np.int64
-        self.keys = np.multiply(symbols, self.rows, dtype=dtype, casting="unsafe")
+        self.keys = np.multiply(symbols, self.rows, dtype=dtype, casting="unsafe",
+                                out=symbols if symbols.dtype == dtype else None)
         for start in range(0, self.rows, BLOCK_ROWS):
             block = self.keys[start: start + BLOCK_ROWS]
             block += np.arange(start, start + len(block), dtype=dtype)
         self.keys.sort()
+
+    def symbols(self, dtype) -> np.ndarray:
+        """The sequence in dtype, recovered from the keys a BLOCK_ROWS block
+        at a time: row keys[g] mod R holds symbol keys[g] div R."""
+        out = np.empty(self.rows, dtype=dtype)
+        for start in range(0, self.rows, BLOCK_ROWS):
+            symbol, row = np.divmod(self.keys[start: start + BLOCK_ROWS], self.rows)
+            out[row] = symbol
+        return out
 
     def lf(self, c, i):
         """C[c] + rank(c, i): rows holding a smaller symbol, plus the

@@ -75,7 +75,7 @@ def test_criterion_3_size_ledger(golden_collection, golden_kernel4, golden_diges
     raw_symbols = sum(len(g) for g in golden_collection.genomes)
     assert raw_symbols == 1600
 
-    digest_symbols = sum(len(v) for v in golden_digest.values())
+    digest_symbols = len(golden_digest) - golden_digest.genome_count
     assert digest_symbols == 287
 
     dk = build_katka_kernel(golden_digest, KernelParams(2))

@@ -369,6 +369,28 @@ def test_missing_reads_leave_output(tmp_path, toy_files, capsys):
         assert keep.read_text() == "earlier results\n"
 
 
+def test_output_in_a_missing_directory_names_the_path_given(tmp_path, toy_files, capsys):
+    # the error names the output as given, not the new file written beside it
+    genomes, reads = toy_files
+    idx, tree = tmp_path / "toy.ktk2", tmp_path / "toy.nwk"
+    tree.write_text("((g0,g1),(g2,(g3,g4)));")
+    assert main(["build", "--input", str(genomes), "--format", "lines",
+                 "--mode", "raw", "--output", str(idx)]) == 0
+    out = str(tmp_path / "nosuch" / "out.tsv")
+    evaluate = ["eval", "--input", str(genomes), "--format", "lines", "--read-len", "5",
+                "--reads-per-genome", "2"]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    for argv in (["query", "--index", str(idx), "--reads", str(reads), "--output", out],
+                 ["classify", "--index", str(idx), "--tree", str(tree), "--reads", str(reads),
+                  "--output", out],
+                 [*evaluate, "--output", out], [*evaluate, "--per-read", out]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [Errno 2] No such file or directory: '{out}'"], argv
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
     genomes, reads = toy_files
     # validation error: reserved symbol in input
@@ -499,7 +521,7 @@ def test_exit_codes(tmp_path, toy_files, toy_index, capsys, monkeypatch):
     # used to load and report GATTAGATA over genomes 0-3), and one whose
     # genome count is one more than the BWT's separators
     a, c = toy_index.alphabet.query_codes(["AC"]).tolist()
-    a_row = int(np.flatnonzero(toy_index.bwt.symbols == a)[0])
+    a_row = int(np.flatnonzero(toy_index.bwt.symbols("u1") == a)[0])
     capsys.readouterr()
     for bad in (rewritten_rows(raw_blob, "bwt", a_row, c),
                 rewritten_index(raw_blob, lambda meta: meta.update(genome_count=6))):
@@ -787,7 +809,7 @@ def test_kernel_order_at_int64_max_keeps_the_text(tmp_path, toy_files):
     assert kernel.provenance["k_max"] == 2**63 - 1
     for name in ("sa", "lcp"):
         assert np.array_equal(getattr(kernel, name), getattr(raw, name))
-    assert np.array_equal(kernel.bwt.symbols, raw.bwt.symbols)
+    assert np.array_equal(kernel.bwt.symbols("u1"), raw.bwt.symbols("u1"))
 
 
 def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
@@ -807,10 +829,12 @@ def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
         assert got["version"] == 6 and got["text_length"] == ix.n
         assert got["genome_count"] == len(ix.sep_positions)
         assert got["alphabet"] == ix.alphabet.to_dict() and got["provenance"] == ix.provenance
-        # the file stores three arrays, each held at its dtype and packed:
-        # the BWT at ceil(log2 sigma) bits (3 raw, 7 for 3-mer digests), the
-        # suffix array at ceil(log2 R) and the LCP as a bit vector of 2R bits
-        held = {"bwt": ix.bwt.symbols, "sa": ix.sa, "lcp": ix.lcp}
+        # the file stores three arrays, packed: the BWT at ceil(log2 sigma)
+        # bits (3 raw, 7 for 3-mer digests), the suffix array at ceil(log2 R)
+        # and the LCP as a bit vector of 2R bits; its header gives the suffix
+        # array and the LCP the dtypes they are held in, and the BWT, held as
+        # K, the one byte it decodes to
+        held = {"bwt": ix.bwt.symbols("u1"), "sa": ix.sa, "lcp": ix.lcp}
         bits = {"bwt": 3 if mode == ["raw"] else 7, "sa": (ix.rows - 1).bit_length(), "lcp": 2}
         arrays = {a["name"]: a for a in got["arrays"]}
         assert [a["name"] for a in got["arrays"]] == ["bwt", "sa", "lcp"]

@@ -74,7 +74,7 @@ def test_wildcard_mode():
 
 def test_separate_toy(toy_collection):
     st = separate(toy_collection)
-    assert st.n == 45
+    assert len(st) == 45
     assert list(st.sep_positions) == [8, 17, 25, 34, 44]
     assert all(st.codes[p] == SEP_CODE for p in st.sep_positions)
     assert (st.codes == SEP_CODE).sum() == 5

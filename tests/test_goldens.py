@@ -4,12 +4,15 @@ These rows were cross-checked against the reference tables for the same
 texts; they pin the standard-BWT construction with the implicit smallest
 end-of-file symbol and the '#' < '$' < ordinary-symbol order.
 """
+import numpy as np
+
 from memtax import KernelParams, build_index, build_katka_kernel
 
 
 def rows_of(index, positions):
-    return [(i, int(index.sa[i]), int(index.lcp[i]),
-             index.alphabet.decode(index.bwt.symbols[i])) for i in positions]
+    bwt = index.bwt.symbols(np.int64)
+    return [(i, int(index.sa[i]), int(index.lcp[i]), index.alphabet.decode(int(bwt[i])))
+            for i in positions]
 
 
 def test_kernel_index_first_last_rows(golden_kernel4_index):

@@ -17,7 +17,8 @@ from memtax import (AugmentedFmIndex, DigestParams, EmptyIntervalError,
                     compute_mem_tables, deserialize, digest_collection,
                     digest_sequence, separate)
 from memtax.index import EMPTY_INTERVAL, _pack, _unpack
-from memtax.suffix import BLOCK_ROWS, _SCAN_ROWS
+from memtax.evaluate import build_variant_text, expand_variant_specs
+from memtax.suffix import BLOCK_ROWS, _SCAN_ROWS, build_suffix_array, symbol_dtype
 
 import oracles
 from conftest import (P, TOY_GENOMES, construction_peak_per_row, rewritten_bits, rewritten_index,
@@ -146,9 +147,9 @@ def test_shrink_widens_subinterval(toy_index):
     full_at = ix.find_interval("AT")
     code_c = _code(ix, "C")
     # rows of "AT" whose BWT is not C: drop the C-preceded rows from the front
-    sub = None
+    sub, bwt = None, ix.bwt.symbols(np.int64)
     for lo in range(full_at.lo, full_at.hi + 1):
-        if all(ix.bwt.symbols[r] != code_c for r in range(lo, full_at.hi + 1)):
+        if all(bwt[r] != code_c for r in range(lo, full_at.hi + 1)):
             sub = SaInterval(lo, full_at.hi)
             break
     assert sub is not None
@@ -289,12 +290,15 @@ def test_serialize_deterministic(toy_index):
 
 def _assert_round_trip(ix) -> bytes:
     """ix's file, which size_bytes counts, loads into arrays equal to ix's
-    in its dtypes and is written back byte for byte."""
+    in its dtypes (the BWT's as K and as recovered at the width the header
+    records) and is written back byte for byte."""
     blob = ix.to_bytes()
     assert ix.size_bytes() == len(blob)
     loaded = deserialize(blob)
-    for got, want in ((loaded.bwt.symbols, ix.bwt.symbols), (loaded.sa, ix.sa),
-                      (loaded.lcp, ix.lcp)):
+    width = ix.layout()[0][1]
+    for got, want in ((loaded.bwt.keys, ix.bwt.keys),
+                      (loaded.bwt.symbols(width), ix.bwt.symbols(width)),
+                      (loaded.sa, ix.sa), (loaded.lcp, ix.lcp)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert loaded.to_bytes() == blob
     return blob
@@ -306,9 +310,10 @@ def _stored_widths(ix) -> dict:
 
 def test_loaded_arrays_aligned(tmp_path):
     # the packed arrays decode into arrays of their own, aligned (numpy's
-    # reduceat copies an unaligned array whole), for every row count mod 8,
-    # which sets the packed arrays' padding, and for a four-byte BWT packed
-    # at 9 bits (k = 4 digest), loaded from bytes, a file and a pipe
+    # reduceat copies an unaligned array whole), K among them, for every row
+    # count mod 8, which sets the packed arrays' padding, and for a BWT the
+    # header records at four bytes, packed at 9 bits (k = 4 digest), loaded
+    # from bytes, a file and a pipe
     indexes = [build_index(separate(GenomeCollection(genomes=["GATTACAGATTACA"[:length]])))
                for length in range(6, 14)]
     assert sorted(ix.rows % 8 for ix in indexes) == list(range(8))
@@ -317,7 +322,7 @@ def test_loaded_arrays_aligned(tmp_path):
     for w in (3, 4):
         indexes.append(build_index(digest_collection(GenomeCollection(genomes=[genome]),
                                                      DigestParams(k=4, w=w))))
-        assert indexes[-1].bwt.symbols.dtype == np.dtype("<u4")
+        assert indexes[-1].layout()[0][:2] == ["bwt", "<u4"]
         assert _stored_widths(indexes[-1])["bwt"] == 9
     for k, ix in enumerate(indexes):
         blob = _assert_round_trip(ix)
@@ -331,8 +336,31 @@ def test_loaded_arrays_aligned(tmp_path):
             loaded = [deserialize(blob), deserialize(str(path)), deserialize(pipe)]
         for got in loaded:
             assert got.sa.flags.aligned and got.lcp.flags.aligned
-            assert got.bwt.symbols.flags.aligned
+            assert got.bwt.keys.flags.aligned
             assert got.to_bytes() == blob
+
+
+def test_symbols_recovered_from_the_keys():
+    # the BWT an index recovers from K, at the width the file stores, is the
+    # one the construction produced: raw, kernel and 3-mer digest texts (one
+    # byte) and a 4-mer digest (four bytes), at every row count mod 8, with
+    # blocks of 8 rows so that a block's rows fall anywhere in the BWT
+    rng = random.Random(8)
+    genome = "".join(rng.choice("ACGT") for _ in range(200))
+    for spec, dtype in (("raw", "u1"), ("kernel:3", "u1"), ("digest:3:10", "u1"),
+                        ("digest:4:3", "<u4")):
+        (variant,), seen = expand_variant_specs([spec]), set()
+        for length in range(40, 200, 3):
+            text = build_variant_text(GenomeCollection(genomes=[genome[:length], genome[::-2]]),
+                                      variant)
+            _, _, bwt = build_suffix_array(text.codes, text.alphabet.size)
+            ix = build_index(text)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("memtax.suffix.BLOCK_ROWS", 8)
+                got = ix.bwt.symbols(symbol_dtype(ix.alphabet.size))
+            assert got.dtype == bwt.dtype == np.dtype(dtype) and np.array_equal(got, bwt)
+            seen.add(ix.rows % 8)
+        assert seen == set(range(8)), spec
 
 
 @pytest.mark.parametrize("rows, sa_bits", [(1 << 16, 16), ((1 << 16) + 1, 17)])
@@ -553,7 +581,7 @@ def test_deserialize_errors(toy_index, golden_digest_index):
     # checksummed payloads whose BWT disagrees with the SA: every single
     # A -> C edit of the BWT
     a, c = toy_index.alphabet.query_codes(["AC"]).tolist()
-    a_rows = np.flatnonzero(toy_index.bwt.symbols == a)
+    a_rows = np.flatnonzero(toy_index.bwt.symbols("u1") == a)
     assert len(a_rows) == 17
     for row in a_rows:
         with pytest.raises(FormatError, match="BWT disagrees"):

@@ -397,7 +397,8 @@ def test_lf_batched_against_per_key(sigma):
     # a batch of 64 or more keys is searched in packed-sorted order; codes
     # -1 (no query symbol) and sigma (one past the alphabet) fall outside
     # K and find its bounds; at sigma = 2**52, (sigma + 1) * R leaves no
-    # room for the row bits and the keys take the argsort
+    # room for the row bits and the keys take the argsort; at 2**24 - 1 the
+    # uint32 symbols are in K's dtype and become K, so the oracle reads values
     rng = np.random.default_rng(sigma % 1000)
     rows = _LF_ROWS[sigma]
     symbols = rng.integers(0, min(sigma, 4), rows)
@@ -411,7 +412,7 @@ def test_lf_batched_against_per_key(sigma):
         return int(np.count_nonzero(values < c) + np.count_nonzero(values[:i] == c))
 
     for count in (64, 200, 2048):
-        c = rng.choice([-1, 0, 1, 2, int(symbols.max()), sigma - 1, sigma], count)
+        c = rng.choice([-1, 0, 1, 2, int(values.max()), sigma - 1, sigma], count)
         i = rng.integers(0, rows + 1, count)
         c[:2], i[:2] = -1, (0, rows)
         c[2:4], i[2:4] = sigma, (0, rows)
