@@ -127,8 +127,7 @@ def cmd_query(args) -> int:
         with _open_out(args.output) as out:
             out.write("\t".join(TSV_HEADER) + "\n")
             for read_id, codes, table in tables:
-                symbols = index.alphabet.symbols(codes)
-                for row in tsv_rows(read_id, symbols, table, index.alphabet):
+                for row in tsv_rows(read_id, codes, table, index.alphabet):
                     out.write("\t".join(str(x) for x in row) + "\n")
     return 0
 
@@ -136,10 +135,7 @@ def cmd_query(args) -> int:
 def cmd_classify(args) -> int:
     index = deserialize(args.index)
     tree = _read_tree(args.tree)
-    if tree.leaf_count != len(index.sep_positions):
-        raise ValidationError(
-            f"tree has {tree.leaf_count} leaves but the index holds "
-            f"{len(index.sep_positions)} genomes")
+    tree.validate_leaf_names(index.names)
     lca = LcaStructure(tree)
     with open_text(args.reads) as source:
         tables = read_mem_tables(index, iter_reads(source, fmt=args.format), args.min_mem)

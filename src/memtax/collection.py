@@ -12,11 +12,12 @@ the 4^k minimizer values for digest texts.  Using one shared layout lets the
 kernelizer and the FM-index treat base texts and digests identically.
 
 This module alone states the layout's rules: the one byte <-> code table,
-the query codes, the reserved read symbols and how symbols are displayed.
+the query codes, the reserved read symbols and how codes are displayed.
 """
 from __future__ import annotations
 
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -44,7 +45,11 @@ CODE_OF_BYTE[_BASE_SYMBOL_OF_CODE[HASH_CODE:]] = np.arange(HASH_CODE, WILDCARD_C
 _DROP_BASES = str.maketrans("", "", BASES)
 # a..z -> A..Z and nothing else: str.upper would turn "ß" into "SS"
 _FOLD = {c: c - 32 for c in range(ord("a"), ord("z") + 1)}
-_ASCII_RENDER_BASE = 37  # digest value v displays as chr(37 + v) when k == 3
+# the query code of each byte of a base read (the bases in either case), -1
+# elsewhere; made from a list, as numpy's loops would add resident pages
+_QUERY_CODE_OF_BYTE = np.array([code if FIRST_SYMBOL_CODE <= code < WILDCARD_CODE else -1
+                                for code in CODE_OF_BYTE.tolist()], dtype=np.int8)
+_QUERY_CODE_OF_BYTE[list(_FOLD)] = _QUERY_CODE_OF_BYTE[list(_FOLD.values())]
 _FORMATS = ("fasta", "lines")  # genome and read file formats
 
 
@@ -64,61 +69,41 @@ class Alphabet:
         digest_k = type(self.k) is int and 1 <= self.k <= MAX_DIGEST_K
         if not (self.kind == "bases" and self.k == 0 or self.kind == "digest" and digest_k):
             raise ValidationError(f"unknown alphabet {self.kind!r} with k={self.k!r}")
-        # one past the last query code, fixed here: is_query_code runs once per
-        # chunk of reads walked and once per pattern found
-        query_end = WILDCARD_CODE if self.kind == "bases" else FIRST_SYMBOL_CODE + 4**self.k
-        object.__setattr__(self, "_query_end", query_end)
 
     @property
     def size(self) -> int:
-        return self._query_end + (self.kind == "bases")  # + wildcard
-
-    def is_query_code(self, code):
-        """Separators, EOF, the wildcard and codes past the alphabet are
-        never legal query symbols.  Elementwise over an array of codes."""
-        return (FIRST_SYMBOL_CODE <= code) & (code < self._query_end)
+        return WILDCARD_CODE + 1 if self.kind == "bases" else FIRST_SYMBOL_CODE + 4**self.k
 
     def query_codes(self, reads) -> np.ndarray:
         """The query code of every symbol of reads laid end to end, -1 for a
         symbol that cannot be queried (separators, the wildcard and anything
-        outside the declared symbol set): int8 for bases (a character
-        outside ASCII encodes as one byte, '?'), int32 for digest values,
-        where only an integer v in [0, 4^k) is queryable, as v + 3.  Each
-        item of a read that is not a string is one symbol; as a base, only
-        a one-character string can be queried."""
+        outside the declared symbol set): int8 for bases, ASCII letters in
+        either case (a character outside ASCII encodes as one byte, '?'),
+        int32 for digest values, where only an integer v in [0, 4^k) is
+        queryable, as v + 3.  Each item of a read that is not a string is
+        one symbol; as a base, only a one-character string can be queried."""
         if self.kind == "bases":
-            table = np.where(self.is_query_code(CODE_OF_BYTE), CODE_OF_BYTE, -1).astype(np.int8)
             text = "".join(r if isinstance(r, str) else
                            "".join(s if isinstance(s, str) and len(s) == 1 else "?" for s in r)
                            for r in reads)
-            return table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+            return _QUERY_CODE_OF_BYTE[np.frombuffer(text.encode("ascii", "replace"), np.uint8)]
         end = 4**self.k
         return np.array([FIRST_SYMBOL_CODE + int(v) if isinstance(v, Integral) and 0 <= v < end
                          else -1 for v in chain.from_iterable(reads)], dtype=np.int32)
 
-    def symbols(self, codes):
-        """The query symbols of query codes, the inverse of query_codes: a
-        base string (a code of -1 shows as the wildcard), or a list of
-        digest values."""
+    def render(self, codes) -> str:
+        """Display form of a run of codes, of a text or of a read.  Base and
+        reserved codes show as the bytes CODE_OF_BYTE codes ('#', '$'; -1, a
+        symbol that cannot be queried, as N).  A k = 3 digest code c shows
+        as chr(34 + c): value v at chr(37 + v), '#' at 35 and '$' at 36.
+        Any other digest shows its values, '#' and '$' joined by '-'."""
+        codes = np.asarray(codes, dtype=np.int64)
         if self.kind == "bases":
             return _BASE_SYMBOL_OF_CODE[codes].tobytes().decode("ascii")
-        return (np.asarray(codes) - FIRST_SYMBOL_CODE).tolist()
-
-    def render(self, symbols) -> str:
-        """Display form of a run of symbols: bases verbatim; digest values as
-        chr(37 + v) when k == 3, else as numbers joined by '-'."""
-        if self.kind == "bases":
-            return "".join(symbols)
         if self.k == 3:
-            return "".join(chr(_ASCII_RENDER_BASE + int(v)) for v in symbols)
-        return "-".join(str(int(v)) for v in symbols)
-
-    def decode(self, code: int) -> str:
-        """Display form of one code: the base-text byte of a reserved or a
-        base code (separators render verbatim), else its digest value's."""
-        if code < FIRST_SYMBOL_CODE or self.kind == "bases":
-            return chr(_BASE_SYMBOL_OF_CODE[code])
-        return self.render([code - FIRST_SYMBOL_CODE])
+            return (codes + 34).astype(np.uint8).tobytes().decode("ascii")
+        return "-".join(str(c - FIRST_SYMBOL_CODE) if c >= FIRST_SYMBOL_CODE
+                        else chr(_BASE_SYMBOL_OF_CODE[c]) for c in codes.tolist())
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "k": self.k}
@@ -141,10 +126,7 @@ class GenomeCollection:
     def __post_init__(self):
         if not self.genomes:
             raise ValidationError("empty collection")
-        if not self.names:
-            self.names = [f"g{i}" for i in range(len(self.genomes))]
-        if len(self.names) != len(self.genomes):
-            raise ValidationError("names/genomes length mismatch")
+        self.names = _genome_names(self.names or None, len(self.genomes))
         for i, g in enumerate(self.genomes):
             if not g:
                 raise ValidationError(f"genome {self.names[i]!r} is empty")
@@ -159,15 +141,28 @@ class GenomeCollection:
         return sum(len(g) for g in self.genomes) + len(self.genomes)
 
 
+def _genome_names(names, count: int) -> list[str]:
+    """names, or g0, g1, ... for None, checked to be count distinct names."""
+    names = [f"g{i}" for i in range(count)] if names is None else list(names)
+    if len(names) != count:
+        raise ValidationError("names/genomes length mismatch")
+    if len(set(names)) < count:
+        first = next(name for name, copies in Counter(names).items() if copies > 1)
+        raise ValidationError(f"duplicate genome name {first!r}")
+    return names
+
+
 class SeparatedText:
     """The indexable concatenation genome0 $ genome1 $ ... with the sorted
-    positions of its separators."""
+    positions of its separators and the names of its genomes."""
 
-    def __init__(self, codes: np.ndarray, alphabet: Alphabet, provenance: dict | None = None):
+    def __init__(self, codes: np.ndarray, alphabet: Alphabet, provenance: dict | None = None,
+                 names: list[str] | None = None):
         self.codes = np.asarray(codes, dtype=np.int32)
         self.alphabet = alphabet
         self.provenance = provenance or {"mode": "raw"}
         self.sep_positions = np.flatnonzero(self.codes == SEP_CODE).astype(np.int64)
+        self.names = _genome_names(names, len(self.sep_positions))
         # doubling levels of the codes (suffix.doubling_levels) handed to the
         # next build from this text, which pops the one it takes
         self.levels: dict[int, np.ndarray] = {}
@@ -180,11 +175,8 @@ class SeparatedText:
         return len(self.sep_positions)
 
     def text(self) -> str:
-        """Human-readable rendering, separators included.  A digest of
-        k != 3 renders its values as numbers, so there every symbol is
-        delimited by '-'."""
-        numbers = self.alphabet.kind == "digest" and self.alphabet.k != 3
-        return ("-" if numbers else "").join(self.alphabet.decode(int(c)) for c in self.codes)
+        """Human-readable rendering, separators included (Alphabet.render)."""
+        return self.alphabet.render(self.codes)
 
 
 def encode_bases(seq: str) -> np.ndarray:
@@ -195,7 +187,7 @@ def encode_bases(seq: str) -> np.ndarray:
 def separate(collection: GenomeCollection) -> SeparatedText:
     """Concatenate the genomes with one '$' after each, coded by CODE_OF_BYTE."""
     codes = encode_bases("$".join(collection.genomes) + "$")
-    return SeparatedText(codes, BASE_ALPHABET, {"mode": "raw"})
+    return SeparatedText(codes, BASE_ALPHABET, {"mode": "raw"}, collection.names)
 
 
 def _clean_sequence(raw: str, name: str, allow_wildcard: bool) -> str:

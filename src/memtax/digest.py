@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collection import (CODE_OF_BYTE, FIRST_SYMBOL_CODE, MAX_DIGEST_K, SEP_CODE,
-                         WILDCARD_CODE, Alphabet, GenomeCollection, SeparatedText)
+from .collection import (BASE_ALPHABET, CODE_OF_BYTE, FIRST_SYMBOL_CODE, MAX_DIGEST_K,
+                         SEP_CODE, WILDCARD_CODE, Alphabet, GenomeCollection, SeparatedText)
 from .errors import ValidationError
 
 DEFAULT_HASH = (2544, 3937, 8863)
@@ -55,16 +55,11 @@ class DigestParams:
                 "hash": [self.a, self.b, self.m]}
 
 
-def _digits(s: str) -> np.ndarray:
-    """Base-4 digit (code - 3) of every character of s, int8, and -1 for a
-    character that is not a base."""
-    # one byte per character; anything outside latin-1 becomes '?', a non-base
-    return _DIGIT_OF_BYTE[np.frombuffer(s.encode("latin-1", "replace"), dtype=np.uint8)]
-
-
 def _base_digits(s: str) -> np.ndarray:
-    """_digits of a string that must hold bases only."""
-    digits = _digits(s)
+    """Base-4 digit (code - 3) of every character of a string that must
+    hold upper-case bases only, int8."""
+    # one byte per character; anything outside latin-1 becomes '?', a non-base
+    digits = _DIGIT_OF_BYTE[np.frombuffer(s.encode("latin-1", "replace"), dtype=np.uint8)]
     bad = np.flatnonzero(digits < 0)
     if bad.size:
         raise ValidationError(f"non-base symbol {s[bad[0]]!r} in sequence")
@@ -152,10 +147,11 @@ def digest_with_positions(s: str, params: DigestParams) -> list[tuple[int, int]]
 
 def digest_reads(reads: list[str], params: DigestParams) -> tuple[np.ndarray, np.ndarray]:
     """The query codes of read strings laid end to end (FIRST_SYMBOL_CODE
-    + value, int32) and the count of each read's.  A read holding a
-    non-base symbol, reserved ones included, gets none, as does one that
-    is shorter than one window."""
-    digits = _digits("".join(reads))
+    + value, int32) and the count of each read's.  The reads' bases, in
+    either case, are coded as a base read's (BASE_ALPHABET.query_codes); a
+    read holding any other symbol, reserved ones included, gets none, as
+    does one that is shorter than one window."""
+    digits = BASE_ALPHABET.query_codes(reads)
     lengths = np.array([len(r) for r in reads], dtype=np.int64)
     bad = np.flatnonzero(digits < 0)
     if bad.size:
@@ -163,6 +159,7 @@ def digest_reads(reads: list[str], params: DigestParams) -> tuple[np.ndarray, np
         keep[np.add.accumulate(lengths).searchsorted(bad, side="right")] = False
         digits = digits[np.repeat(keep, lengths)]
         lengths *= keep
+    digits -= FIRST_SYMBOL_CODE  # query codes to base-4 digits, in place
     values, starts = _minimize(digits, lengths, params)
     values += FIRST_SYMBOL_CODE
     ends = starts.searchsorted(np.add.accumulate(lengths))
@@ -178,7 +175,8 @@ def digest_collection(collection: GenomeCollection, params: DigestParams) -> Sep
     values, starts = _minimize(_base_digits("".join(genomes)), lengths, params)
     values += FIRST_SYMBOL_CODE
     codes = np.insert(values.astype(np.int32), starts.searchsorted(np.cumsum(lengths)), SEP_CODE)
-    return SeparatedText(codes, Alphabet(kind="digest", k=params.k), params.to_provenance())
+    return SeparatedText(codes, Alphabet(kind="digest", k=params.k), params.to_provenance(),
+                         collection.names)
 
 
 def render_ascii(source) -> str:
@@ -191,4 +189,4 @@ def render_ascii(source) -> str:
     vals = [int(v) for v in source]
     if any(not 0 <= v < 64 for v in vals):
         raise ValidationError("ASCII rendering is defined for k = 3 digests only")
-    return Alphabet(kind="digest", k=3).render(vals)
+    return Alphabet(kind="digest", k=3).render(np.add(vals, FIRST_SYMBOL_CODE))

@@ -99,7 +99,7 @@ def build_katka_kernel(st: SeparatedText, params: KernelParams) -> SeparatedText
     gap = (np.diff(at) > 1) & (out[:-1] != SEP_CODE) & (out[1:] != SEP_CODE)
     out = np.insert(out, np.flatnonzero(gap) + 1, HASH_CODE)
     mode = "digest-kernel" if st.alphabet.kind == "digest" else "kernel"
-    return SeparatedText(out, st.alphabet, {**st.provenance, "mode": mode, "k_max": k})
+    return SeparatedText(out, st.alphabet, {**st.provenance, "mode": mode, "k_max": k}, st.names)
 
 
 def kernel_size_report(kernel: SeparatedText) -> tuple[int, int, int]:

@@ -182,18 +182,18 @@ def longest_mems(table: MemTable) -> list[MemRecord]:
 
 
 def render_symbols(read, start: int, length: int, alphabet: Alphabet) -> str:
-    """Display form of read[start..start+length) under the index alphabet."""
-    return alphabet.render(read[start: start + length])
+    """read[start..start+length) rendered from its query codes, as query shows it."""
+    return alphabet.render(alphabet.query_codes([read[start: start + length]]))
 
 
 TSV_HEADER = ("read_id", "read_start", "length", "mem_string", "first_pos",
               "last_pos", "first_genome", "last_genome", "empty_flag")
 
 
-def tsv_rows(read_id: str, read, table: MemTable, alphabet: Alphabet):
-    """One TSV row per record of a read's MEM table."""
+def tsv_rows(read_id: str, codes, table: MemTable, alphabet: Alphabet):
+    """One TSV row per record of a read's MEM table; codes are the read's query codes."""
     for rec in table.records:
-        text = render_symbols(read, rec.read_start, rec.length, alphabet)
+        text = alphabet.render(codes[rec.read_start: rec.read_start + rec.length])
         if rec.empty:
             yield (read_id, rec.read_start, rec.length, text, "-", "-", "-", "-", 1)
         else:

@@ -408,13 +408,16 @@ def first_below(values, origins, bounds):
     limits = np.minimum(np.asarray(bounds, dtype=np.uint64) - 1,
                         np.iinfo(values.dtype).max).astype(values.dtype)
     todo, width = np.flatnonzero(start < n), _SCAN_ROWS
+    # the windows: views by the ndarray constructor over the rows in memory
+    # order, not as_strided, whose __array_interface__ read grows and now
+    # and then rebuilds a process-wide table (0.96 MB, numpy 2.4), nor made
+    # read-only, whose flag setter leaves a name string in Python's type
+    # cache: either would make a walk's traced peak depend on earlier calls
+    step = values.strides[0]
+    memory, offset = (values, 0) if step > 0 else (values[::-1], (n - 1) * values.itemsize)
     while todo.size:
         w = min(width, n)
-        # only read, yet not made read-only: that flag's setter, like
-        # np.cumsum, calls a method by a name string made afresh per call,
-        # which Python's type cache may keep, so a walk's traced peak would
-        # vary from run to run (np.add.accumulate calls none)
-        windows = np.lib.stride_tricks.as_strided(values, (n - w + 1, w), values.strides * 2)
+        windows = np.ndarray((n - w + 1, w), values.dtype, memory, offset, (step, step))
         per_gather = max(1, _GATHER_ROWS // w)
         for k in range(0, len(todo), per_gather):
             group = todo[k: k + per_gather]

@@ -273,6 +273,46 @@ def test_classify_tree_mismatch(tmp_path, toy_files, capsys):
             assert main(argv + ["--input", str(genomes), "--format", "lines",
                                 "--tree", str(tree)]) == 2
             assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        # classify checks the tree against the names the index stores
+        assert main(["classify", "--index", str(idx), "--tree", str(tree),
+                     "--reads", str(reads)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_classify_checks_the_tree_against_the_genome_names(tmp_path, capsys):
+    # the README's three genomes: a tree naming them in another order exits
+    # 2 with one line, where it used to label GATTA (drawn from g0) g2; a
+    # tree sharing no label with the names maps its leaves by position
+    genomes, reads = tmp_path / "three.fa", tmp_path / "three_reads.fa"
+    genomes.write_text(">g0\nGATTACAT\n>g1\nAGATACAT\n>g2\nGATACAT\n")
+    reads.write_text(">r0\nGATTA\n")
+    idx, tree = tmp_path / "three.ktk2", tmp_path / "three.nwk"
+    assert main(["build", "--input", str(genomes), "--mode", "raw", "--output", str(idx)]) == 0
+    assert main(["inspect", str(idx)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["names"] == ["g0", "g1", "g2"]
+    classify = ["classify", "--index", str(idx), "--tree", str(tree), "--reads", str(reads)]
+    tree.write_text("(g2,(g1,g0)n1)root;")
+    assert main(classify) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: leaf order mismatch: leaf 0 is 'g2', expected 'g0'"]
+    for newick, label in (("(g0,(g1,g2)bc)root;", "g0"), ("(a,(b,c)bc)root;", "a")):
+        tree.write_text(newick)
+        assert main(classify) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [f"r0\t0\t5\t0\t0\t{label}"]
+
+
+def test_duplicate_genome_names_exit_2(tmp_path, capsys):
+    genomes = tmp_path / "dup.fa"
+    genomes.write_text(">g0\nGATTACAT\n>g1\nAGATACAT\n>g0\nGATACAT\n")
+    for argv in (["build", "--mode", "raw", "--output", str(tmp_path / "dup.ktk2")],
+                 ["eval", "--reads-per-genome", "1", "--read-len", "5"]):
+        assert main(argv + ["--input", str(genomes)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: duplicate genome name 'g0'"]
+    assert not (tmp_path / "dup.ktk2").exists()
 
 
 def test_eval_short_genomes(tmp_path, capsys):
@@ -826,8 +866,9 @@ def test_inspect(tmp_path, toy_files, golden_genomes, capsys):
         assert len(out) == 1
         got = json.loads(out[0])
         ix = deserialize(str(idx))
-        assert got["version"] == 6 and got["text_length"] == ix.n
+        assert got["version"] == 7 and got["text_length"] == ix.n
         assert got["genome_count"] == len(ix.sep_positions)
+        assert got["names"] == list(ix.names) == [f"g{i}" for i in range(len(ix.sep_positions))]
         assert got["alphabet"] == ix.alphabet.to_dict() and got["provenance"] == ix.provenance
         # the file stores three arrays, packed: the BWT at ceil(log2 sigma)
         # bits (3 raw, 7 for 3-mer digests), the suffix array at ceil(log2 R)

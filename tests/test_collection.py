@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -115,7 +116,31 @@ def test_byte_table_is_the_inverse_of_the_display_table():
     assert all(CODE_OF_BYTE[b] == -1 for b in range(256) if b not in listed)
     assert CODE_OF_BYTE[0] == -1
     for c in range(WILDCARD_CODE + 1):
-        assert Alphabet("bases").decode(c) == chr(_BASE_SYMBOL_OF_CODE[c])
+        assert Alphabet("bases").render([c]) == chr(_BASE_SYMBOL_OF_CODE[c])
+
+
+# every code from -1 to sigma - 1 as Alphabet.render shows it, one code at a
+# time; each string is the earlier display of that code (code -1 of a k = 3
+# digest and 0 as the earlier query symbols showed them, by chr(34 + c),
+# elsewhere as the earlier text showed each code)
+_K4_VALUES = [str(v) for v in range(256)]
+_RENDERED = [
+    (Alphabet("bases"), ["N", "\x00", "#", "$", "A", "C", "G", "T", "N"], ""),
+    (Alphabet("digest", 1), ["N", "\x00", "#", "$", "0", "1", "2", "3"], "-"),
+    (Alphabet("digest", 3), list("!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                 "[\\]^_`abcd"), ""),
+    (Alphabet("digest", 4), ["N", "\x00", "#", "$", *_K4_VALUES], "-"),
+]
+
+
+@pytest.mark.parametrize("alphabet, symbols, delimiter", _RENDERED)
+def test_render_every_code(alphabet, symbols, delimiter):
+    codes = list(range(-1, alphabet.size))
+    assert len(symbols) == len(codes)
+    assert [alphabet.render([c]) for c in codes] == symbols
+    assert alphabet.render(codes) == delimiter.join(symbols)
+    assert alphabet.render(np.array(codes, dtype=np.int32)) == delimiter.join(symbols)
+    assert alphabet.render([]) == ""
 
 
 def test_separate_injective():

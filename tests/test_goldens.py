@@ -11,7 +11,7 @@ from memtax import KernelParams, build_index, build_katka_kernel
 
 def rows_of(index, positions):
     bwt = index.bwt.symbols(np.int64)
-    return [(i, int(index.sa[i]), int(index.lcp[i]), index.alphabet.decode(int(bwt[i])))
+    return [(i, int(index.sa[i]), int(index.lcp[i]), index.alphabet.render([bwt[i]]))
             for i in positions]
 
 

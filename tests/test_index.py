@@ -16,6 +16,7 @@ from memtax import (AugmentedFmIndex, DigestParams, EmptyIntervalError,
                     ValidationError, build_index, compute_mem_table,
                     compute_mem_tables, deserialize, digest_collection,
                     digest_sequence, separate)
+from memtax.collection import FIRST_SYMBOL_CODE
 from memtax.index import EMPTY_INTERVAL, _pack, _unpack
 from memtax.evaluate import build_variant_text, expand_variant_specs
 from memtax.suffix import BLOCK_ROWS, _SCAN_ROWS, build_suffix_array, symbol_dtype
@@ -64,6 +65,7 @@ def test_backward_steps_worked_example(toy_index):
     assert ix.find_interval("CATA") == EMPTY_INTERVAL
 
     iv = ix.find_interval("ACAT")
+    assert ix.find_interval("acat") == ix.find_interval("aCaT") == iv
     assert ix.first_last_positions(iv) == (4, 21)
     assert ix.genome_range(iv) == (0, 2)
 
@@ -300,6 +302,7 @@ def _assert_round_trip(ix) -> bytes:
                       (loaded.bwt.symbols(width), ix.bwt.symbols(width)),
                       (loaded.sa, ix.sa), (loaded.lcp, ix.lcp)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert loaded.names == ix.names
     assert loaded.to_bytes() == blob
     return blob
 
@@ -591,11 +594,21 @@ def test_deserialize_errors(toy_index, golden_digest_index):
     for count in (4, 6):
         with pytest.raises(FormatError, match="genome count"):
             deserialize(rewritten_index(blob, lambda meta: meta.update(genome_count=count)))
+    # the genome names: one string per genome, in a list
+    names = ["g0", "g1", "g2", "g3", "g4"]
+    for bad in (names[:4], names + ["g5"], names[:4] + [4], dict.fromkeys(names), "g0g1g2"):
+        with pytest.raises(FormatError, match="genome names disagree with the genome count"):
+            deserialize(rewritten_index(blob, lambda meta: meta.update(names=bad)))
+    with pytest.raises(FormatError, match="KeyError: 'names'"):
+        deserialize(rewritten_index(blob, lambda meta: meta.pop("names")))
+    renamed = deserialize(rewritten_index(blob, lambda meta: meta.update(names=list("abcde"))))
+    assert renamed.names == tuple("abcde") == renamed.summary()["names"]
 
 
 def _with_lcp(ix, dtype):
     """ix with its LCP cast to dtype, every other array shared."""
-    return AugmentedFmIndex(ix.bwt, ix.sa, ix.lcp.astype(dtype), ix.alphabet, ix.provenance)
+    return AugmentedFmIndex(ix.bwt, ix.sa, ix.lcp.astype(dtype), ix.alphabet, ix.provenance,
+                            ix.names)
 
 
 @pytest.mark.parametrize("length, maximum, dtype", [(256, 255, "u1"), (257, 256, "<u2"),
@@ -771,7 +784,8 @@ def test_fuzz_index_header(kind, toy_index, golden_digest_index):
         try:
             codes = ix.encode_reads([(0, read)])[1]
             if len(codes):
-                compute_mem_table(ix, ix.alphabet.symbols(codes))
+                compute_mem_table(ix, read if ix.digest_params is None
+                                  else (codes - FIRST_SYMBOL_CODE).tolist())
         except MemtaxError:
             pass
 
@@ -823,7 +837,7 @@ def test_digest_k12_index_against_oracles():
         for i in range(len(read)):
             if rng.random() < 0.03:
                 read[i] = rng.choice("ACGT")
-        symbols = loaded.alphabet.symbols(loaded.encode_reads([(0, "".join(read))])[1])
+        symbols = (loaded.encode_reads([(0, "".join(read))])[1] - FIRST_SYMBOL_CODE).tolist()
         assert symbols == digest_sequence("".join(read), params)
         want = oracles.naive_mem_table(text, symbols)
         for index in (ix, loaded):

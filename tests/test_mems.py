@@ -189,11 +189,41 @@ def _random_read(rng, genomes):
 def test_tsv_rows(golden_digest_index):
     q = [24, 63]
     table = compute_mem_table(golden_digest_index, q)
-    rows = list(tsv_rows("r0", q, table, golden_digest_index.alphabet))
+    codes = golden_digest_index.alphabet.query_codes([q])
+    rows = list(tsv_rows("r0", codes, table, golden_digest_index.alphabet))
     assert rows[0][0] == "r0"
     assert rows[0][3] == "="          # value 24 renders at ASCII 37+24
     assert rows[-1][-1] == 1          # the absent symbol row is flagged empty
     assert rows[-1][4:8] == ("-", "-", "-", "-")
+    # the rows of a value-list read with an absent value (63) and one that
+    # cannot be queried (999), rendered from the read's codes as query
+    # renders them: the unqueryable value shows as code -1, chr(34 - 1)
+    q = [24, 999, 63]
+    codes = golden_digest_index.alphabet.query_codes([q])
+    table = compute_mem_table(golden_digest_index, q)
+    assert list(tsv_rows("r0", codes, table, golden_digest_index.alphabet)) == [
+        ("r0", 0, 1, "=", 0, 221, 0, 11, 0), ("r0", 1, 1, "!", "-", "-", "-", "-", 1),
+        ("r0", 2, 1, "d", "-", "-", "-", "-", 1)]
+    assert [render_symbols(q, r.read_start, r.length, golden_digest_index.alphabet)
+            for r in table] == ["=", "!", "d"]
+
+
+@pytest.mark.parametrize("mode", ["raw", "digest"])
+def test_lowercase_reads_give_the_uppercase_tables(mode, golden_collection, golden_raw_index,
+                                                   golden_digest_index):
+    # the read -> code rule folds ASCII case, for strings and for symbols,
+    # as reading a reads file does; N stays unqueryable in either case
+    ix = golden_raw_index if mode == "raw" else golden_digest_index
+    reads = [P, P[:60] + "N" + P[61:], "ACATA", "GATTACA" * 9]
+    upper = [record_tuples(t) for t in compute_mem_tables(ix, reads)]
+    assert [record_tuples(t) for t in compute_mem_tables(ix, [r.lower() for r in reads])] == upper
+    assert [record_tuples(compute_mem_table(ix, r.swapcase())) for r in reads] == upper
+    assert [record_tuples(compute_mem_table(ix, list(r.lower()))) for r in reads] == \
+        [record_tuples(compute_mem_table(ix, list(r))) for r in reads]
+    assert sum(map(len, upper)) > len(reads)
+    pattern = golden_collection.genomes[3][5:65]
+    assert ix.find_interval(pattern.lower()) == ix.find_interval(pattern)
+    assert not ix.find_interval(pattern).is_empty
 
 
 def record_tuples(table):
@@ -293,14 +323,15 @@ def test_mem_tables_empty_and_reserved_reads(toy_index, golden_collection,
 
 def test_non_string_base_reads_take_one_symbol_per_item(monkeypatch):
     # each item of a non-string read is one symbol, whatever its neighbours;
-    # one that is not a one-character base matches nowhere, like N
+    # one that is not a one-character base, in either case, matches nowhere,
+    # like N
     ix = build_index(separate(GenomeCollection(genomes=["GATTACAT", "AGATACAT", "GATACAT"])))
     gatta = record_tuples(compute_mem_table(ix, "GATTA"))
     assert [r[:2] for r in gatta] == [(0, 5)]
     for chunk in (1, mems.CHUNK_READS):
         assert _batch_tables(ix, [["AC", "A"], "GATTA"], chunk, monkeypatch) == \
             [record_tuples(compute_mem_table(ix, "NA")), gatta]
-    for read, same in (([3, 4], "NN"), (b"ACA", "NNN"), (["A", None, "ß", "a"], "ANNN"),
+    for read, same in (([3, 4], "NN"), (b"ACA", "NNN"), (["A", None, "ß", "a"], "ANNA"),
                        (list("ACA"), "ACA"), (tuple("GATTA"), "GATTA")):
         assert record_tuples(compute_mem_table(ix, read)) == \
             record_tuples(compute_mem_table(ix, same))
