@@ -15,7 +15,8 @@ from .evaluate import (MODE_PARAMETERS, IndexVariant, ReadSimConfig,
                        build_variant_text, expand_variant_specs, run_experiment)
 from .index import AugmentedFmIndex, deserialize
 from .kernel import kernel_size_report
-from .mems import TSV_HEADER, longest_mems, read_mem_tables, tsv_rows
+from .mems import (TSV_HEADER, longest_records, mem_chunks, read_mem_tables, rows_by_read,
+                   tsv_rows)
 from .taxonomy import LcaStructure, parse_newick
 
 EXIT_VALIDATION = 2
@@ -138,20 +139,23 @@ def cmd_classify(args) -> int:
     tree.validate_leaf_names(index.names)
     lca = LcaStructure(tree)
     with open_text(args.reads) as source:
-        tables = read_mem_tables(index, iter_reads(source, fmt=args.format), args.min_mem)
+        chunks = mem_chunks(index, iter_reads(source, fmt=args.format), args.min_mem)
         with _open_out(args.output) as out:
             out.write("read_id\tread_start\tlength\tfirst_genome\tlast_genome\tnode_label\n")
-            for read_id, _, table in tables:
-                if not table.records:
-                    out.write(f"{read_id}\t-\t-\t-\t-\t-\n")
-                    continue
-                for rec in longest_mems(table):
-                    if rec.genome_range is None:
-                        out.write(f"{read_id}\t{rec.read_start}\t{rec.length}\t-\t-\t-\n")
-                        continue
-                    node = lca.subtree_for_range(rec.first_genome, rec.last_genome)
-                    out.write(f"{read_id}\t{rec.read_start}\t{rec.length}\t{rec.first_genome}"
-                              f"\t{rec.last_genome}\t{tree.label_of(node)}\n")
+            # rows and LCAs of the longest records alone, a chunk at a time
+            for ids, _, _, columns, bounds in chunks:
+                for read_id, recs in zip(ids, rows_by_read(
+                        columns[[0, 1, 4, 5]], bounds, longest_records(columns[1], bounds))):
+                    if not recs:
+                        out.write(f"{read_id}\t-\t-\t-\t-\t-\n")
+                    for start, length, first, last in recs:
+                        if first < 0:
+                            out.write(f"{read_id}\t{start}\t{length}\t-\t-\t-\n")
+                            continue
+                        node = lca.subtree_for_range(first, last)
+                        out.write(f"{read_id}\t{start}\t{length}\t{first}\t{last}"
+                                  f"\t{tree.label_of(node)}\n")
+                del ids, columns, bounds  # let the chunk go before the next one is encoded
     return 0
 
 

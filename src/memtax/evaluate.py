@@ -13,12 +13,14 @@ from .digest import DEFAULT_HASH, DigestParams, digest_collection
 from .errors import MemtaxError, ValidationError
 from .index import AugmentedFmIndex
 from .kernel import KernelParams, build_katka_kernel, doubling_level
-from .mems import MemTable, longest_mems, read_mem_tables
+from .mems import MemTable, longest_records, mem_chunks, reduce_per_read, rows_by_read
 from .suffix import LAST_LEVEL, doubling_levels
 
 # The mutation RNG is Python's random.Random (Mersenne Twister, MT19937),
 # whose sequence for a given seed is stable across platforms and versions.
 import random
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -95,25 +97,46 @@ def simulate_reads(collection: GenomeCollection, cfg: ReadSimConfig) -> list[Sim
     return reads
 
 
+def range_classes(first, last, sources):
+    """Index in RangeClass order of the class of each MEM's [first, last]
+    genome range against its read's source, elementwise: a true positive
+    when it is [source, source], vague when it holds the source, a false
+    positive when it does not, and a false negative for an empty record
+    (a first genome below 0)."""
+    inside = (first <= sources) & (sources <= last)
+    return np.select([first < 0, inside & (first == last), inside], [_NEGATIVE, _TRUE, _VAGUE],
+                     _FALSE)
+
+
+_RANGE_CLASSES = tuple(RangeClass)
+_TRUE, _FALSE, _VAGUE, _NEGATIVE = map(_RANGE_CLASSES.index, (
+    RangeClass.TRUE_POSITIVE, RangeClass.FALSE_POSITIVE, RangeClass.VAGUE_POSITIVE,
+    RangeClass.FALSE_NEGATIVE))
+
+
+def true_positive_reads(classes, longest, bounds):
+    """Per read of a chunk (its record bounds as mem_chunks gives them):
+    True iff it has records and every longest one (the mask longest) is a
+    true positive, given each record's range_classes index."""
+    return reduce_per_read(np.logical_and, (classes == _TRUE) | ~longest, bounds, False)
+
+
 def classify_range(genome_range: tuple[int, int] | None, true_genome: int) -> RangeClass:
-    """Classify a MEM's [first, last] genome range against the read's source."""
-    if genome_range is None:
-        return RangeClass.FALSE_NEGATIVE
-    first, last = genome_range
-    if first == last == true_genome:
-        return RangeClass.TRUE_POSITIVE
-    if first <= true_genome <= last:
-        return RangeClass.VAGUE_POSITIVE
-    return RangeClass.FALSE_POSITIVE
+    """Classify a MEM's [first, last] genome range against the read's source
+    (range_classes of one record)."""
+    first, last = (-1, -1) if genome_range is None else genome_range
+    return _RANGE_CLASSES[int(range_classes(np.int64(first), np.int64(last), true_genome))]
 
 
 def classify_read(table: MemTable, true_genome: int) -> bool:
-    """True iff every longest MEM of the read classifies as a true positive."""
-    if not table.records:
-        return False
-    return all(
-        classify_range(rec.genome_range, true_genome) is RangeClass.TRUE_POSITIVE
-        for rec in longest_mems(table))
+    """True iff every longest MEM of the read classifies as a true positive
+    (true_positive_reads of one read)."""
+    ranges = [rec.genome_range or (-1, -1) for rec in table.records]
+    first, last = np.array(ranges, dtype=np.int64).reshape(-1, 2).T
+    lengths = np.array([rec.length for rec in table.records], dtype=np.int64)
+    bounds = np.array([0, len(lengths)])
+    return bool(true_positive_reads(range_classes(first, last, true_genome),
+                                    longest_records(lengths, bounds), bounds)[0])
 
 
 # ----------------------------------------------------------------------
@@ -262,28 +285,33 @@ class EvalReport:
 def _evaluate_variant(index: AugmentedFmIndex, variant: IndexVariant,
                       reads: list[SimulatedRead],
                       per_read_sink=None) -> VariantReport:
+    """The variant's report over the reads, a chunk of records at a time:
+    each record's range class, each read's longest records and whether it
+    is a true positive, as arrays (range_classes, true_positive_reads)."""
     report = VariantReport(variant=variant.label, params=variant.params_dict())
     report.size_bytes = index.size_bytes()
-    counts = {cls.value: 0 for cls in RangeClass}
+    counts = np.zeros(len(RangeClass), dtype=np.int64)
     tp = 0
     started = time.perf_counter()
-    for source, codes, table in read_mem_tables(index, ((r.source, r.sequence) for r in reads)):
-        is_tp = classify_read(table, source)
-        if not len(codes):
-            report.unclassifiable_reads += 1
-        tp += is_tp
-        for rec in table.records:
-            counts[classify_range(rec.genome_range, source).value] += 1
+    for sources, codes, offsets, columns, bounds in mem_chunks(
+            index, ((r.source, r.sequence) for r in reads)):
+        report.unclassifiable_reads += int(np.count_nonzero(offsets[1:] == offsets[:-1]))
+        classes = range_classes(columns[4], columns[5], np.repeat(sources, np.diff(bounds)))
+        counts += np.bincount(classes, minlength=len(RangeClass))
+        longest = longest_records(columns[1], bounds)
+        is_tp = true_positive_reads(classes, longest, bounds)
+        tp += int(np.count_nonzero(is_tp))
         if per_read_sink is not None:
-            ranges = ";".join(
-                "-" if rec.genome_range is None else f"{rec.first_genome},{rec.last_genome}"
-                for rec in longest_mems(table)) if table.records else "-"
-            per_read_sink.write(
-                f"{variant.label}\t{source}\t{int(is_tp)}\t{ranges}\n")
+            for source, t, recs in zip(sources, is_tp.tolist(),
+                                       rows_by_read(columns[4:], bounds, longest)):
+                ranges = ";".join("-" if first < 0 else f"{first},{last}" for first, last in recs)
+                per_read_sink.write(f"{variant.label}\t{source}\t{int(t)}\t{ranges or '-'}\n")
+        # let the chunk go before the next one is encoded
+        del sources, codes, offsets, columns, bounds, classes, longest, is_tp
     report.reads_evaluated = len(reads)
     report.tp_rate = tp / len(reads) if reads else 0.0
     report.mean_query_us = (time.perf_counter() - started) / len(reads) * 1e6 if reads else 0.0
-    report.class_counts = counts
+    report.class_counts = {cls.value: int(n) for cls, n in zip(RangeClass, counts)}
     return report
 
 

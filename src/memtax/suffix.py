@@ -354,11 +354,17 @@ class IndexedSequence:
         searched in sorted order (by sort_keys), near the rows last read."""
         # a key below or past every key of K finds what K's bounds find, so
         # clamped to them (two ufuncs cost less than np.clip) the keys fit
-        # K's dtype, without which a search would cast all of K, and sort_keys
+        # K's dtype, without which a search would cast all of K, and
+        # sort_keys; only codes -1 and sigma give such keys, so a short
+        # search checks its few keys in Python and clamps only then
         top = int(self.keys[-1]) + 1 if self.rows else 0
-        keys = np.minimum(np.maximum(c * self.rows + i, 0), top)
+        keys = np.asarray(c * self.rows + i)
         if keys.size < 64:
+            values = keys.ravel().tolist()
+            if values and (min(values) < 0 or max(values) > top):
+                keys = np.minimum(np.maximum(keys, 0), top)
             return self.keys.searchsorted(keys.astype(self.keys.dtype))
+        keys = np.minimum(np.maximum(keys, 0), top)
         order, ordered = sort_keys(keys.ravel(), top + 1)
         out = np.empty_like(order)
         out[order] = self.keys.searchsorted(ordered.astype(self.keys.dtype))
@@ -424,8 +430,12 @@ def first_below(values, origins, bounds):
             # a window past the last row moves back and skips the rows before start
             first = np.minimum(start[group], n - w)
             hit = windows[first] <= limits[group, None]
+            # (a row at a time: a mask over the back windows would copy
+            # them, and its column index, at the widest gather's size)
             if (back := first < start[group]).any():
-                hit[back] &= np.arange(w) >= (start[group] - first)[back, None]
+                for row, skip in zip(np.flatnonzero(back).tolist(),
+                                     (start[group] - first)[back].tolist()):
+                    hit[row, :skip] = False
             col = hit.argmax(axis=1)
             ok = hit[np.arange(len(group)), col]
             found[group[ok]] = first[ok] + col[ok]

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from memtax import (GenomeCollection, IndexVariant, RangeClass, ReadSimConfig,
@@ -10,10 +11,13 @@ from memtax import (GenomeCollection, IndexVariant, RangeClass, ReadSimConfig,
                     compute_mem_table, digest_sequence, run_experiment,
                     simulate_reads)
 from memtax import evaluate, suffix
-from memtax.evaluate import build_variant_index, expand_variant_specs, full_grid
-from memtax.mems import MemTable
+from memtax.cli import main
+from memtax.collection import parse_collection
+from memtax.evaluate import (build_variant_index, expand_variant_specs, full_grid, range_classes,
+                             true_positive_reads)
+from memtax.mems import MemTable, longest_records, mem_chunks, read_mem_tables
 
-from conftest import P
+from conftest import DATA, P
 
 
 def _collection(rng, genomes=4, length=300):
@@ -272,3 +276,69 @@ def test_kernel_fidelity_tp_rates_match():
     raw, kern = report.variants
     assert raw.tp_rate == kern.tp_rate
     assert raw.class_counts == kern.class_counts
+
+
+# a small seeded eval over the 16 golden genomes: every range class, a
+# tp_rate below 1 on every variant, an empty longest record (digest:3:12)
+# and a digest variant whose window is longer than the reads, so that every
+# read is unclassifiable (digest:3:29)
+GOLDEN_EVAL_VARIANTS = "raw,kernel:4,digest:3:4,digest:3:12,digest-kernel:3:4:3,digest:3:29"
+GOLDEN_EVAL_CONFIG = ReadSimConfig(read_length=30, mutation_rate=0.05, reads_per_genome=5, seed=11)
+
+
+def test_eval_golden_report_and_per_read(tmp_path):
+    # the report without timings and the --per-read TSV, byte for byte
+    cfg = GOLDEN_EVAL_CONFIG
+    assert main(["eval", "--input", str(DATA / "golden_genomes.txt"), "--format", "lines",
+                 "--variants", GOLDEN_EVAL_VARIANTS, "--read-len", str(cfg.read_length),
+                 "--mut-rate", str(cfg.mutation_rate), "--reads-per-genome",
+                 str(cfg.reads_per_genome), "--seed", str(cfg.seed),
+                 "--per-read", str(tmp_path / "per_read.tsv"),
+                 "--output", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "per_read.tsv").read_bytes() == \
+        (DATA / "golden_eval_per_read.tsv").read_bytes()
+    report = json.loads((tmp_path / "report.json").read_text())
+    for variant in report["variants"]:
+        del variant["mean_query_us"]
+    assert (json.dumps(report, indent=2, sort_keys=True) + "\n").encode() == \
+        (DATA / "golden_eval_report.json").read_bytes()
+
+
+def _reference_class(genome_range, source):
+    """The range class by its definition, one record at a time."""
+    if genome_range is None:
+        return RangeClass.FALSE_NEGATIVE
+    first, last = genome_range
+    if first == last == source:
+        return RangeClass.TRUE_POSITIVE
+    if first <= source <= last:
+        return RangeClass.VAGUE_POSITIVE
+    return RangeClass.FALSE_POSITIVE
+
+
+def test_columnar_classes_agree_with_classify_range_and_read():
+    # on every record of the golden eval, the class of range_classes, that
+    # of classify_range and that of the definition agree, and so do the
+    # true positives of true_positive_reads and classify_read
+    coll = parse_collection(DATA / "golden_genomes.txt", fmt="lines")
+    reads = [(r.source, r.sequence) for r in simulate_reads(coll, GOLDEN_EVAL_CONFIG)]
+    seen, tp_reads = set(), set()
+    for variant in expand_variant_specs(GOLDEN_EVAL_VARIANTS.split(",")):
+        index = build_variant_index(coll, variant)
+        [(sources, _, _, columns, bounds)] = mem_chunks(index, reads)
+        tables = [table for _, _, table in read_mem_tables(index, reads)]
+        classes = range_classes(columns[4], columns[5], np.repeat(sources, np.diff(bounds)))
+        want = [_reference_class(rec.genome_range, source)
+                for source, table in zip(sources, tables) for rec in table]
+        assert [list(RangeClass)[c] for c in classes.tolist()] == want
+        assert [classify_range(rec.genome_range, source)
+                for source, table in zip(sources, tables) for rec in table] == want
+        got = true_positive_reads(classes, longest_records(columns[1], bounds), bounds).tolist()
+        assert got == [classify_read(table, source) for source, table in zip(sources, tables)]
+        assert got == [bool(table.records) and all(
+            _reference_class(rec.genome_range, source) is RangeClass.TRUE_POSITIVE
+            for rec in table.records if rec.length == max(r.length for r in table.records))
+            for source, table in zip(sources, tables)]
+        seen.update(want)
+        tp_reads.add(sum(got) < len(got))
+    assert seen == set(RangeClass) and tp_reads == {True}

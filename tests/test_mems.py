@@ -3,11 +3,12 @@ import tracemalloc
 
 import pytest
 
-from memtax import (DigestParams, GenomeCollection, ValidationError, build_index,
-                    compute_mem_table, deserialize, digest_collection, digest_sequence,
-                    longest_mems, separate)
+from memtax import (AugmentedFmIndex, DigestParams, GenomeCollection, KernelParams,
+                    ValidationError, build_index, build_katka_kernel, compute_mem_table,
+                    deserialize, digest_collection, digest_sequence, longest_mems, separate)
 from memtax import mems
-from memtax.collection import SEP_CODE
+from memtax.collection import FIRST_SYMBOL_CODE, SEP_CODE
+from memtax.suffix import IndexedSequence
 from memtax.mems import compute_mem_tables, render_symbols, tsv_rows
 
 import oracles
@@ -375,3 +376,76 @@ def test_mem_tables_memory_is_one_chunk(monkeypatch):
 def test_digest_mem_tables_memory_is_one_chunk(monkeypatch):
     # the digest walk digests each chunk's reads as well
     _assert_memory_is_one_chunk(monkeypatch, lambda c: digest_collection(c, DigestParams()))
+
+
+def _counted(monkeypatch, cls, name):
+    """A one-item list counting the calls of the method cls.name, which
+    still does its work."""
+    calls, method = [0], getattr(cls, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_batch_of_one_searches_once_a_round(toy_index, monkeypatch):
+    # a lone failed lane is shrunk at the start of the next round, so a
+    # batch of one takes as many lf searches and shrinks as a walk that
+    # shrinks each failed lane in the round of its failure
+    lf = _counted(monkeypatch, IndexedSequence, "lf")
+    shrink = _counted(monkeypatch, AugmentedFmIndex, "shrink")
+    for read, want in {"ACATA": (6, 1), "GATTACAT": (8, 0), "TTTT": (6, 2),
+                       "ACNNGATA": (8, 2), P: (39, 15), "C": (1, 0)}.items():
+        lf[0] = shrink[0] = 0
+        compute_mem_table(toy_index, read)
+        assert (lf[0], shrink[0]) == want, read
+
+
+def _mutated(rng, seq, rate):
+    return "".join(rng.choice("ACGT") if rng.random() < rate else c for c in seq)
+
+
+@pytest.mark.parametrize("mode", ["raw", "kernel", "digest"])
+def test_chunk_walk_equals_reads_walked_alone(mode, monkeypatch):
+    # a chunk of several hundred reads, whose failed lanes wait and are
+    # shrunk together, gives every read the table it gets alone: reads of
+    # 1 to 500 bases, some holding an N (a code -1 resets the lane), and on
+    # digest indexes value lists whose first and last values are absent
+    # from the text (empty records); min_length 4 drops the same records
+    rng = random.Random(34)
+    core = "".join(rng.choice("ACGT") for _ in range(3000))
+    genomes = [_mutated(rng, core, 0.05) for _ in range(6)]
+    coll = GenomeCollection(genomes=genomes)
+    text = {"raw": separate, "kernel": lambda c: build_katka_kernel(separate(c), KernelParams(30)),
+            "digest": lambda c: digest_collection(c, DigestParams())}[mode](coll)
+    ix = build_index(text)
+    reads = []
+    for k in range(300):
+        genome = rng.choice(genomes)
+        length = 1 + int(499 * rng.random() ** 2)
+        start = rng.randrange(len(genome) - length + 1)
+        read = _mutated(rng, genome[start: start + length], 0.02)
+        if k % 10 == 0:
+            at = rng.randrange(length)
+            read = read[:at] + "N" + read[at + 1:]
+        reads.append(read)
+    if mode == "digest":
+        present = set(text.codes.tolist())
+        absent = [v for v in range(64) if v + FIRST_SYMBOL_CODE not in present] + [64, 2**40]
+        for read in reads[1::3]:
+            if values := digest_sequence(read.replace("N", "A"), DigestParams()):
+                reads.append([rng.choice(absent), *values[1:-1], rng.choice(absent)])
+    lf = _counted(monkeypatch, IndexedSequence, "lf")
+    shrink = _counted(monkeypatch, AugmentedFmIndex, "shrink")
+    chunk = _batch_tables(ix, reads, 1000, monkeypatch)
+    assert 0 < 2 * shrink[0] < lf[0]  # the chunk shrinks in fewer than half its rounds
+    alone = _batch_tables(ix, reads, 1, monkeypatch)
+    assert chunk == alone
+    assert _batch_tables(ix, reads, 1000, monkeypatch, min_length=4) == \
+        [[t for t in table if t[1] >= 4] for table in alone]
+    assert sum(len(t) > 1 for t in alone) > len(reads) // 2
+    if mode == "digest":
+        assert sum(t[6] for table in alone for t in table) >= len(reads) - 300
